@@ -8,12 +8,14 @@ Two historical iterations are implemented over `fractions.Fraction`:
   recurrence, which converges linearly and alternates sides (Aristarchus'
   7/5 lies on this path but is unreachable by the averaging step).
 
-Digit accuracy is measured exactly: whether |t - sqrt(2)| < 10**-k is
-decided by integer comparisons against floor(sqrt(2) * 10**k * den), so no
+Digit accuracy is measured exactly: one integer square root,
+floor(sqrt(2) * 10**k * den) at the highest level k that can hold, brackets
+the scaled error tightly enough to decide every level at or below k, so no
 floating point appears anywhere in this module.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,31 +94,32 @@ def decimal_digit_count(n: int) -> int:
 def correct_digits(t, cap: int = DEFAULT_DIGIT_CAP) -> int:
     """The largest k <= cap with |t - sqrt(2)| < 10**-k, decided exactly.
 
-    Scaling by q = den * 10**k reduces the question to locating the integer
-    num * 10**k within one `den` of floor(sqrt(2 * q**2)); both bounds are
-    strict because sqrt(2) is irrational.  Returns 0 when not even
-    |t - sqrt(2)| < 1 holds.
+    Since num**2 - 2*den**2 is a nonzero integer, |t - sqrt(2)| exceeds
+    1 / (den * (num + 2*den)), so no level above that bound's digit count k
+    can hold.  One root at k, x = num * 10**k - isqrt(2 * (den * 10**k)**2),
+    puts the scaled error num * 10**k - den * 10**k * sqrt(2) strictly
+    inside (x - 1, x), because sqrt(2) is irrational.  With m = x for x >= 1
+    and m = 1 - x otherwise, level j <= k holds exactly when
+    m <= den * 10**(k - j).  Returns 0 when not even |t - sqrt(2)| < 1 holds.
     """
     t = _positive_fraction(t)
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     num, den = t.numerator, t.denominator
-    digits = 0
-    for k in range(1, cap + 1):
-        scaled_num = num * 10**k
-        scaled_den = den * 10**k
-        floor_sqrt2 = isqrt(2 * scaled_den * scaled_den)
-        if scaled_num - den <= floor_sqrt2 and scaled_num + den >= floor_sqrt2 + 1:
-            digits = k
-        else:
-            break
-    return digits
+    k = min(operator.index(cap), decimal_digit_count(den * (num + 2 * den)))
+    x = num * 10**k - isqrt(2 * (den * 10**k) ** 2)
+    m = x if x >= 1 else 1 - x
+    # Level j holds exactly when ceil(m / den) <= 10**(k - j).
+    m_over_den = -(-m // den)
+    if m_over_den == 1:
+        return k
+    return max(0, k - decimal_digit_count(m_over_den - 1))
 
 
 def side_of_sqrt2(t) -> str:
     """'under' or 'over', by the exact sign of num**2 - 2*den**2."""
     t = _positive_fraction(t)
-    return "under" if t * t < 2 else "over"
+    return "under" if t.numerator**2 < 2 * t.denominator**2 else "over"
 
 
 def cf_convergent_sqrt2(n: int) -> Fraction:

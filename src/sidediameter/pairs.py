@@ -31,8 +31,9 @@ class DescentBelowSeedError(ValueError):
 class SideDiameterPair:
     """A side number, a diameter number, and optionally their 1-based index.
 
-    Invariants, checked on construction: a >= 1, d >= 1, d**2 - 2*a**2 is
-    -1 or +1, and when the index n is known the sign equals (-1)**n.
+    Invariants, checked on construction: a, d and the index are plain ints
+    (not bool, float or Fraction), a >= 1, d >= 1, d**2 - 2*a**2 is -1 or
+    +1, and when the index n is known the sign equals (-1)**n.
     Coprimality of a and d follows from the sign condition, since any
     common divisor would divide d**2 - 2*a**2 = ±1.
     """
@@ -42,6 +43,12 @@ class SideDiameterPair:
     index: int | None = None
 
     def __post_init__(self):
+        if not (type(self.a) is int and type(self.d) is int
+                and (self.index is None or type(self.index) is int)):
+            raise InvalidPairError(
+                f"side, diameter and index must be plain ints, "
+                f"got ({self.a!r}, {self.d!r}, index={self.index!r})"
+            )
         if self.a < 1 or self.d < 1:
             raise InvalidPairError(
                 f"side and diameter must be >= 1, got ({self.a}, {self.d})"

@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sidediameter import approx
 from sidediameter.approx import (
     ConvergenceReport,
     babylonian_preimage,
@@ -158,6 +160,74 @@ def test_correct_digits_respects_cap():
     assert correct_digits(Fraction(577, 408), cap=3) == 3
     with pytest.raises(ValueError):
         correct_digits(Fraction(3, 2), cap=0)
+
+
+def _correct_digits_scan(t: Fraction, cap: int) -> int:
+    """Reference: test |t - sqrt(2)| < 10**-k for k = 1, 2, ... with one root per level."""
+    num, den = t.numerator, t.denominator
+    digits = 0
+    for k in range(1, cap + 1):
+        scaled_num = num * 10**k
+        scaled_den = den * 10**k
+        floor_sqrt2 = math.isqrt(2 * scaled_den * scaled_den)
+        if scaled_num - den <= floor_sqrt2 and scaled_num + den >= floor_sqrt2 + 1:
+            digits = k
+        else:
+            break
+    return digits
+
+
+def _babylonian_iterate(start: Fraction, steps: int) -> Fraction:
+    for _ in range(steps):
+        start = babylonian_step(start)
+    return start
+
+
+def _near_sqrt2(den: int, offset: int) -> Fraction:
+    return Fraction(max(1, math.isqrt(2 * den * den) + offset), den)
+
+
+digit_test_values = st.one_of(
+    st.integers(1, 400).map(cf_convergent_sqrt2),
+    st.builds(
+        _babylonian_iterate,
+        st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(7, 5), Fraction(19, 13)]),
+        st.integers(1, 9),
+    ),
+    st.builds(Fraction, st.integers(1, 10**40), st.integers(1, 10**40)),
+    st.builds(_near_sqrt2, st.integers(1, 10**60), st.integers(-3, 3)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(digit_test_values, st.sampled_from([1, 2, 3, 7, 50, 200, 300]))
+def test_correct_digits_matches_linear_scan(t, cap):
+    assert correct_digits(t, cap) == _correct_digits_scan(t, cap)
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_correct_digits_matches_linear_scan_on_far_convergents(n):
+    t = cf_convergent_sqrt2(n)
+    assert correct_digits(t, 1500) == _correct_digits_scan(t, 1500)
+
+
+def test_correct_digits_takes_one_isqrt(monkeypatch):
+    calls = []
+
+    def counting_isqrt(n):
+        calls.append(n)
+        return math.isqrt(n)
+
+    monkeypatch.setattr(approx, "isqrt", counting_isqrt)
+    for t, cap in [(Fraction(577, 408), 50), (Fraction(100), 7), (ratio(nth(300)), 300)]:
+        calls.clear()
+        correct_digits(t, cap)
+        assert len(calls) == 1
+
+
+@given(positive_fractions)
+def test_side_of_sqrt2_is_the_side_of_t_squared(t):
+    assert side_of_sqrt2(t) == ("under" if t * t < 2 else "over")
 
 
 @pytest.mark.parametrize(

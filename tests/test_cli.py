@@ -239,6 +239,21 @@ def test_usage_errors_exit_2(argv):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["gen", "--count", "0"], "argument --count: must be >= 1, got 0"),
+        (["compare", "--steps", "-1"], "argument --steps: must be >= 0, got -1"),
+        (["nth", "x"], "argument n: not an integer: 'x'"),
+        (["gen", "--count", "3", "--digits", "2.5"], "argument --digits: not an integer: '2.5'"),
+    ],
+)
+def test_integer_argument_error_texts(argv, message):
+    code, _, err = invoke(argv)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["trace", "3", "5"],

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -201,6 +202,13 @@ def test_pair_accepts_valid_constructions():
         (1, 1, 2),      # sign -1 but even index claims +1
         (2, 3, 1),
         (2, 3, 0),
+        # plain ints only: no floats, Fractions or bools
+        (1.0, 1.0, None),
+        (Fraction(2), 3.0, None),
+        (True, True, None),
+        (2, 3, 2.0),
+        (1, 1, True),
+        (12, 17, Fraction(4)),
     ],
 )
 def test_pair_rejects_invalid_constructions(a, d, index):
