@@ -138,12 +138,26 @@ def cf_convergent_sqrt2(n: int) -> Fraction:
     return Fraction(num, den)
 
 
+_REPORT_COLUMNS = ("step", "value_num", "value_den", "decimal_value", "correct_digits", "side")
+
+
 @dataclass(frozen=True)
 class ReportRow:
     step: int
     value: Fraction
     correct_digits: int
     side_of_sqrt2: str
+
+    def fields(self, digits: int) -> tuple[str, ...]:
+        """The row as strings, one per column of `_REPORT_COLUMNS`."""
+        return (
+            str(self.step),
+            str(self.value.numerator),
+            str(self.value.denominator),
+            decimal_string(self.value, digits),
+            str(self.correct_digits),
+            self.side_of_sqrt2,
+        )
 
 
 @dataclass(frozen=True)
@@ -155,30 +169,14 @@ class ConvergenceReport:
     rows: tuple[ReportRow, ...]
 
     def to_csv(self, digits: int = DEFAULT_DECIMAL_DIGITS) -> str:
-        lines = ["step,value_num,value_den,decimal_value,correct_digits,side"]
-        for row in self.rows:
-            lines.append(
-                f"{row.step},{row.value.numerator},{row.value.denominator},"
-                f"{decimal_string(row.value, digits)},{row.correct_digits},"
-                f"{row.side_of_sqrt2}"
-            )
-        return "\n".join(lines) + "\n"
+        lines = [_REPORT_COLUMNS] + [row.fields(digits) for row in self.rows]
+        return "\n".join(",".join(line) for line in lines) + "\n"
 
     def to_json_dict(self, digits: int = DEFAULT_DECIMAL_DIGITS) -> dict:
         return {
             "method": self.method,
             "start": str(self.start),
-            "rows": [
-                {
-                    "step": str(row.step),
-                    "value_num": str(row.value.numerator),
-                    "value_den": str(row.value.denominator),
-                    "decimal_value": decimal_string(row.value, digits),
-                    "correct_digits": str(row.correct_digits),
-                    "side": row.side_of_sqrt2,
-                }
-                for row in self.rows
-            ],
+            "rows": [dict(zip(_REPORT_COLUMNS, row.fields(digits))) for row in self.rows],
         }
 
 

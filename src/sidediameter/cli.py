@@ -99,30 +99,30 @@ def _pair_line(p: pairs.SideDiameterPair) -> str:
     return f"n={p.index} a={p.a} d={p.d} e={p.sign}"
 
 
+_GEN_COLUMNS = ("n", "a", "d", "e", "ratio_decimal", "correct_digits")
+
+
+def _gen_row(p: pairs.SideDiameterPair, digits: int) -> tuple[str, ...]:
+    """One `gen` row as strings, one per column of `_GEN_COLUMNS`."""
+    value = approx.ratio(p)
+    return (
+        str(p.index),
+        str(p.a),
+        str(p.d),
+        str(p.sign),
+        approx.decimal_string(value, digits),
+        str(approx.correct_digits(value, approx.DEFAULT_DIGIT_CAP)),
+    )
+
+
 def _cmd_gen(args) -> int:
     table = pairs.generate(args.count)
-    cap = approx.DEFAULT_DIGIT_CAP
     if args.format == "csv":
-        print("n,a,d,e,ratio_decimal,correct_digits")
+        print(",".join(_GEN_COLUMNS))
         for p in table:
-            value = approx.ratio(p)
-            print(
-                f"{p.index},{p.a},{p.d},{p.sign},"
-                f"{approx.decimal_string(value, args.digits)},"
-                f"{approx.correct_digits(value, cap)}"
-            )
+            print(",".join(_gen_row(p, args.digits)))
     else:
-        rows = []
-        for p in table:
-            value = approx.ratio(p)
-            rows.append({
-                "n": str(p.index),
-                "a": str(p.a),
-                "d": str(p.d),
-                "e": str(p.sign),
-                "ratio_decimal": approx.decimal_string(value, args.digits),
-                "correct_digits": str(approx.correct_digits(value, cap)),
-            })
+        rows = [dict(zip(_GEN_COLUMNS, _gen_row(p, args.digits))) for p in table]
         print(json.dumps(rows, indent=2))
     return 0
 
@@ -184,15 +184,11 @@ def _cmd_approx(args) -> int:
 def _cmd_compare(args) -> int:
     babylonian, side_diameter = approx.compare_methods(args.start, args.steps, args.cap)
     if args.format == "csv":
-        print("method,step,value_num,value_den,decimal_value,correct_digits,side")
+        lines = []
         for report in (babylonian, side_diameter):
-            for row in report.rows:
-                print(
-                    f"{report.method},{row.step},{row.value.numerator},"
-                    f"{row.value.denominator},"
-                    f"{approx.decimal_string(row.value, args.digits)},"
-                    f"{row.correct_digits},{row.side_of_sqrt2}"
-                )
+            header, *rows = report.to_csv(args.digits).splitlines()
+            lines += [f"{report.method},{row}" for row in rows]
+        print(f"method,{header}", *lines, sep="\n")
     else:
         print(json.dumps(
             {

@@ -16,7 +16,8 @@ well-founded and matches the classical presentation that starts at (1, 1).
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterator, NamedTuple
 
 
 class InvalidPairError(ValueError):
@@ -131,9 +132,7 @@ def nth_iterative(n: int) -> SideDiameterPair:
     Linear in n; serves as the independent oracle for the fast `nth`.
     """
     _require_positive(n, "n")
-    a, d = 1, 1
-    for _ in range(n - 1):
-        a, d = a + d, 2 * a + d
+    a, d = next(islice(_walk(), n - 1, None))
     return SideDiameterPair(a, d, index=n)
 
 
@@ -165,12 +164,16 @@ def _nth_components(n: int) -> tuple[int, int]:
 def generate(count: int) -> list[SideDiameterPair]:
     """The first `count` pairs, each carrying its index."""
     _require_positive(count, "count")
-    out = []
+    return [SideDiameterPair(a, d, index=i)
+            for i, (a, d) in enumerate(islice(_walk(), count), 1)]
+
+
+def _walk() -> Iterator[tuple[int, int]]:
+    """The components (a, d) of every pair in order, from the seed on."""
     a, d = 1, 1
-    for i in range(1, count + 1):
-        out.append(SideDiameterPair(a, d, index=i))
+    while True:
+        yield a, d
         a, d = a + d, 2 * a + d
-    return out
 
 
 def adjacent_rational_diameter(a: int) -> int | None:
@@ -182,10 +185,9 @@ def adjacent_rational_diameter(a: int) -> int | None:
     reaches a, so no second numeric code path is involved.
     """
     _require_positive(a, "a")
-    side, diam = 1, 1
-    while side < a:
-        side, diam = side + diam, 2 * side + diam
-    return diam if side == a else None
+    for side, diam in _walk():
+        if side >= a:
+            return diam if side == a else None
 
 
 def plato_check(a: int, d: int) -> PlatoReport:
@@ -195,13 +197,9 @@ def plato_check(a: int, d: int) -> PlatoReport:
     two when the sign is -1 (the classical a = 5, d = 7, N = 48 case) but by
     zero when the sign is +1, so the sign is reported alongside the gaps.
     """
-    e = d * d - 2 * a * a
-    if a < 1 or d < 1 or e not in (-1, 1):
-        raise InvalidPairError(
-            f"({a}, {d}) is not a side/diameter pair: d^2 - 2a^2 = {e}"
-        )
+    sign = SideDiameterPair(a, d).sign
     n = d * d - 1
-    return PlatoReport(n, d * d - n, 2 * a * a - n, e)
+    return PlatoReport(n, d * d - n, 2 * a * a - n, sign)
 
 
 def encouraging_identity_check(p: SideDiameterPair) -> IdentityCheck:

@@ -287,12 +287,11 @@ def test_report_csv_schema():
 
 
 def test_report_json_mirror():
-    report, _ = compare_methods(Fraction(3, 2), 1)
+    report, _ = compare_methods(Fraction(3, 2), 4)
     payload = report.to_json_dict()
     assert payload["method"] == "babylonian"
     assert payload["start"] == "3/2"
-    (row,) = payload["rows"]
-    assert row == {
+    assert payload["rows"][0] == {
         "step": "1",
         "value_num": "17",
         "value_den": "12",
@@ -300,6 +299,11 @@ def test_report_json_mirror():
         "correct_digits": "2",
         "side": "over",
     }
+    header, *lines = report.to_csv().splitlines()
+    assert len(lines) == len(payload["rows"]) == 4
+    for line, row in zip(lines, payload["rows"]):
+        assert list(row) == header.split(",")
+        assert list(row.values()) == line.split(",")
 
 
 def test_decimal_string_rendering():

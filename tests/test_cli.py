@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -48,6 +49,12 @@ def test_gen_json_round_trips_to_library_values():
     assert rebuilt == generate(100)
     for row, pair in zip(parsed, rebuilt):
         assert int(row["e"]) == pair.sign
+    _, csv_out, _ = invoke(["gen", "--count", "100", "--format", "csv"])
+    header, *lines = csv_out.splitlines()
+    assert len(lines) == 100
+    for line, row in zip(lines, parsed):
+        assert list(row) == header.split(",")
+        assert list(row.values()) == line.split(",")
 
 
 def test_gen_digits_flag_controls_decimal_precision():
@@ -216,6 +223,34 @@ def test_determinism_byte_identical_stdout(argv):
     _, second, _ = invoke(argv)
     assert first == second
     assert first  # nonempty payload
+
+
+# sha256 and length of the exact stdout bytes: column order, number
+# rendering, JSON key order and indent, and the trailing newline.
+@pytest.mark.parametrize(
+    "argv,size,sha256",
+    [
+        (["gen", "--count", "40", "--format", "csv", "--digits", "0"], 1153,
+         "a1f49b7c60905eba73cd2fc08aca859b1d880930c945936380a7e092c4ce3fd3"),
+        (["gen", "--count", "40", "--format", "csv"], 2393,
+         "96a1d8da8e4191e404e9bb6855bcaec3f46664afc558f2f5cdd739192a19e5a9"),
+        (["gen", "--count", "40", "--format", "json", "--digits", "100"], 9359,
+         "2be085b460c8691e580585314e3285619de45718a0dc0be1c5375a6cb7b0398e"),
+        (["compare", "--start", "3/2", "--steps", "4"], 582,
+         "edb3ecb81b7fd5f4228c6689bacedf53754a977185b75ea39e6d50c78b58ccb3"),
+        (["compare", "--start", "7/5", "--steps", "5", "--format", "json", "--cap", "200"], 2425,
+         "dac10189c2cfb3165ba297e0b0c5b4e279c3cd7883bc0715804161ac4129a59a"),
+        (["compare", "--steps", "0"], 66,
+         "fb8fd4e8fae9526b45e7faf1a8b04f2aca98dd03915fb974215cdea7e48022de"),
+        (["compare", "--steps", "0", "--format", "json"], 209,
+         "db15211bdb2d3d99e87da9575cd7ec68ad5df89f8ca9e60711759cf1673af342"),
+    ],
+)
+def test_golden_stdout_bytes(argv, size, sha256):
+    code, out, err = invoke(argv)
+    assert (code, err) == (0, "")
+    payload = out.encode()
+    assert (len(payload), hashlib.sha256(payload).hexdigest()) == (size, sha256)
 
 
 @pytest.mark.parametrize(

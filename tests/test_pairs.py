@@ -166,10 +166,9 @@ def test_plato_check_examples():
 
 
 def test_plato_check_rejects_invalid_pair():
-    with pytest.raises(InvalidPairError):
-        plato_check(3, 5)
-    with pytest.raises(InvalidPairError):
-        plato_check(0, 1)
+    for a, d in [(3, 5), (0, 1), (5.0, 7.0), (Fraction(5), Fraction(7))]:
+        with pytest.raises(InvalidPairError):
+            plato_check(a, d)
 
 
 @pytest.mark.parametrize(
