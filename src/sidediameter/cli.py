@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _pair_line(p: pairs.SideDiameterPair) -> str:
-    return f"n={p.index} a={p.a} d={p.d} e={p.sign}"
+    return f"n={p.index} a={approx.to_decimal(p.a)} d={approx.to_decimal(p.d)} e={p.sign}"
 
 
 _GEN_COLUMNS = ("n", "a", "d", "e", "ratio_decimal", "correct_digits")
@@ -107,8 +107,8 @@ def _gen_row(p: pairs.SideDiameterPair, digits: int) -> tuple[str, ...]:
     value = approx.ratio(p)
     return (
         str(p.index),
-        str(p.a),
-        str(p.d),
+        approx.to_decimal(p.a),
+        approx.to_decimal(p.d),
         str(p.sign),
         approx.decimal_string(value, digits),
         str(approx.correct_digits(value, approx.DEFAULT_DIGIT_CAP)),
@@ -247,9 +247,12 @@ def run(argv, stdout=None, stderr=None) -> int:
     Payload on stdout, diagnostics on stderr.  Streams default to the
     process streams and can be replaced for testing.
     """
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # pairs grow beyond the default str() limit
     with contextlib.ExitStack() as stack:
+        if hasattr(sys, "set_int_max_str_digits"):
+            # Parsing `trace A D` and big rationals needs ints beyond the
+            # default str() limit; the caller's limit comes back on return.
+            stack.callback(sys.set_int_max_str_digits, sys.get_int_max_str_digits())
+            sys.set_int_max_str_digits(0)
         if stdout is not None:
             stack.enter_context(contextlib.redirect_stdout(stdout))
         if stderr is not None:

@@ -13,6 +13,7 @@ encoded.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from sidediameter import approx
 from sidediameter.pairs import SideDiameterPair
 from sidediameter.polynomials import Poly, symbols
 
@@ -63,12 +64,21 @@ class DerivationTrace:
     def conclusion(self) -> TraceStep:
         return self.steps[-1]
 
+    def _value_texts(self) -> dict[int, str]:
+        """Each distinct step value in decimal, rendered once.
+
+        Both sides of a step are equal (checked on construction), so one
+        string serves both, and steps sharing a value share its string.
+        """
+        return {v: approx.to_decimal(v) for v in {s.lhs_value for s in self.steps}}
+
     def to_json_dict(self) -> dict:
         """JSON-ready form; integer values as decimal strings (any size)."""
+        text = self._value_texts()
         return {
             "pair": {
-                "a": str(self.pair.a),
-                "d": str(self.pair.d),
+                "a": approx.to_decimal(self.pair.a),
+                "d": approx.to_decimal(self.pair.d),
                 "e": str(self.pair.sign),
             },
             "steps": [
@@ -76,8 +86,8 @@ class DerivationTrace:
                     "justification": s.justification,
                     "lhs_expr": s.lhs_expr,
                     "rhs_expr": s.rhs_expr,
-                    "lhs_value": str(s.lhs_value),
-                    "rhs_value": str(s.rhs_value),
+                    "lhs_value": text[s.lhs_value],
+                    "rhs_value": text[s.lhs_value],
                 }
                 for s in self.steps
             ],
@@ -85,13 +95,18 @@ class DerivationTrace:
 
     def pretty(self) -> str:
         p = self.pair
-        lines = [f"derivation for pair (a={p.a}, d={p.d}, e={p.sign:+d})"]
+        text = self._value_texts()
+        lines = [
+            f"derivation for pair (a={approx.to_decimal(p.a)}, "
+            f"d={approx.to_decimal(p.d)}, e={p.sign:+d})"
+        ]
         width = max(len(j) for j in JUSTIFICATIONS) + 2
         for s in self.steps:
             tag = f"[{s.justification}]"
+            value = text[s.lhs_value]
             lines.append(
                 f"  {tag:<{width}}  {s.lhs_expr} = {s.rhs_expr}"
-                f"    ({s.lhs_value} = {s.rhs_value})"
+                f"    ({value} = {value})"
             )
         return "\n".join(lines)
 
@@ -203,9 +218,12 @@ def trace_elegant(p: SideDiameterPair) -> DerivationTrace:
     if not proportion_subtract(u, v, x, y, 2):
         raise ArithmeticError(f"subtraction lemma failed for {p!r}")
 
-    sq_next_d = f"(2*{a}+{d})^2"
-    sq_d = f"{d}^2"
-    rhs_sum = f"2*({a}^2 + ({a}+{d})^2)"
+    # Each integer is rendered once; the expressions reuse its string.
+    text_a, text_d = approx.to_decimal(a), approx.to_decimal(d)
+    sq_next_d = f"(2*{text_a}+{text_d})^2"
+    sq_d = f"{text_d}^2"
+    rhs_sum = f"2*({text_a}^2 + ({text_a}+{text_d})^2)"
+    twice_sq_next_a = f"2*({text_a}+{text_d})^2"
     steps = (
         TraceStep(
             "II.10",
@@ -216,7 +234,7 @@ def trace_elegant(p: SideDiameterPair) -> DerivationTrace:
         ),
         TraceStep(
             "hypothesis-substitution",
-            f"({sq_next_d} {plus_e}) + 2*{a}^2",
+            f"({sq_next_d} {plus_e}) + 2*{text_a}^2",
             rhs_sum,
             u + v,
             double,
@@ -224,14 +242,14 @@ def trace_elegant(p: SideDiameterPair) -> DerivationTrace:
         TraceStep(
             "V.19-subtraction",
             f"{sq_next_d} {plus_e}",
-            f"2*({a}+{d})^2",
+            twice_sq_next_a,
             u,
             2 * x,
         ),
         TraceStep(
             "conclusion",
             sq_next_d,
-            f"2*({a}+{d})^2 {minus_e}",
+            f"{twice_sq_next_a} {minus_e}",
             next_d * next_d,
             2 * x - e,
         ),

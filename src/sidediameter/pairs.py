@@ -70,7 +70,13 @@ class SideDiameterPair:
 
     @property
     def sign(self) -> int:
-        """The value d**2 - 2*a**2, always -1 or +1."""
+        """The value d**2 - 2*a**2, always -1 or +1.
+
+        For an indexed pair this is (-1)**index, which construction checked,
+        so no squaring is repeated.
+        """
+        if self.index is not None:
+            return -1 if self.index & 1 else 1
         return self.d * self.d - 2 * self.a * self.a
 
 

@@ -1,5 +1,7 @@
+import decimal
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,9 @@ from sidediameter.approx import (
     run_method,
     sd_ratio_step,
     side_of_sqrt2,
+    to_decimal,
 )
+from sidediameter.identities import trace_elegant
 from sidediameter.pairs import SideDiameterPair, generate, nth, step
 
 positive_fractions = st.fractions(
@@ -312,8 +316,82 @@ def test_decimal_string_rendering():
     assert decimal_string(Fraction(-17, 12), 4) == "-1.4166"
     assert decimal_string(Fraction(7), 0) == "7"
     assert decimal_string(Fraction(1, 2), 1) == "0.5"
+    assert decimal_string(Fraction(201, 100), 4) == "2.0100"
+    # A fractional part above the str() threshold, with 4,499 leading zeros.
+    assert decimal_string(Fraction(10**4500 + 1, 10**9000), 9000) == (
+        "0." + "0" * 4499 + "1" + "0" * 4499 + "1"
+    )
     with pytest.raises(ValueError):
         decimal_string(Fraction(1), -1)
+
+
+def reference_str(n: int) -> str:
+    """str(n) with the interpreter's int-to-str digit limit lifted."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def _widths_near(*cuts):
+    return st.sampled_from(cuts).flatmap(lambda cut: st.integers(cut - 3, cut + 3))
+
+
+# Bit widths and decimal lengths on both sides of the str() threshold and
+# of the leaf size, where the split first recurses.
+_BIT_CUTS = (approx._STR_MAX_BITS, 2 * approx._STR_MAX_BITS, 8 * approx._LEAF_BITS)
+_DIGIT_CUTS = tuple(cut * 30103 // 100000 for cut in _BIT_CUTS)
+
+threshold_ints = st.one_of(
+    st.integers(-(2**80), 2**80),
+    _widths_near(*_BIT_CUTS).flatmap(lambda w: st.integers(2 ** (w - 1), 2**w - 1)),
+    _widths_near(*_BIT_CUTS).map(lambda w: 2**w),
+    _widths_near(*_BIT_CUTS).map(lambda w: 2**w - 1),
+    _widths_near(*_DIGIT_CUTS).map(lambda k: 10**k),
+    _widths_near(*_DIGIT_CUTS).map(lambda k: 10**k - 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(threshold_ints, st.booleans())
+def test_to_decimal_matches_str(n, negate):
+    n = -n if negate else n
+    assert to_decimal(n) == reference_str(n)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [0, -1, 10**20000, 10**20000 - 1, -(10**20000), 2**70000, 10**9000 + 1, nth(130000).d],
+    ids=["0", "-1", "10^20000", "10^20000-1", "-10^20000", "2^70000", "10^9000+1", "nth(130000).d"],
+)
+def test_to_decimal_examples(n):
+    assert to_decimal(n) == reference_str(n)
+
+
+def test_to_decimal_raises_rather_than_rounds(monkeypatch):
+    narrow = approx._EXACT.copy()
+    narrow.prec = 100
+    monkeypatch.setattr(approx, "_EXACT", narrow)
+    with pytest.raises(decimal.Inexact):
+        to_decimal(3**20000)
+
+
+def test_renderers_work_under_the_default_int_str_limit(int_str_limit):
+    int_str_limit(4300)
+    p = nth(12000)  # 4,594 digits
+    trace = trace_elegant(p)
+    report = run_method("babylonian", 1, 14)  # 6,000-digit denominators
+    rendered = (trace.pretty(), trace.to_json_dict(), report.to_csv(), report.to_json_dict())
+    int_str_limit(0)
+    assert rendered[1]["pair"] == {"a": str(p.a), "d": str(p.d), "e": "1"}
+    last = report.rows[-1]
+    assert rendered[2].splitlines()[-1].startswith(
+        f"14,{last.value.numerator},{last.value.denominator},1.414"
+    )
+    assert rendered[3]["rows"][-1]["value_den"] == str(last.value.denominator)
+    assert f"(a={p.a}, d={p.d}, e=+1)" in rendered[0]
 
 
 @given(positive_fractions)

@@ -1,12 +1,17 @@
 import hashlib
 import io
 import json
+import sys
 
 import pytest
 
 from sidediameter import generate, trace_elegant
 from sidediameter.cli import run
 from sidediameter.pairs import SideDiameterPair, nth
+
+
+# 4,594 digits each: above the default int-to-str limit of 4,300 digits.
+BIG_PAIR = nth(12000)
 
 
 def invoke(argv):
@@ -244,10 +249,29 @@ def test_determinism_byte_identical_stdout(argv):
          "fb8fd4e8fae9526b45e7faf1a8b04f2aca98dd03915fb974215cdea7e48022de"),
         (["compare", "--steps", "0", "--format", "json"], 209,
          "db15211bdb2d3d99e87da9575cd7ec68ad5df89f8ca9e60711759cf1673af342"),
+        # Integers above the str() threshold: pairs, trace values and a
+        # 30,000-place fractional part.
+        (["nth", "200000"], 153129,
+         "ed1b8a9654713e5474e4956d0023707ddd1212e1708eac6b048b9515dc2395e1"),
+        (["trace", "--n", "60000"], 873488,
+         "0ee32450eb0d13de4ef753d21953eede8889eeb505fa4cdb3ab9f7a59346f453"),
+        (["trace", "--n", "60000", "--pretty"], 873045,
+         "977272b1c1657df6aa9bba1cc8b5b470d0653b7c11495ad420342b6beb2900fa"),
+        pytest.param(["trace", BIG_PAIR.a, BIG_PAIR.d], 175294,
+                     "ac809af9b5e6805b3d447ee144cc8092499430d03799639fa8e82d61471ed9e7",
+                     id="trace-A-D-of-nth-12000"),
+        pytest.param(["trace", BIG_PAIR.a, BIG_PAIR.d, "--pretty"], 174851,
+                     "43c12fe3963f7404cee3c6bb91692302bf5dba44b0a60409f58e95902e3a9e65",
+                     id="trace-A-D-of-nth-12000-pretty"),
+        (["gen", "--count", "3", "--digits", "30000"], 90078,
+         "1f26ae5cafa0568b9d82cc404b957b80b61c2f5989fbeca6beb58412ffdc50be"),
+        (["gen", "--count", "3", "--digits", "30000", "--format", "json"], 90359,
+         "e846472d31d8e06f0efc3246cfe32a78909626afc8e24120c5beba6882d86bf6"),
     ],
 )
-def test_golden_stdout_bytes(argv, size, sha256):
-    code, out, err = invoke(argv)
+def test_golden_stdout_bytes(argv, size, sha256, int_str_limit):
+    int_str_limit(0)  # to spell the integer arguments of `trace A D`
+    code, out, err = invoke([str(arg) for arg in argv])
     assert (code, err) == (0, "")
     payload = out.encode()
     assert (len(payload), hashlib.sha256(payload).hexdigest()) == (size, sha256)
@@ -301,6 +325,13 @@ def test_domain_errors_exit_1(argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["nth", "20000"], ["trace", "3", "5"], ["bogus"]])
+def test_run_restores_the_int_str_limit(argv, int_str_limit):
+    int_str_limit(5000)
+    invoke(argv)
+    assert sys.get_int_max_str_digits() == 5000
 
 
 def test_help_exits_zero():

@@ -220,6 +220,17 @@ def test_alternation_of_sign():
         assert p.sign == (-1) ** p.index
 
 
+@given(st.integers(1, 600))
+def test_sign_is_the_squares_difference_for_every_constructor(n):
+    p = nth(n)
+    unindexed = SideDiameterPair(p.a, p.d)
+    pairs = [p, generate(n)[-1], step(p), unindexed, step(unindexed)]
+    if n > 1:
+        pairs += [descend(p), descend(unindexed)]
+    for q in pairs:
+        assert q.sign == q.d**2 - 2 * q.a**2
+
+
 def test_inverse_laws():
     for k in range(1, 80):
         p = nth(k)
