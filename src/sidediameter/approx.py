@@ -10,8 +10,8 @@ Two historical iterations are implemented over `fractions.Fraction`:
 
 Digit accuracy is measured exactly: one integer square root,
 floor(sqrt(2) * 10**k * den) at the highest level k that can hold, brackets
-the scaled error tightly enough to decide every level at or below k, so no
-floating point appears anywhere in this module.
+the scaled error tightly enough to decide every level at or below k.  No
+float enters: a number is accepted only as an int or Fraction, by type.
 
 Big integers are rendered by `to_decimal`, exactly and byte-identical to
 str(): above about 4,200 digits it converts by divide and conquer through
@@ -21,11 +21,10 @@ the interpreter's int-to-str digit limit.
 
 import decimal
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sidediameter.pairs import SideDiameterPair
+from sidediameter.pairs import _STR_MAX_BITS, SideDiameterPair, _require_int, _require_rational, _shown
 
 DEFAULT_DIGIT_CAP = 50
 DEFAULT_DECIMAL_DIGITS = 30
@@ -42,7 +41,7 @@ def babylonian_step(t) -> Fraction:
     For rational t the output r satisfies r**2 > 2 strictly, which is why
     values below sqrt(2), such as 7/5, have no rational preimage.
     """
-    t = _positive_fraction(t)
+    t = _positive_fraction(t, "t")
     return (t + 2 / t) / 2
 
 
@@ -53,7 +52,7 @@ def babylonian_preimage(t) -> set[Fraction]:
     t**2 - 2 is the square of a rational, decided by perfect-square tests
     on the numerator and denominator of the discriminant.
     """
-    t = _positive_fraction(t)
+    t = _positive_fraction(t, "t")
     disc = t * t - 2
     if disc < 0:
         return set()
@@ -69,14 +68,13 @@ def sd_ratio_step(t) -> Fraction:
     Chains with the pair recurrence: feeding d/a yields exactly the next
     pair's ratio (2a + d) / (a + d).
     """
-    t = _positive_fraction(t)
+    t = _positive_fraction(t, "t")
     return (2 + t) / (1 + t)
 
 
 def isqrt(n: int) -> int:
     """Floor of the square root of a nonnegative integer, exact."""
-    if n < 0:
-        raise ValueError(f"isqrt requires n >= 0, got {n}")
+    _require_int(n, "n", 0)
     return math.isqrt(n)
 
 
@@ -108,11 +106,10 @@ def correct_digits(t, cap: int = DEFAULT_DIGIT_CAP) -> int:
     and m = 1 - x otherwise, level j <= k holds exactly when
     m <= den * 10**(k - j).  Returns 0 when not even |t - sqrt(2)| < 1 holds.
     """
-    t = _positive_fraction(t)
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    t = _positive_fraction(t, "t")
+    _require_int(cap, "cap", 1)
     num, den = t.numerator, t.denominator
-    k = min(operator.index(cap), decimal_digit_count(den * (num + 2 * den)))
+    k = min(cap, decimal_digit_count(den * (num + 2 * den)))
     x = num * 10**k - isqrt(2 * (den * 10**k) ** 2)
     m = x if x >= 1 else 1 - x
     # Level j holds exactly when ceil(m / den) <= 10**(k - j).
@@ -124,7 +121,7 @@ def correct_digits(t, cap: int = DEFAULT_DIGIT_CAP) -> int:
 
 def side_of_sqrt2(t) -> str:
     """'under' or 'over', by the exact sign of num**2 - 2*den**2."""
-    t = _positive_fraction(t)
+    t = _positive_fraction(t, "t")
     return "under" if t.numerator**2 < 2 * t.denominator**2 else "over"
 
 
@@ -134,8 +131,7 @@ def cf_convergent_sqrt2(n: int) -> Fraction:
     These are exactly the diameter-to-side ratios of the pair sequence,
     which makes the convergent recurrence an independent oracle for it.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _require_int(n, "n", 1)
     num, num_prev = 1, 1
     den, den_prev = 1, 0
     for _ in range(n - 1):
@@ -196,9 +192,8 @@ def run_method(method: str, start, steps: int, cap: int = DEFAULT_DIGIT_CAP) -> 
     """Iterate one method `steps` times from `start`, recording each iterate."""
     if method not in _METHOD_STEPS:
         raise ValueError(f"unknown method {method!r}")
-    start = _positive_fraction(start)
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    start = _positive_fraction(start, "start")
+    _require_int(steps, "steps", 0)
     advance = _METHOD_STEPS[method]
     rows = []
     value = start
@@ -218,9 +213,8 @@ def compare_methods(start, steps: int, cap: int = DEFAULT_DIGIT_CAP) -> tuple[Co
 
 def decimal_string(t, digits: int = DEFAULT_DECIMAL_DIGITS) -> str:
     """Decimal rendering with `digits` places, exact, truncated toward zero."""
-    t = Fraction(t)
-    if digits < 0:
-        raise ValueError(f"digits must be >= 0, got {digits}")
+    t = _require_rational(t, "t")
+    _require_int(digits, "digits", 0)
     sign = "-" if t < 0 else ""
     whole, rem = divmod(abs(t.numerator), t.denominator)
     if digits == 0:
@@ -229,8 +223,6 @@ def decimal_string(t, digits: int = DEFAULT_DECIMAL_DIGITS) -> str:
     return f"{sign}{to_decimal(whole)}.{to_decimal(frac).zfill(digits)}"
 
 
-# At most 4,215 digits: str() below CPython's default 4,300-digit limit.
-_STR_MAX_BITS = 14_000
 # Split parts this small become Decimal(int) directly; measured fastest
 # among 1,024-4,096 bits on 10**4- to 2*10**5-digit integers.
 _LEAF_BITS = 2_048
@@ -277,10 +269,10 @@ def to_decimal(n: int) -> str:
     return "-" + text if n < 0 else text
 
 
-def _positive_fraction(t) -> Fraction:
-    t = Fraction(t)
+def _positive_fraction(t, name: str) -> Fraction:
+    t = _require_rational(t, name)
     if t <= 0:
-        raise ValueError(f"value must be positive, got {t}")
+        raise ValueError(f"value must be positive, got {_shown(t, str)}")
     return t
 
 

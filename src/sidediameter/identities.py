@@ -11,10 +11,9 @@ encoded.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from sidediameter import approx
-from sidediameter.pairs import SideDiameterPair
+from sidediameter.pairs import SideDiameterPair, _require_rational
 from sidediameter.polynomials import Poly, symbols
 
 JUSTIFICATIONS = ("II.10", "hypothesis-substitution", "V.19-subtraction", "conclusion")
@@ -186,7 +185,7 @@ def proportion_subtract(u: int, v: int, x: int, y: int, r) -> bool:
         raise ZeroDivisionError(
             f"proportion with zero denominator: x={x}, y={y}, x+y={x + y}"
         )
-    ratio = Fraction(r)
+    ratio = _require_rational(r, "r")
     premises = (u + v == ratio * (x + y)) and (v == ratio * y)
     if not premises:
         return True

@@ -16,8 +16,11 @@ well-founded and matches the classical presentation that starts at (1, 1).
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple
+
+_STR_MAX_BITS = 14_000  # at most 4,215 digits: str() below CPython's default 4,300-digit limit
 
 
 class InvalidPairError(ValueError):
@@ -47,37 +50,31 @@ class SideDiameterPair:
         if not (type(self.a) is int and type(self.d) is int
                 and (self.index is None or type(self.index) is int)):
             raise InvalidPairError(
-                f"side, diameter and index must be plain ints, "
-                f"got ({self.a!r}, {self.d!r}, index={self.index!r})"
+                f"side, diameter and index must be plain ints, got ({_shown(self.a)}, "
+                f"{_shown(self.d)}, index={_shown(self.index)})"
             )
         if self.a < 1 or self.d < 1:
             raise InvalidPairError(
-                f"side and diameter must be >= 1, got ({self.a}, {self.d})"
+                f"side and diameter must be >= 1, got ({_shown(self.a)}, {_shown(self.d)})"
             )
         e = self.d * self.d - 2 * self.a * self.a
         if e not in (-1, 1):
             raise InvalidPairError(
-                f"({self.a}, {self.d}) is not a side/diameter pair: "
-                f"d^2 - 2a^2 = {e}, expected -1 or +1"
+                f"({_shown(self.a)}, {_shown(self.d)}) is not a side/diameter pair: "
+                f"d^2 - 2a^2 = {_shown(e)}, expected -1 or +1"
             )
         if self.index is not None:
             if self.index < 1:
-                raise InvalidPairError(f"index must be >= 1, got {self.index}")
+                raise InvalidPairError(f"index must be >= 1, got {_shown(self.index)}")
             if e != (-1 if self.index % 2 else 1):
-                raise InvalidPairError(
-                    f"index {self.index} inconsistent with sign {e:+d}"
-                )
+                raise InvalidPairError(f"index {_shown(self.index)} inconsistent with sign {e:+d}")
+        # Not a field, so ==, hash and repr are unchanged; pickle and copy keep it.
+        object.__setattr__(self, "_sign", e)
 
     @property
     def sign(self) -> int:
-        """The value d**2 - 2*a**2, always -1 or +1.
-
-        For an indexed pair this is (-1)**index, which construction checked,
-        so no squaring is repeated.
-        """
-        if self.index is not None:
-            return -1 if self.index & 1 else 1
-        return self.d * self.d - 2 * self.a * self.a
+        """The value d**2 - 2*a**2, always -1 or +1, kept from construction."""
+        return self._sign
 
 
 class PlatoReport(NamedTuple):
@@ -137,7 +134,7 @@ def nth_iterative(n: int) -> SideDiameterPair:
 
     Linear in n; serves as the independent oracle for the fast `nth`.
     """
-    _require_positive(n, "n")
+    _require_int(n, "n", 1)
     a, d = next(islice(_walk(), n - 1, None))
     return SideDiameterPair(a, d, index=n)
 
@@ -152,7 +149,7 @@ def nth(n: int) -> SideDiameterPair:
     which are the m = n case of the addition law a(m+n) = a(m)d(n) + d(m)a(n),
     d(m+n) = d(m)d(n) + 2 a(m)a(n).  Agrees with `nth_iterative` everywhere.
     """
-    _require_positive(n, "n")
+    _require_int(n, "n", 1)
     a, d = _nth_components(n)
     return SideDiameterPair(a, d, index=n)
 
@@ -169,7 +166,7 @@ def _nth_components(n: int) -> tuple[int, int]:
 
 def generate(count: int) -> list[SideDiameterPair]:
     """The first `count` pairs, each carrying its index."""
-    _require_positive(count, "count")
+    _require_int(count, "count", 1)
     return [SideDiameterPair(a, d, index=i)
             for i, (a, d) in enumerate(islice(_walk(), count), 1)]
 
@@ -190,7 +187,7 @@ def adjacent_rational_diameter(a: int) -> int | None:
     and is then unique.  Implemented by walking the sequence until the side
     reaches a, so no second numeric code path is involved.
     """
-    _require_positive(a, "a")
+    _require_int(a, "a", 1)
     for side, diam in _walk():
         if side >= a:
             return diam if side == a else None
@@ -221,8 +218,25 @@ def encouraging_identity_check(p: SideDiameterPair) -> IdentityCheck:
     return IdentityCheck(lhs, rhs, lhs == rhs)
 
 
-def _require_positive(n: int, name: str):
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"{name} must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1, got {n}")
+def _require_int(n, name: str, minimum: int) -> None:
+    """Refuse anything but a plain int >= minimum (bools and int subclasses too)."""
+    if type(n) is not int:
+        raise ValueError(f"{name} must be an integer, got {_shown(n)}")
+    if n < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {_shown(n)}")
+
+
+def _require_rational(t, name: str) -> Fraction:
+    """t as a Fraction; only a plain int or Fraction is accepted, never a float."""
+    if type(t) is not Fraction and type(t) is not int:
+        raise ValueError(f"{name} must be an int or Fraction, got {_shown(t)}")
+    return t if type(t) is Fraction else Fraction(t)
+
+
+def _shown(v, form=repr) -> str:
+    """form(v) for a message; an int past str()'s default limit, alone or in a Fraction, shows its size."""
+    if type(v) is Fraction and max(v.numerator.bit_length(), v.denominator.bit_length()) > _STR_MAX_BITS:
+        return f"{_shown(v.numerator)}/{_shown(v.denominator)}"
+    if isinstance(v, int) and v.bit_length() > _STR_MAX_BITS:
+        return f"{'-' if v < 0 else ''}<int of {v.bit_length()} bits>"
+    return form(v)

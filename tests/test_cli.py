@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from sidediameter import generate, trace_elegant
+from sidediameter import generate, to_decimal, trace_elegant
 from sidediameter.cli import run
 from sidediameter.pairs import SideDiameterPair, nth
 
@@ -158,6 +158,15 @@ def test_trace_invalid_pair_is_domain_error():
     assert code == 1
     assert out == ""
     assert "not a side/diameter pair" in err
+
+
+def test_trace_of_a_huge_invalid_pair_keeps_stderr_short():
+    p = nth(60000)
+    code, out, err = invoke(["trace", to_decimal(p.a), to_decimal(p.d + 1)])
+    assert code == 1
+    assert out == ""
+    assert "not a side/diameter pair" in err
+    assert len(err.encode()) < 1024
 
 
 def test_trace_requires_pair_or_index():

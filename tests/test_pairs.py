@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -229,6 +231,15 @@ def test_sign_is_the_squares_difference_for_every_constructor(n):
         pairs += [descend(p), descend(unindexed)]
     for q in pairs:
         assert q.sign == q.d**2 - 2 * q.a**2
+
+
+@pytest.mark.parametrize("p", [nth(6), nth(7), SideDiameterPair(12, 17)], ids=repr)
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_keep_sign_equality_and_hash(p, clone):
+    q = clone(p)
+    assert q.sign == p.sign
+    assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
 
 
 def test_inverse_laws():
