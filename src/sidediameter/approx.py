@@ -194,6 +194,7 @@ def run_method(method: str, start, steps: int, cap: int = DEFAULT_DIGIT_CAP) -> 
         raise ValueError(f"unknown method {method!r}")
     start = _positive_fraction(start, "start")
     _require_int(steps, "steps", 0)
+    _require_int(cap, "cap", 1)
     advance = _METHOD_STEPS[method]
     rows = []
     value = start

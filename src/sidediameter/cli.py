@@ -1,9 +1,8 @@
-"""Command-line front end: pair tables, identity checks, traces, benchmarks.
+"""Command-line front end: pair tables, identity checks, traces, approximations.
 
 Exit codes: 0 success, 1 domain error (reported on stderr), 2 usage error.
 Data payloads go to stdout and are deterministic for a fixed argument list;
-timing information is diagnostic and kept off stdout unless --timings is
-given.
+timing information is diagnostic and always goes to stderr.
 """
 
 import argparse
@@ -56,11 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--format", choices=("csv", "json"), default="csv")
     gen.add_argument("--digits", type=nonnegative_int, default=approx.DEFAULT_DECIMAL_DIGITS)
 
-    nth = sub.add_parser("nth", help="compute the N-th pair (fast path by default)")
+    nth = sub.add_parser("nth", help="compute the N-th pair by the fast doubling path")
     nth.add_argument("n", type=positive_int)
-    nth.add_argument("--iterative", action="store_true", help="use the linear-time path")
     nth.add_argument("--check-oracle", action="store_true",
-                     help="compute both paths and confirm they agree")
+                     help="confirm against the iterative path; both wall times go to stderr")
 
     verify = sub.add_parser("verify", help="verify catalog identities symbolically")
     group = verify.add_mutually_exclusive_group(required=True)
@@ -85,12 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--format", choices=("csv", "json"), default="csv")
     compare.add_argument("--digits", type=nonnegative_int, default=approx.DEFAULT_DECIMAL_DIGITS)
     compare.add_argument("--cap", type=positive_int, default=approx.DEFAULT_DIGIT_CAP)
-
-    bench = sub.add_parser("bench", help="time the fast N-th pair against the iterative oracle")
-    bench.add_argument("--n", type=positive_int, required=True)
-    bench.add_argument("--reps", type=positive_int, default=1)
-    bench.add_argument("--timings", action="store_true",
-                       help="include wall times on stdout (non-deterministic)")
 
     return parser
 
@@ -128,15 +120,22 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_nth(args) -> int:
-    p = pairs.nth_iterative(args.n) if args.iterative else pairs.nth(args.n)
+    begin = time.perf_counter()
+    p = pairs.nth(args.n)
+    fast_seconds = time.perf_counter() - begin
     print(_pair_line(p))
-    if args.check_oracle:
-        other = pairs.nth(args.n) if args.iterative else pairs.nth_iterative(args.n)
-        if p != other:
-            print(f"oracle mismatch: fast and iterative paths disagree at n={args.n}",
-                  file=sys.stderr)
-            return 1
-        print("oracle: match")
+    if not args.check_oracle:
+        return 0
+    begin = time.perf_counter()
+    oracle = pairs.nth_iterative(args.n)
+    iterative_seconds = time.perf_counter() - begin
+    print(f"fast_seconds={fast_seconds:.6f}", file=sys.stderr)
+    print(f"iterative_seconds={iterative_seconds:.6f}", file=sys.stderr)
+    if p != oracle:
+        print(f"oracle mismatch: fast and iterative paths disagree at n={args.n}",
+              file=sys.stderr)
+        return 1
+    print("oracle: match")
     return 0
 
 
@@ -202,34 +201,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _time_best(func, n: int, reps: int) -> tuple[float, pairs.SideDiameterPair]:
-    best = None
-    result = None
-    for _ in range(reps):
-        begin = time.perf_counter()
-        result = func(n)
-        elapsed = time.perf_counter() - begin
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
-
-
-def _cmd_bench(args) -> int:
-    fast_time, fast = _time_best(pairs.nth, args.n, args.reps)
-    iter_time, iterative = _time_best(pairs.nth_iterative, args.n, args.reps)
-    match = fast == iterative
-    print(f"n={args.n}")
-    print(f"a_digits={approx.decimal_digit_count(fast.a)}")
-    print(f"d_digits={approx.decimal_digit_count(fast.d)}")
-    print(f"results_match={'true' if match else 'false'}")
-    timing_lines = [
-        f"fast_seconds={fast_time:.6f} (best of {args.reps})",
-        f"iterative_seconds={iter_time:.6f} (best of {args.reps})",
-    ]
-    for line in timing_lines:
-        print(line, file=sys.stdout if args.timings else sys.stderr)
-    return 0 if match else 1
-
-
 _HANDLERS = {
     "gen": _cmd_gen,
     "nth": _cmd_nth,
@@ -237,7 +208,6 @@ _HANDLERS = {
     "trace": _cmd_trace,
     "approx": _cmd_approx,
     "compare": _cmd_compare,
-    "bench": _cmd_bench,
 }
 
 

@@ -13,7 +13,7 @@ encoded.
 from dataclasses import dataclass
 
 from sidediameter import approx
-from sidediameter.pairs import SideDiameterPair, _require_rational
+from sidediameter.pairs import SideDiameterPair, _require_rational, _shown
 from sidediameter.polynomials import Poly, symbols
 
 JUSTIFICATIONS = ("II.10", "hypothesis-substitution", "V.19-subtraction", "conclusion")
@@ -181,9 +181,12 @@ def proportion_subtract(u: int, v: int, x: int, y: int, r) -> bool:
     not both hold.  The integer-ratio variant (Euclid VII.11) is the same
     computation restricted to integer inputs, so it shares this code path.
     """
+    for name, value in zip("uvxy", (u, v, x, y)):
+        _require_rational(value, name)
     if x == 0 or y == 0 or x + y == 0:
         raise ZeroDivisionError(
-            f"proportion with zero denominator: x={x}, y={y}, x+y={x + y}"
+            f"proportion with zero denominator: x={_shown(x, str)}, y={_shown(y, str)}, "
+            f"x+y={_shown(x + y, str)}"
         )
     ratio = _require_rational(r, "r")
     premises = (u + v == ratio * (x + y)) and (v == ratio * y)

@@ -1,12 +1,15 @@
+import argparse
 import hashlib
 import io
 import json
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
-from sidediameter import generate, to_decimal, trace_elegant
-from sidediameter.cli import run
+from sidediameter import generate, pairs, to_decimal, trace_elegant
+from sidediameter.cli import build_parser, run
 from sidediameter.pairs import SideDiameterPair, nth
 
 
@@ -129,9 +132,12 @@ def test_nth_check_oracle():
     assert out == "n=5 a=29 d=41 e=-1\noracle: match\n"
 
 
-def test_nth_iterative_flag():
-    code, out, _ = invoke(["nth", "6", "--iterative"])
-    assert (code, out) == (0, "n=6 a=70 d=99 e=1\n")
+def test_nth_check_oracle_reports_a_mismatch(monkeypatch):
+    monkeypatch.setattr(pairs, "nth_iterative", lambda n: nth(n + 1))
+    code, out, err = invoke(["nth", "5", "--check-oracle"])
+    assert code == 1
+    assert out == "n=5 a=29 d=41 e=-1\n"
+    assert "oracle mismatch" in err
 
 
 def test_trace_json_matches_library():
@@ -205,21 +211,13 @@ def test_compare_default_start_is_one():
     assert out.splitlines()[1].startswith("babylonian,1,3,2,")
 
 
-def test_bench_payload_is_deterministic_and_timing_goes_to_stderr():
-    code1, out1, err1 = invoke(["bench", "--n", "500", "--reps", "2"])
-    code2, out2, err2 = invoke(["bench", "--n", "500", "--reps", "2"])
+def test_check_oracle_payload_is_deterministic_and_timing_goes_to_stderr():
+    code1, out1, err1 = invoke(["nth", "500", "--check-oracle"])
+    code2, out2, _ = invoke(["nth", "500", "--check-oracle"])
     assert code1 == code2 == 0
     assert out1 == out2
-    assert "results_match=true" in out1
-    assert "a_digits=" in out1 and "d_digits=" in out1
     assert "fast_seconds=" in err1 and "iterative_seconds=" in err1
-
-
-def test_bench_timings_flag_moves_timing_to_stdout():
-    code, out, err = invoke(["bench", "--n", "100", "--timings"])
-    assert code == 0
-    assert "fast_seconds=" in out
-    assert "fast_seconds=" not in err
+    assert "fast_seconds=" not in out1 and "iterative_seconds=" not in out1
 
 
 @pytest.mark.parametrize(
@@ -341,6 +339,19 @@ def test_run_restores_the_int_str_limit(argv, int_str_limit):
     int_str_limit(5000)
     invoke(argv)
     assert sys.get_int_max_str_digits() == 5000
+
+
+def test_readme_cli_synopsis_matches_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    documented = {line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line))
+                  for line in block.splitlines()}
+    verbs = next(a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(documented) == sorted(verbs)
+    for verb, sub in verbs.items():
+        options = {o for a in sub._actions for o in a.option_strings if o.startswith("--")}
+        assert documented[verb] == options - {"--help"}, verb
 
 
 def test_help_exits_zero():

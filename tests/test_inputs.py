@@ -38,6 +38,10 @@ RATIONAL_ARGUMENTS = [
     ("run_method", "start", lambda v: run_method("babylonian", v, 2)),
     ("compare_methods", "start", lambda v: compare_methods(v, 2)),
     ("proportion_subtract", "r", lambda v: proportion_subtract(50, 8, 25, 4, v)),
+    ("proportion_subtract", "u", lambda v: proportion_subtract(v, 8, 25, 4, 2)),
+    ("proportion_subtract", "v", lambda v: proportion_subtract(50, v, 25, 4, 2)),
+    ("proportion_subtract", "x", lambda v: proportion_subtract(50, 8, v, 4, 2)),
+    ("proportion_subtract", "y", lambda v: proportion_subtract(50, 8, 25, v, 2)),
 ]
 INTEGER_ARGUMENTS = [
     ("nth", "n", nth),
@@ -50,6 +54,7 @@ INTEGER_ARGUMENTS = [
     ("decimal_string", "digits", lambda v: decimal_string(THREE_HALVES, v)),
     ("run_method", "steps", lambda v: run_method("babylonian", THREE_HALVES, v)),
     ("compare_methods", "steps", lambda v: compare_methods(THREE_HALVES, v)),
+    ("run_method", "cap", lambda v: run_method("babylonian", THREE_HALVES, 0, v)),
 ]
 INEXACT = [1.5, Decimal("1.5"), "3/2", True]
 
@@ -82,8 +87,9 @@ def test_non_exact_numbers_are_refused_by_type(call, name, value):
         (ValueError, lambda: isqrt(-(10**5000))),
         (ValueError, lambda: nth(-(10**5000))),
         (ValueError, lambda: babylonian_step(Fraction(-(10**5000), 3))),
+        (ZeroDivisionError, lambda: proportion_subtract(1, 2, 10**5000, -10**5000, 2)),
     ],
-    ids=["pair", "float-side", "index", "isqrt", "nth", "fraction"],
+    ids=["pair", "float-side", "index", "isqrt", "nth", "fraction", "proportion"],
 )
 def test_errors_on_huge_integers_show_their_size(error, call, int_str_limit):
     int_str_limit(4300)
