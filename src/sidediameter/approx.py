@@ -3,7 +3,8 @@
 Two historical iterations are implemented over `fractions.Fraction`:
 
 * the fast averaging step t -> (t + 2/t) / 2, which converges quadratically
-  from above (Heron's 17/12 arises this way from 3/2), and
+  from above (Heron's 17/12 arises this way from 3/2; a value has either no
+  preimage under it or exactly two), and
 * the slow ratio step t -> (2 + t) / (1 + t) induced by the side/diameter
   recurrence, which converges linearly and alternates sides (Aristarchus'
   7/5 lies on this path but is unreachable by the averaging step).
@@ -46,20 +47,22 @@ def babylonian_step(t) -> Fraction:
 
 
 def babylonian_preimage(t) -> set[Fraction]:
-    """All positive rationals x with (x + 2/x) / 2 = t (zero, one, or two).
+    """All positive rationals x with (x + 2/x) / 2 = t: none, or exactly two.
 
-    Solving x**2 - 2*t*x + 2 = 0 exactly: rational roots exist iff
-    t**2 - 2 is the square of a rational, decided by perfect-square tests
-    on the numerator and denominator of the discriminant.
+    For t = p/q in lowest terms, t**2 - 2 = n / q**2 with the Pell residual
+    n = p**2 - 2*q**2 coprime to q, so the roots t -+ sqrt(t**2 - 2) are
+    rational exactly when n is a perfect square s**2.  They are then
+    (p - s)/q and (p + s)/q: positive, since their product is 2.
     """
     t = _positive_fraction(t, "t")
-    disc = t * t - 2
-    if disc < 0:
+    p, q = t.numerator, t.denominator
+    n = p * p - 2 * q * q
+    if n < 0:
         return set()
-    root = _rational_sqrt(disc)
-    if root is None:
+    s = isqrt(n)
+    if s * s != n:
         return set()
-    return {x for x in (t - root, t + root) if x > 0}
+    return {Fraction(p - s, q), Fraction(p + s, q)}
 
 
 def sd_ratio_step(t) -> Fraction:
@@ -177,7 +180,7 @@ class ConvergenceReport:
     def to_json_dict(self, digits: int = DEFAULT_DECIMAL_DIGITS) -> dict:
         return {
             "method": self.method,
-            "start": str(self.start),
+            "start": to_decimal(self.start),
             "rows": [dict(zip(_REPORT_COLUMNS, row.fields(digits))) for row in self.rows],
         }
 
@@ -231,9 +234,10 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=deci
 _EXACT.traps[decimal.Inexact] = True
 
 
-def to_decimal(n: int) -> str:
+def to_decimal(n: int | Fraction) -> str:
     """Exactly str(n), in subquadratic time and for ints of any size.
 
+    A Fraction renders as num/den, or num when den is 1, as str() does.
     Small ints go to str().  Larger ones are split recursively at powers of
     two, m = hi * 2**w + lo, and rebuilt as a `decimal.Decimal`, whose big
     products run in libmpdec's number-theoretic transform (Brent and
@@ -242,6 +246,9 @@ def to_decimal(n: int) -> str:
     rounding would raise instead of printing a wrong digit.  Unlike str(),
     this never depends on sys.set_int_max_str_digits.
     """
+    if isinstance(n, Fraction):
+        num = to_decimal(n.numerator)
+        return num if n.denominator == 1 else f"{num}/{to_decimal(n.denominator)}"
     if n.bit_length() <= _STR_MAX_BITS:
         return str(n)
     powers = {}
@@ -275,11 +282,3 @@ def _positive_fraction(t, name: str) -> Fraction:
     if t <= 0:
         raise ValueError(f"value must be positive, got {_shown(t, str)}")
     return t
-
-
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    root_num = isqrt(q.numerator)
-    root_den = isqrt(q.denominator)
-    if root_num * root_num == q.numerator and root_den * root_den == q.denominator:
-        return Fraction(root_num, root_den)
-    return None

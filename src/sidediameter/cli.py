@@ -169,12 +169,12 @@ def _cmd_trace(args) -> int:
 def _cmd_approx(args) -> int:
     if args.action == "step":
         advance = approx.babylonian_step if args.method == "babylonian" else approx.sd_ratio_step
-        print(advance(args.value))
+        print(approx.to_decimal(advance(args.value)))
     elif args.action == "preimage":
         if args.method != "babylonian":
             raise UsageError("preimage is defined for the babylonian method only")
         roots = sorted(approx.babylonian_preimage(args.value))
-        print("preimages: " + (", ".join(str(r) for r in roots) if roots else "none"))
+        print("preimages: " + (", ".join(approx.to_decimal(r) for r in roots) if roots else "none"))
     else:
         print(approx.correct_digits(args.value, args.cap))
     return 0
@@ -191,7 +191,7 @@ def _cmd_compare(args) -> int:
     else:
         print(json.dumps(
             {
-                "start": str(args.start),
+                "start": approx.to_decimal(args.start),
                 "steps": str(args.steps),
                 "babylonian": babylonian.to_json_dict(args.digits),
                 "side_diameter": side_diameter.to_json_dict(args.digits),

@@ -206,17 +206,16 @@ def trace_elegant(p: SideDiameterPair) -> DerivationTrace:
     opposite sign.
     """
     a, d, e = p.a, p.d, p.sign
-    next_a = a + d
-    next_d = 2 * a + d
-    double = 2 * (a * a + next_a * next_a)
+    a2, d2, next_a2, next_d2 = a * a, d * d, (a + d) ** 2, (2 * a + d) ** 2
+    double = 2 * (a2 + next_a2)
     plus_e = f"+ {e}" if e > 0 else f"- {-e}"
     minus_e = f"- {e}" if e > 0 else f"+ {-e}"
 
     # V.19 data: wholes (u + v) and (x + y), parts v and y, remainders u and x.
-    u = next_d * next_d + e
-    v = 2 * a * a
-    x = next_a * next_a
-    y = a * a
+    u = next_d2 + e
+    v = 2 * a2
+    x = next_a2
+    y = a2
     if not proportion_subtract(u, v, x, y, 2):
         raise ArithmeticError(f"subtraction lemma failed for {p!r}")
 
@@ -231,7 +230,7 @@ def trace_elegant(p: SideDiameterPair) -> DerivationTrace:
             "II.10",
             f"{sq_next_d} + {sq_d}",
             rhs_sum,
-            next_d * next_d + d * d,
+            next_d2 + d2,
             double,
         ),
         TraceStep(
@@ -252,7 +251,7 @@ def trace_elegant(p: SideDiameterPair) -> DerivationTrace:
             "conclusion",
             sq_next_d,
             f"{twice_sq_next_a} {minus_e}",
-            next_d * next_d,
+            next_d2,
             2 * x - e,
         ),
     )

@@ -92,6 +92,9 @@ def test_babylonian_preimage_round_trip_200_random():
         t = babylonian_step(x)
         roots = babylonian_preimage(t)
         assert x in roots
+        assert len(roots) == 2
+        first, second = roots
+        assert first * second == 2
         for root in roots:
             assert babylonian_step(root) == t
 
@@ -383,8 +386,11 @@ def test_renderers_work_under_the_default_int_str_limit(int_str_limit):
     p = nth(12000)  # 4,594 digits
     trace = trace_elegant(p)
     report = run_method("babylonian", 1, 14)  # 6,000-digit denominators
-    rendered = (trace.pretty(), trace.to_json_dict(), report.to_csv(), report.to_json_dict())
+    from_ratio = run_method("babylonian", Fraction(p.d, p.a), 0)
+    rendered = (trace.pretty(), trace.to_json_dict(), report.to_csv(), report.to_json_dict(),
+                from_ratio.to_json_dict())
     int_str_limit(0)
+    assert rendered[4] == {"method": "babylonian", "start": f"{p.d}/{p.a}", "rows": []}
     assert rendered[1]["pair"] == {"a": str(p.a), "d": str(p.d), "e": "1"}
     last = report.rows[-1]
     assert rendered[2].splitlines()[-1].startswith(

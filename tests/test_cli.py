@@ -341,9 +341,12 @@ def test_run_restores_the_int_str_limit(argv, int_str_limit):
     assert sys.get_int_max_str_digits() == 5000
 
 
+README = (Path(__file__).parents[1] / "README.md").read_text()
+README_CLI = README.split("## CLI", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_cli_synopsis_matches_the_parser():
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    block = README_CLI.split("```text\n", 1)[1].split("```", 1)[0]
     documented = {line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line))
                   for line in block.splitlines()}
     verbs = next(a for a in build_parser()._actions
@@ -352,6 +355,14 @@ def test_readme_cli_synopsis_matches_the_parser():
     for verb, sub in verbs.items():
         options = {o for a in sub._actions for o in a.option_strings if o.startswith("--")}
         assert documented[verb] == options - {"--help"}, verb
+
+
+def test_readme_cli_examples_print_what_they_show():
+    examples = re.findall(r"^\$ sidediameter (.*)\n((?:(?!```).+\n)*)", README_CLI, re.M)
+    assert len(examples) == 5
+    for command, shown in examples:
+        code, out, _ = invoke(command.split())
+        assert (code, out) == (0, shown), command
 
 
 def test_help_exits_zero():
