@@ -7,7 +7,9 @@ timing information is diagnostic and always goes to stderr.
 
 import argparse
 import contextlib
+import decimal
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -119,19 +121,35 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _nth_line(n: int) -> str:
+    """`_pair_line(pairs.nth(n))`, computed, checked and printed in exact Decimal.
+
+    libmpdec multiplies huge operands by a number-theoretic transform and
+    str() of a Decimal is linear, so this skips CPython's int squaring and
+    int->decimal conversion.  The Pell check d^2 - 2a^2 = (-1)^n is kept.
+    """
+    with decimal.localcontext(approx._EXACT):
+        a, d = pairs._nth_components(n, decimal.Decimal(1))
+        e = d * d - 2 * a * a
+    sign = -1 if n % 2 else 1
+    if e != sign:
+        raise pairs.InvalidPairError(f"pair {n} failed its check d^2 - 2a^2 = {sign:+d}")
+    return f"n={n} a={a} d={d} e={sign}"
+
+
 def _cmd_nth(args) -> int:
     begin = time.perf_counter()
-    p = pairs.nth(args.n)
+    line = _nth_line(args.n)
     fast_seconds = time.perf_counter() - begin
-    print(_pair_line(p))
+    print(line)
     if not args.check_oracle:
         return 0
     begin = time.perf_counter()
-    oracle = pairs.nth_iterative(args.n)
+    oracle = _pair_line(pairs.nth_iterative(args.n))
     iterative_seconds = time.perf_counter() - begin
     print(f"fast_seconds={fast_seconds:.6f}", file=sys.stderr)
     print(f"iterative_seconds={iterative_seconds:.6f}", file=sys.stderr)
-    if p != oracle:
+    if line != oracle:
         print(f"oracle mismatch: fast and iterative paths disagree at n={args.n}",
               file=sys.stderr)
         return 1
@@ -243,7 +261,15 @@ def run(argv, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`).  Point stdout at devnull
+        # so the interpreter's flush at exit cannot raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

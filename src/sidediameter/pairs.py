@@ -154,10 +154,16 @@ def nth(n: int) -> SideDiameterPair:
     return SideDiameterPair(a, d, index=n)
 
 
-def _nth_components(n: int) -> tuple[int, int]:
+def _nth_components(n: int, one=1):
+    """(a, d) of the n-th pair, built from the seed (one, one).
+
+    `one` fixes the number type: 1 gives ints, decimal.Decimal(1) gives
+    Decimals, which are exact only under a context that traps Inexact
+    (approx._EXACT).
+    """
     if n == 1:
-        return 1, 1
-    a, d = _nth_components(n >> 1)
+        return one, one
+    a, d = _nth_components(n >> 1, one)
     a, d = 2 * a * d, d * d + 2 * a * a
     if n & 1:
         a, d = a + d, 2 * a + d

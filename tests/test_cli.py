@@ -2,14 +2,19 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sidediameter import generate, pairs, to_decimal, trace_elegant
-from sidediameter.cli import build_parser, run
+from sidediameter.cli import _nth_line, _pair_line, build_parser, run
 from sidediameter.pairs import SideDiameterPair, nth
 
 
@@ -138,6 +143,41 @@ def test_nth_check_oracle_reports_a_mismatch(monkeypatch):
     assert code == 1
     assert out == "n=5 a=29 d=41 e=-1\n"
     assert "oracle mismatch" in err
+
+
+# 11010-11012 straddle the 4,215-digit threshold where `to_decimal` leaves str().
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 11010, 11011, 11012, 100000])
+def test_nth_decimal_line_matches_the_int_line(n):
+    assert _nth_line(n) == _pair_line(nth(n))
+
+
+@given(st.integers(1, 30000))
+def test_nth_decimal_line_matches_the_int_line_in_range(n):
+    assert _nth_line(n) == _pair_line(nth(n))
+
+
+def test_nth_keeps_the_pell_check_in_decimal(monkeypatch):
+    components = pairs._nth_components
+
+    def off_by_one(n, one=1):
+        a, d = components(n, one)
+        return (a, d + 1) if isinstance(one, Decimal) else (a, d)
+
+    monkeypatch.setattr(pairs, "_nth_components", off_by_one)
+    code, out, err = invoke(["nth", "50"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "50" in err
+    assert len(err.encode()) < 1024
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "sidediameter", "gen", "--count", "3000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"n,a,d,e,ratio_decimal,correct_digits\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_trace_json_matches_library():
