@@ -4,6 +4,10 @@ Integer pairs (a, d) with d**2 - 2*a**2 = ±1, their recurrence and descent,
 the quadratic identities behind them verified symbolically, derivation
 traces for concrete pairs, and exact-rational analysis of two historical
 algorithms approximating the square root of 2.
+
+The names from `identities` and `polynomials` are imported on first use
+(PEP 562), so commands that need no symbolic identity never build the
+catalog.
 """
 
 from sidediameter.approx import (
@@ -23,16 +27,6 @@ from sidediameter.approx import (
     side_of_sqrt2,
     to_decimal,
 )
-from sidediameter.identities import (
-    DerivationTrace,
-    NamedIdentity,
-    TraceStep,
-    catalog_by_name,
-    identity_catalog,
-    proportion_subtract,
-    trace_elegant,
-    verify_identity,
-)
 from sidediameter.pairs import (
     DescentBelowSeedError,
     IdentityCheck,
@@ -48,12 +42,6 @@ from sidediameter.pairs import (
     plato_check,
     seed,
     step,
-)
-from sidediameter.polynomials import (
-    MissingVariableError,
-    Poly,
-    VariableMismatchError,
-    symbols,
 )
 
 __all__ = [
@@ -99,3 +87,15 @@ __all__ = [
     "trace_elegant",
     "verify_identity",
 ]
+
+
+def __getattr__(name: str):
+    """A name of `__all__` from `identities` or `polynomials`, imported on first use."""
+    if name in __all__:
+        from sidediameter import identities, polynomials
+
+        for module in (identities, polynomials):
+            if name in vars(module):
+                globals()[name] = value = vars(module)[name]
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,8 +22,8 @@ the interpreter's int-to-str digit limit.
 
 import decimal
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from sidediameter.pairs import _STR_MAX_BITS, SideDiameterPair, _require_int, _require_rational, _shown
 
@@ -146,8 +146,7 @@ def cf_convergent_sqrt2(n: int) -> Fraction:
 _REPORT_COLUMNS = ("step", "value_num", "value_den", "decimal_value", "correct_digits", "side")
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     step: int
     value: Fraction
     correct_digits: int
@@ -165,8 +164,7 @@ class ReportRow:
         )
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Per-step record of one approximation run: value, digits, side."""
 
     method: str

@@ -14,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from sidediameter import approx, identities, pairs
+from sidediameter import approx, pairs
 
 
 class UsageError(Exception):
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="verify catalog identities symbolically")
     group = verify.add_mutually_exclusive_group(required=True)
-    group.add_argument("--identity", choices=sorted(identities.catalog_by_name()))
+    group.add_argument("--identity", metavar="NAME", help="one catalog identity; an unknown name lists them")
     group.add_argument("--all", action="store_true")
 
     trace = sub.add_parser("trace", help="derivation trace for a pair (JSON or --pretty)")
@@ -158,9 +158,15 @@ def _cmd_nth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    catalog = identities.identity_catalog()
-    if args.identity:
-        catalog = [identities.catalog_by_name()[args.identity]]
+    from sidediameter import identities  # builds the symbolic catalog; only verify and trace need it
+
+    if args.all:
+        catalog = identities.identity_catalog()
+    else:
+        by_name = identities.catalog_by_name()
+        if args.identity not in by_name:
+            raise UsageError(f"unknown identity {args.identity!r}; choose from {', '.join(sorted(by_name))}")
+        catalog = [by_name[args.identity]]
     all_ok = True
     for ident in catalog:
         ok = ident.holds()
@@ -176,6 +182,8 @@ def _cmd_trace(args) -> int:
         p = pairs.SideDiameterPair(args.pair[0], args.pair[1])
     else:
         raise UsageError("trace expects either two integers A D or --n K")
+    from sidediameter import identities
+
     trace = identities.trace_elegant(p)
     if args.pretty:
         print(trace.pretty())

@@ -10,17 +10,16 @@ reading of that derivation; no claim about the original author's intent is
 encoded.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from sidediameter import approx
-from sidediameter.pairs import SideDiameterPair, _require_rational, _shown
+from sidediameter.pairs import SideDiameterPair, _Record, _require_rational, _shown
 from sidediameter.polynomials import Poly, symbols
 
 JUSTIFICATIONS = ("II.10", "hypothesis-substitution", "V.19-subtraction", "conclusion")
 
 
-@dataclass(frozen=True)
-class NamedIdentity:
+class NamedIdentity(NamedTuple):
     """A named polynomial identity with a short note on where it comes from."""
 
     name: str
@@ -32,8 +31,7 @@ class NamedIdentity:
         return verify_identity(self.lhs, self.rhs)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     justification: str
     lhs_expr: str
     rhs_expr: str
@@ -41,16 +39,21 @@ class TraceStep:
     rhs_value: int
 
 
-@dataclass(frozen=True)
-class DerivationTrace:
+class DerivationTrace(_Record):
     """An ordered list of justified equalities for one concrete pair.
 
     Construction checks that both sides of every step evaluate to the same
     integer and that the justification tags appear in the canonical order.
     """
 
+    __slots__ = _fields = ("pair", "steps")
     pair: SideDiameterPair
     steps: tuple[TraceStep, ...]
+
+    def __init__(self, pair: SideDiameterPair, steps: tuple[TraceStep, ...]):
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "steps", steps)
+        self.__post_init__()
 
     def __post_init__(self):
         tags = tuple(s.justification for s in self.steps)

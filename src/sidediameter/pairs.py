@@ -15,7 +15,6 @@ here: sides are at least 1, which keeps the inverse (descent) step
 well-founded and matches the classical presentation that starts at (1, 1).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple
@@ -31,8 +30,45 @@ class DescentBelowSeedError(ValueError):
     """Raised when the descent step is applied to the seed pair (1, 1)."""
 
 
-@dataclass(frozen=True)
-class SideDiameterPair:
+class _Record:
+    """Base of the immutable values that check themselves on construction.
+
+    A subclass names its fields in `_fields`, keeps them in `__slots__` and
+    sets each once with object.__setattr__.  Equality, hash, repr, copy and
+    pickle follow from the fields alone, as for a frozen dataclass; a copy
+    or an unpickled value goes through the constructor, so it is checked
+    again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class SideDiameterPair(_Record):
     """A side number, a diameter number, and optionally their 1-based index.
 
     Invariants, checked on construction: a, d and the index are plain ints
@@ -42,9 +78,17 @@ class SideDiameterPair:
     common divisor would divide d**2 - 2*a**2 = ±1.
     """
 
+    __slots__ = ("a", "d", "index", "_sign")
+    _fields = ("a", "d", "index")
     a: int
     d: int
-    index: int | None = None
+    index: int | None
+
+    def __init__(self, a: int, d: int, index: int | None = None):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "index", index)
+        self.__post_init__()
 
     def __post_init__(self):
         if not (type(self.a) is int and type(self.d) is int
@@ -68,13 +112,29 @@ class SideDiameterPair:
                 raise InvalidPairError(f"index must be >= 1, got {_shown(self.index)}")
             if e != (-1 if self.index % 2 else 1):
                 raise InvalidPairError(f"index {_shown(self.index)} inconsistent with sign {e:+d}")
-        # Not a field, so ==, hash and repr are unchanged; pickle and copy keep it.
+        # Not a field, so ==, hash and repr are unchanged.
         object.__setattr__(self, "_sign", e)
 
     @property
     def sign(self) -> int:
         """The value d**2 - 2*a**2, always -1 or +1, kept from construction."""
         return self._sign
+
+
+def _stepped(a: int, d: int, index: int | None, sign: int) -> SideDiameterPair:
+    """A pair made by the recurrence, built without the squaring check.
+
+    Only for (a, d) reached by `step` or `descend` from a checked pair, with
+    that pair's sign negated, or by `_walk` from the seed, with sign
+    (-1)**index: the `elegant_core` and `descent_core` identities, which
+    `verify --all` proves, give d**2 - 2*a**2 = sign exactly.
+    """
+    p = object.__new__(SideDiameterPair)
+    object.__setattr__(p, "a", a)
+    object.__setattr__(p, "d", d)
+    object.__setattr__(p, "index", index)
+    object.__setattr__(p, "_sign", sign)
+    return p
 
 
 class PlatoReport(NamedTuple):
@@ -104,11 +164,7 @@ def step(p: SideDiameterPair) -> SideDiameterPair:
     twice plus the diameter becomes the next diameter.  The sign of
     d**2 - 2*a**2 is negated, and the index (when known) increments.
     """
-    return SideDiameterPair(
-        p.a + p.d,
-        2 * p.a + p.d,
-        index=None if p.index is None else p.index + 1,
-    )
+    return _stepped(p.a + p.d, 2 * p.a + p.d, None if p.index is None else p.index + 1, -p._sign)
 
 
 def descend(p: SideDiameterPair) -> SideDiameterPair:
@@ -122,11 +178,11 @@ def descend(p: SideDiameterPair) -> SideDiameterPair:
     """
     if p.d <= p.a:
         raise DescentBelowSeedError("cannot descend below the seed pair (1, 1)")
-    return SideDiameterPair(
-        p.d - p.a,
-        2 * p.a - p.d,
-        index=None if p.index is None else p.index - 1,
-    )
+    index = None if p.index is None else p.index - 1
+    if index == 0:
+        # Only a pair indexed 1 by hand, such as (5, 7, index=1), gets here.
+        raise InvalidPairError("index must be >= 1, got 0")
+    return _stepped(p.d - p.a, 2 * p.a - p.d, index, -p._sign)
 
 
 def nth_iterative(n: int) -> SideDiameterPair:
@@ -173,7 +229,7 @@ def _nth_components(n: int, one=1):
 def generate(count: int) -> list[SideDiameterPair]:
     """The first `count` pairs, each carrying its index."""
     _require_int(count, "count", 1)
-    return [SideDiameterPair(a, d, index=i)
+    return [_stepped(a, d, i, -1 if i % 2 else 1)
             for i, (a, d) in enumerate(islice(_walk(), count), 1)]
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sidediameter
 from sidediameter import generate, pairs, to_decimal, trace_elegant
 from sidediameter.cli import _nth_line, _pair_line, build_parser, run
 from sidediameter.pairs import SideDiameterPair, nth
@@ -20,6 +21,7 @@ from sidediameter.pairs import SideDiameterPair, nth
 
 # 4,594 digits each: above the default int-to-str limit of 4,300 digits.
 BIG_PAIR = nth(12000)
+FRESH_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
 
 
 def invoke(argv):
@@ -96,9 +98,11 @@ def test_verify_all():
 
 
 def test_verify_unknown_identity_is_usage_error():
-    code, _, err = invoke(["verify", "--identity", "bogus"])
-    assert code == 2
-    assert err != ""
+    for name in ("bogus", ""):
+        code, out, err = invoke(["verify", "--identity", name])
+        assert (code, out) == (2, "")
+        assert err == (f"usage error: unknown identity {name!r}; choose from "
+                       "descent_core, elegant_core, encouraging, euclid_II_10, euclid_II_9\n")
 
 
 def test_approx_preimage_empty_notice():
@@ -171,13 +175,43 @@ def test_nth_keeps_the_pell_check_in_decimal(monkeypatch):
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     proc = subprocess.Popen([sys.executable, "-m", "sidediameter", "gen", "--count", "3000"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=FRESH_ENV)
     assert proc.stdout.readline() == b"n,a,d,e,ratio_decimal,correct_digits\n"
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (1, b"")
+
+
+def fresh_python(code: str) -> str:
+    """The stdout of `code` run in a new interpreter that imports this checkout's package."""
+    return subprocess.run([sys.executable, "-c", code], env=FRESH_ENV, capture_output=True,
+                          text=True, check=True, timeout=60).stdout
+
+
+def test_short_commands_load_neither_dataclasses_nor_the_identity_catalog():
+    out = fresh_python(
+        "import sys; bare = set(sys.modules); from sidediameter import cli; "
+        "cli.run(['approx', 'step', '17/12']); print(*sorted(set(sys.modules) - bare)); "
+        "cli.run(['verify', '--all']); cli.run(['trace', '--n', '3'])"
+    )
+    step, loaded, *rest = out.splitlines()
+    assert step == "577/408"
+    assert "sidediameter.approx" in loaded.split()
+    heavy = {"dataclasses", "inspect", "ast", "dis", "sidediameter.identities", "sidediameter.polynomials"}
+    assert heavy.isdisjoint(loaded.split())
+    # The catalog still loads for the verbs that need it.
+    assert "\n".join(rest) + "\n" == invoke(["verify", "--all"])[1] + invoke(["trace", "--n", "3"])[1]
+
+
+def test_package_names_load_on_first_use():
+    out = fresh_python(
+        "import sidediameter; names = {}; exec('from sidediameter import *', names); "
+        "print(sorted(set(sidediameter.__all__) - set(names)), names['trace_elegant'].__module__)"
+    )
+    assert out == "[] sidediameter.identities\n"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sidediameter.no_such_name
 
 
 def test_trace_json_matches_library():

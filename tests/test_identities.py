@@ -1,10 +1,14 @@
+import copy
 import json
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sidediameter.approx import run_method
 from sidediameter.identities import (
     JUSTIFICATIONS,
     DerivationTrace,
@@ -198,6 +202,26 @@ def test_trace_rejects_unbalanced_step():
 
 
 def test_named_identity_is_frozen():
-    ident = identity_catalog()[0]
-    with pytest.raises(AttributeError):
-        ident.name = "other"
+    trace = trace_elegant(nth(3))
+    report = run_method("babylonian", 1, 2)
+    records = [(identity_catalog()[0], "name"), (nth(3), "a"), (trace, "pair"),
+               (trace.steps[0], "lhs_value"), (report, "rows"), (report.rows[0], "value")]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+
+def test_record_reprs_name_every_field():
+    conclusion = trace_elegant(SideDiameterPair(2, 3)).conclusion()
+    assert repr(conclusion) == ("TraceStep(justification='conclusion', lhs_expr='(2*2+3)^2', "
+                                "rhs_expr='2*(2+3)^2 - 1', lhs_value=49, rhs_value=49)")
+    row = run_method("babylonian", Fraction(3, 2), 1).rows[0]
+    assert repr(row) == "ReportRow(step=1, value=Fraction(17, 12), correct_digits=2, side_of_sqrt2='over')"
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_trace_and_report_copies_are_equal(clone):
+    for value in (trace_elegant(nth(7)), run_method("side_diameter", Fraction(3, 2), 4)):
+        copied = clone(value)
+        assert type(copied) is type(value) and copied == value and hash(copied) == hash(value)

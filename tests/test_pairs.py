@@ -65,6 +65,12 @@ def test_descend_below_seed_errors():
         descend(SideDiameterPair(1, 1))
 
 
+def test_descend_refuses_to_index_below_one():
+    # The index is checked by parity only, so a pair further up can carry index 1.
+    with pytest.raises(InvalidPairError, match="index must be >= 1, got 0"):
+        descend(SideDiameterPair(5, 7, index=1))
+
+
 def test_descend_negates_sign_and_decrements_index():
     p = nth(9)
     q = descend(p)
@@ -240,6 +246,13 @@ def test_copies_keep_sign_equality_and_hash(p, clone):
     q = clone(p)
     assert q.sign == p.sign
     assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
+
+
+def test_pair_repr_and_equality_are_by_fields():
+    assert repr(nth(5)) == "SideDiameterPair(a=29, d=41, index=5)"
+    assert repr(SideDiameterPair(12, 17)) == "SideDiameterPair(a=12, d=17, index=None)"
+    assert SideDiameterPair(12, 17) != (12, 17, None)
+    assert nth(5) != SideDiameterPair(29, 41)
 
 
 def test_inverse_laws():
