@@ -9,10 +9,12 @@ Two historical iterations are implemented over `fractions.Fraction`:
   recurrence, which converges linearly and alternates sides (Aristarchus'
   7/5 lies on this path but is unreachable by the averaging step).
 
-Digit accuracy is measured exactly: one integer square root,
-floor(sqrt(2) * 10**k * den) at the highest level k that can hold, brackets
-the scaled error tightly enough to decide every level at or below k.  No
-float enters: a number is accepted only as an int or Fraction, by type.
+Digit accuracy is measured exactly and by multiplication alone: with the
+nonzero Pell residual n = |num**2 - 2*den**2|, the error is
+|t - sqrt(2)| = n / (den * (num + den*sqrt(2))), so each level is one
+integer comparison, and bit lengths start the search one level above the
+answer at most.  No square root is taken.  No float enters: a number is
+accepted only as an int or Fraction, by type.
 
 Big integers are rendered by `to_decimal`, exactly and byte-identical to
 str(): above about 4,200 digits it converts by divide and conquer through
@@ -101,25 +103,36 @@ def decimal_digit_count(n: int) -> int:
 def correct_digits(t, cap: int = DEFAULT_DIGIT_CAP) -> int:
     """The largest k <= cap with |t - sqrt(2)| < 10**-k, decided exactly.
 
-    Since num**2 - 2*den**2 is a nonzero integer, |t - sqrt(2)| exceeds
-    1 / (den * (num + 2*den)), so no level above that bound's digit count k
-    can hold.  One root at k, x = num * 10**k - isqrt(2 * (den * 10**k)**2),
-    puts the scaled error num * 10**k - den * 10**k * sqrt(2) strictly
-    inside (x - 1, x), because sqrt(2) is irrational.  With m = x for x >= 1
-    and m = 1 - x otherwise, level j <= k holds exactly when
-    m <= den * 10**(k - j).  Returns 0 when not even |t - sqrt(2)| < 1 holds.
+    For t = num/den, the Pell residual n = |num**2 - 2*den**2| is at least 1
+    because sqrt(2) is irrational, and |t - sqrt(2)| = n / (den * (num +
+    den*sqrt(2))).  Level j therefore holds exactly when
+    A = n * 10**j - den * num satisfies A <= 0 or A**2 < 2 * den**4.
+    The error lies between n / (den * (num + 2*den)) and sqrt(2) times
+    that, so no level above (bitlen(den * (num + 2*den)) - bitlen(n) + 1)
+    * 30103 / 100000 can hold (30103 / 100000 >= log10(2)), and this bound
+    overshoots the answer by at most one level for operands under about
+    5 * 10**7 bits.  The search starts there (or at cap) and walks down
+    while the test fails.  Returns 0 when not even |t - sqrt(2)| < 1 holds.
     """
     t = _positive_fraction(t, "t")
     _require_int(cap, "cap", 1)
-    num, den = t.numerator, t.denominator
-    k = min(cap, decimal_digit_count(den * (num + 2 * den)))
-    x = num * 10**k - isqrt(2 * (den * 10**k) ** 2)
-    m = x if x >= 1 else 1 - x
-    # Level j holds exactly when ceil(m / den) <= 10**(k - j).
-    m_over_den = -(-m // den)
-    if m_over_den == 1:
-        return k
-    return max(0, k - decimal_digit_count(m_over_den - 1))
+    return _correct_digits(t.numerator, t.denominator, cap)
+
+
+def _correct_digits(num: int, den: int, cap: int) -> int:
+    """`correct_digits(Fraction(num, den), cap)` for trusted positive ints."""
+    den_sq = den * den
+    n = abs(num * num - 2 * den_sq)
+    den_num = den * num
+    # 30103/100000 >= log10(2), so this is an upper bound on the answer.
+    j = ((den_num + 2 * den_sq).bit_length() - n.bit_length() + 1) * 30103 // 100000
+    j = max(0, min(cap, j))
+    while j > 0:
+        excess = n * 10**j - den_num
+        if excess <= 0 or excess * excess < 2 * den_sq * den_sq:
+            return j
+        j -= 1
+    return 0
 
 
 def side_of_sqrt2(t) -> str:
@@ -217,11 +230,16 @@ def decimal_string(t, digits: int = DEFAULT_DECIMAL_DIGITS) -> str:
     """Decimal rendering with `digits` places, exact, truncated toward zero."""
     t = _require_rational(t, "t")
     _require_int(digits, "digits", 0)
-    sign = "-" if t < 0 else ""
-    whole, rem = divmod(abs(t.numerator), t.denominator)
+    return _decimal_string(t.numerator, t.denominator, digits)
+
+
+def _decimal_string(num: int, den: int, digits: int) -> str:
+    """`decimal_string(Fraction(num, den), digits)` for trusted ints, den > 0."""
+    sign = "-" if num < 0 else ""
+    whole, rem = divmod(abs(num), den)
     if digits == 0:
         return sign + to_decimal(whole)
-    frac = rem * 10**digits // t.denominator
+    frac = rem * 10**digits // den
     return f"{sign}{to_decimal(whole)}.{to_decimal(frac).zfill(digits)}"
 
 

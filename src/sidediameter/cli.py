@@ -97,24 +97,26 @@ _GEN_COLUMNS = ("n", "a", "d", "e", "ratio_decimal", "correct_digits")
 
 
 def _gen_row(p: pairs.SideDiameterPair, digits: int) -> tuple[str, ...]:
-    """One `gen` row as strings, one per column of `_GEN_COLUMNS`."""
-    value = approx.ratio(p)
+    """One `gen` row as strings, one per column of `_GEN_COLUMNS`.
+
+    The ratio d/a goes to the digit helpers as the pair's own integers, with
+    no `Fraction` built or re-checked: `generate` made the pair, so a >= 1.
+    """
     return (
         str(p.index),
         approx.to_decimal(p.a),
         approx.to_decimal(p.d),
         str(p.sign),
-        approx.decimal_string(value, digits),
-        str(approx.correct_digits(value, approx.DEFAULT_DIGIT_CAP)),
+        approx._decimal_string(p.d, p.a, digits),
+        str(approx._correct_digits(p.d, p.a, approx.DEFAULT_DIGIT_CAP)),
     )
 
 
 def _cmd_gen(args) -> int:
     table = pairs.generate(args.count)
     if args.format == "csv":
-        print(",".join(_GEN_COLUMNS))
-        for p in table:
-            print(",".join(_gen_row(p, args.digits)))
+        rows = [",".join(_gen_row(p, args.digits)) for p in table]
+        print(",".join(_GEN_COLUMNS), *rows, sep="\n")
     else:
         rows = [dict(zip(_GEN_COLUMNS, _gen_row(p, args.digits))) for p in table]
         print(json.dumps(rows, indent=2))

@@ -203,11 +203,16 @@ digit_test_values = st.one_of(
     ),
     st.builds(Fraction, st.integers(1, 10**40), st.integers(1, 10**40)),
     st.builds(_near_sqrt2, st.integers(1, 10**60), st.integers(-3, 3)),
+    # Where the bit-length start of `correct_digits` is loosest: far from
+    # sqrt(2) on either side, and Pell residuals 23**(2**s) far above 1.
+    st.integers(0, 400).map(lambda k: Fraction(1, 10**k)),
+    st.integers(0, 400).map(lambda k: Fraction(10**k)),
+    st.builds(_babylonian_iterate, st.just(Fraction(19, 13)), st.integers(0, 9)),
 )
 
 
 @settings(max_examples=400, deadline=None)
-@given(digit_test_values, st.sampled_from([1, 2, 3, 7, 50, 200, 300]))
+@given(digit_test_values, st.sampled_from([1, 2, 3, 7, 50, 200, 300, 1500]))
 def test_correct_digits_matches_linear_scan(t, cap):
     assert correct_digits(t, cap) == _correct_digits_scan(t, cap)
 
@@ -218,18 +223,19 @@ def test_correct_digits_matches_linear_scan_on_far_convergents(n):
     assert correct_digits(t, 1500) == _correct_digits_scan(t, 1500)
 
 
-def test_correct_digits_takes_one_isqrt(monkeypatch):
+def test_correct_digits_takes_no_isqrt(monkeypatch):
     calls = []
+    real_isqrt = math.isqrt
 
     def counting_isqrt(n):
         calls.append(n)
-        return math.isqrt(n)
+        return real_isqrt(n)
 
     monkeypatch.setattr(approx, "isqrt", counting_isqrt)
+    monkeypatch.setattr(math, "isqrt", counting_isqrt)
     for t, cap in [(Fraction(577, 408), 50), (Fraction(100), 7), (ratio(nth(300)), 300)]:
-        calls.clear()
         correct_digits(t, cap)
-        assert len(calls) == 1
+    assert calls == []
 
 
 @given(positive_fractions)

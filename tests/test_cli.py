@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,8 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sidediameter
-from sidediameter import generate, pairs, to_decimal, trace_elegant
-from sidediameter.cli import _nth_line, _pair_line, build_parser, run
+from sidediameter import approx, generate, pairs, to_decimal, trace_elegant
+from sidediameter.cli import _gen_row, _nth_line, _pair_line, build_parser, run
 from sidediameter.pairs import SideDiameterPair, nth
 
 
@@ -70,6 +71,31 @@ def test_gen_json_round_trips_to_library_values():
     for line, row in zip(lines, parsed):
         assert list(row) == header.split(",")
         assert list(row.values()) == line.split(",")
+
+
+def _within(num: int, den: int, k: int) -> bool:
+    """|num/den - sqrt(2)| < 10**-k, by one root: den * 10**k * sqrt(2) lies in (r, r + 1)."""
+    r = math.isqrt(2 * (den * 10**k) ** 2)
+    return num * 10**k - den <= r and r + 1 <= num * 10**k + den
+
+
+@pytest.mark.parametrize("digits", [0, 30, 100])
+def test_gen_rows_agree_with_the_public_digit_functions(digits):
+    cap = approx.DEFAULT_DIGIT_CAP
+    for p in generate(300):
+        value = approx.ratio(p)
+        row = _gen_row(p, digits)
+        assert row == (
+            str(p.index),
+            to_decimal(p.a),
+            to_decimal(p.d),
+            str(p.sign),
+            approx.decimal_string(value, digits),
+            str(approx.correct_digits(value, cap)),
+        )
+        k = int(row[-1])
+        assert k == 0 or _within(p.d, p.a, k)
+        assert k == cap or not _within(p.d, p.a, k + 1)
 
 
 def test_gen_digits_flag_controls_decimal_precision():
