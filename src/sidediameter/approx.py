@@ -16,6 +16,16 @@ integer comparison, and bit lengths start the search one level above the
 answer at most.  No square root is taken.  No float enters: a number is
 accepted only as an int or Fraction, by type.
 
+`run_method` checks its start once and then steps the reduced integer
+state (p, q, N) with N = p**2 - 2*q**2, the residual of a side/diameter
+pair.  The ratio step is the pair step: (p + 2q, p + q, -N), coprime
+because gcd(p + 2q, p + q) = gcd(p, q).  The averaging step is the pair
+doubling a -> 2ad, d -> d**2 + 2a**2: (p**2 + 2q**2, 2pq, N**2), whose
+only common factor is 2, present exactly when p is even; halving then
+leaves p odd, so that happens on the first step at most.  Each row reads
+its side from the sign of N and its digit count from |N|, and wraps the
+coprime p/q in a Fraction without a gcd.
+
 Big integers are rendered by `to_decimal`, exactly and byte-identical to
 str(): above about 4,200 digits it converts by divide and conquer through
 the standard library's `decimal` module, in subquadratic time and without
@@ -116,14 +126,14 @@ def correct_digits(t, cap: int = DEFAULT_DIGIT_CAP) -> int:
     """
     t = _positive_fraction(t, "t")
     _require_int(cap, "cap", 1)
-    return _correct_digits(t.numerator, t.denominator, cap)
-
-
-def _correct_digits(num: int, den: int, cap: int) -> int:
-    """`correct_digits(Fraction(num, den), cap)` for trusted positive ints."""
+    num, den = t.numerator, t.denominator
     den_sq = den * den
-    n = abs(num * num - 2 * den_sq)
-    den_num = den * num
+    return _correct_digits(abs(num * num - 2 * den_sq), den * num, den_sq, cap)
+
+
+def _correct_digits(n: int, den_num: int, den_sq: int, cap: int) -> int:
+    """`correct_digits(num/den, cap)` from trusted ints n = |num**2 - 2*den**2|,
+    den*num and den**2, the quantities of the error formula."""
     # 30103/100000 >= log10(2), so this is an upper bound on the answer.
     j = ((den_num + 2 * den_sq).bit_length() - n.bit_length() + 1) * 30103 // 100000
     j = max(0, min(cap, j))
@@ -196,10 +206,35 @@ class ConvergenceReport(NamedTuple):
         }
 
 
+def _babylonian_state(p: int, q: int, n: int) -> tuple[int, int, int]:
+    """`babylonian_step` on the reduced state (p, q, p**2 - 2*q**2)."""
+    p, q, n = p * p + 2 * q * q, 2 * p * q, n * n
+    # The two share only a 2, and only when the old p was even.
+    if p & 1:
+        return p, q, n
+    return p >> 1, q >> 1, n >> 2
+
+
+def _ratio_state(p: int, q: int, n: int) -> tuple[int, int, int]:
+    """`sd_ratio_step` on the reduced state (p, q, p**2 - 2*q**2)."""
+    return p + 2 * q, p + q, -n
+
+
 _METHOD_STEPS = {
-    "babylonian": babylonian_step,
-    "side_diameter": sd_ratio_step,
+    "babylonian": _babylonian_state,
+    "side_diameter": _ratio_state,
 }
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for coprime ints with den >= 1, built without a gcd.
+
+    The trusted construction of CPython 3.12's Fraction._from_coprime_ints.
+    """
+    f = object.__new__(Fraction)
+    f._numerator = num
+    f._denominator = den
+    return f
 
 
 def run_method(method: str, start, steps: int, cap: int = DEFAULT_DIGIT_CAP) -> ConvergenceReport:
@@ -211,10 +246,12 @@ def run_method(method: str, start, steps: int, cap: int = DEFAULT_DIGIT_CAP) -> 
     _require_int(cap, "cap", 1)
     advance = _METHOD_STEPS[method]
     rows = []
-    value = start
+    p, q = start.numerator, start.denominator
+    n = p * p - 2 * q * q
     for i in range(1, steps + 1):
-        value = advance(value)
-        rows.append(ReportRow(i, value, correct_digits(value, cap), side_of_sqrt2(value)))
+        p, q, n = advance(p, q, n)
+        digits = _correct_digits(abs(n), q * p, q * q, cap)
+        rows.append(ReportRow(i, _coprime_fraction(p, q), digits, "under" if n < 0 else "over"))
     return ConvergenceReport(method, start, tuple(rows))
 
 
@@ -296,5 +333,5 @@ def to_decimal(n: int | Fraction) -> str:
 def _positive_fraction(t, name: str) -> Fraction:
     t = _require_rational(t, name)
     if t <= 0:
-        raise ValueError(f"value must be positive, got {_shown(t, str)}")
+        raise ValueError(f"{name} must be positive, got {_shown(t, str)}")
     return t

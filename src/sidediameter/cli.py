@@ -100,7 +100,8 @@ def _gen_row(p: pairs.SideDiameterPair, digits: int) -> tuple[str, ...]:
     """One `gen` row as strings, one per column of `_GEN_COLUMNS`.
 
     The ratio d/a goes to the digit helpers as the pair's own integers, with
-    no `Fraction` built or re-checked: `generate` made the pair, so a >= 1.
+    no `Fraction` built or re-checked: `generate` made the pair, so a >= 1
+    and its Pell residual |d**2 - 2*a**2| is 1.
     """
     return (
         str(p.index),
@@ -108,7 +109,7 @@ def _gen_row(p: pairs.SideDiameterPair, digits: int) -> tuple[str, ...]:
         approx.to_decimal(p.d),
         str(p.sign),
         approx._decimal_string(p.d, p.a, digits),
-        str(approx._correct_digits(p.d, p.a, approx.DEFAULT_DIGIT_CAP)),
+        str(approx._correct_digits(1, p.a * p.d, p.a * p.a, approx.DEFAULT_DIGIT_CAP)),
     )
 
 

@@ -1,16 +1,18 @@
 import decimal
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sidediameter import approx
 from sidediameter.approx import (
     ConvergenceReport,
+    ReportRow,
     babylonian_preimage,
     babylonian_step,
     cf_convergent_sqrt2,
@@ -283,6 +285,79 @@ def test_compare_methods_zero_steps():
     babylonian, side_diameter = compare_methods(Fraction(3, 2), 0)
     assert babylonian.rows == ()
     assert side_diameter.rows == ()
+
+
+# Even numerators make the first averaging step reducible (4/3 -> 34/24 =
+# 17/12); 19/13 has Pell residual 23, so |N| > 1 on every iterate.
+run_method_starts = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(7, 5), Fraction(5),
+                     Fraction(4, 3), Fraction(2), Fraction(2, 5), Fraction(19, 13)]),
+    st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1000), max_denominator=1000),
+)
+run_method_lengths = st.one_of(
+    st.tuples(st.just("babylonian"), st.integers(0, 8)),
+    st.tuples(st.just("side_diameter"), st.integers(0, 30)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_method_starts, run_method_lengths, st.sampled_from([1, 50, 200]))
+@example(Fraction(4, 3), ("babylonian", 3), 50)
+@example(Fraction(2), ("babylonian", 4), 200)
+@example(Fraction(2, 5), ("babylonian", 8), 1)
+@example(Fraction(19, 13), ("babylonian", 8), 200)
+@example(Fraction(19, 13), ("side_diameter", 30), 50)
+def test_run_method_rows_equal_the_public_fraction_steps(start, method_steps, cap):
+    method, steps = method_steps
+    advance = babylonian_step if method == "babylonian" else sd_ratio_step
+    expected = []
+    value = start
+    for i in range(1, steps + 1):
+        value = advance(value)
+        expected.append(ReportRow(i, value, correct_digits(value, cap), side_of_sqrt2(value)))
+    rows = run_method(method, start, steps, cap).rows
+    assert rows == tuple(expected)
+    for row in rows:
+        assert type(row.value) is Fraction
+        assert math.gcd(row.value.numerator, row.value.denominator) == 1
+
+
+def test_compare_takes_no_gcd(monkeypatch):
+    calls = []
+    real_gcd = math.gcd
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return real_gcd(*args)
+
+    start = Fraction(3, 2)
+    monkeypatch.setattr(math, "gcd", counting_gcd)
+    for report in compare_methods(start, 12):
+        report.to_csv()
+        report.to_json_dict()
+    assert calls == []
+
+
+def test_coprime_fraction_is_a_plain_fraction():
+    rng = random.Random(2)
+    for _ in range(300):
+        num = rng.choice([-1, 1]) * rng.randrange(0, 10 ** rng.randrange(1, 60))
+        den = rng.randrange(1, 10 ** rng.randrange(1, 60))
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        made, expected = approx._coprime_fraction(num, den), Fraction(num, den)
+        assert type(made) is Fraction
+        assert (made.numerator, made.denominator) == (expected.numerator, expected.denominator)
+        assert made == expected and hash(made) == hash(expected)
+        assert (repr(made), str(made)) == (repr(expected), str(expected))
+        other = Fraction(rng.randrange(-99, 100), rng.randrange(1, 100))
+        assert made + other == expected + other and made * other == expected * other
+        assert made - other == expected - other and made ** 2 == expected ** 2
+        assert (made < other) == (expected < other)
+        if num:
+            assert other / made == other / expected
+        restored = pickle.loads(pickle.dumps(made))
+        assert type(restored) is Fraction and restored == expected
 
 
 def test_run_method_rejects_unknown():

@@ -374,6 +374,9 @@ def test_determinism_byte_identical_stdout(argv):
          "1f26ae5cafa0568b9d82cc404b957b80b61c2f5989fbeca6beb58412ffdc50be"),
         (["gen", "--count", "3", "--digits", "30000", "--format", "json"], 90359,
          "e846472d31d8e06f0efc3246cfe32a78909626afc8e24120c5beba6882d86bf6"),
+        # An even numerator: the first averaging step must reduce 34/24 to 17/12.
+        (["compare", "--start", "4/3", "--steps", "3", "--format", "json"], 1476,
+         "1a594e19fe94f0d86f1e7dad4859926b7a102fde6c0ededcdee00edd58616d24"),
     ],
 )
 def test_golden_stdout_bytes(argv, size, sha256, int_str_limit):
@@ -432,6 +435,10 @@ def test_domain_errors_exit_1(argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_nonpositive_start_error_names_the_argument():
+    assert invoke(["compare", "--start", "-1", "--steps", "2"]) == (1, "", "error: start must be positive, got -1\n")
 
 
 @pytest.mark.parametrize("argv", [["nth", "20000"], ["trace", "3", "5"], ["bogus"]])

@@ -57,6 +57,8 @@ INTEGER_ARGUMENTS = [
     ("run_method", "cap", lambda v: run_method("babylonian", THREE_HALVES, 0, v)),
 ]
 INEXACT = [1.5, Decimal("1.5"), "3/2", True]
+# Entries among RATIONAL_ARGUMENTS that also require a positive value.
+POSITIVE_ARGUMENTS = [row for row in RATIONAL_ARGUMENTS if row[0] not in ("decimal_string", "proportion_subtract")]
 
 
 class MyInt(int):
@@ -76,6 +78,18 @@ def test_non_exact_numbers_are_refused_by_type(call, name, value):
     with pytest.raises(ValueError) as info:
         call(value)
     assert str(info.value).startswith(f"{name} must be ")
+
+
+@pytest.mark.parametrize(
+    "call,name,value",
+    [pytest.param(call, name, value, id=f"{entry}-{name}-{value}")
+     for entry, name, call in POSITIVE_ARGUMENTS
+     for value in (0, -1, Fraction(-3, 2))],
+)
+def test_nonpositive_values_are_refused_by_name(call, name, value):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be positive, got {value}"
 
 
 @pytest.mark.parametrize(
