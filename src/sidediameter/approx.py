@@ -127,13 +127,13 @@ def correct_digits(t, cap: int = DEFAULT_DIGIT_CAP) -> int:
     t = _positive_fraction(t, "t")
     _require_int(cap, "cap", 1)
     num, den = t.numerator, t.denominator
-    den_sq = den * den
-    return _correct_digits(abs(num * num - 2 * den_sq), den * num, den_sq, cap)
+    return _correct_digits(num, den, abs(num * num - 2 * den * den), cap)
 
 
-def _correct_digits(n: int, den_num: int, den_sq: int, cap: int) -> int:
-    """`correct_digits(num/den, cap)` from trusted ints n = |num**2 - 2*den**2|,
-    den*num and den**2, the quantities of the error formula."""
+def _correct_digits(num: int, den: int, n: int, cap: int) -> int:
+    """`correct_digits(num/den, cap)` for trusted ints with the Pell residual
+    n = |num**2 - 2*den**2| already known."""
+    den_num, den_sq = den * num, den * den
     # 30103/100000 >= log10(2), so this is an upper bound on the answer.
     j = ((den_num + 2 * den_sq).bit_length() - n.bit_length() + 1) * 30103 // 100000
     j = max(0, min(cap, j))
@@ -176,12 +176,12 @@ class ReportRow(NamedTuple):
     side_of_sqrt2: str
 
     def fields(self, digits: int) -> tuple[str, ...]:
-        """The row as strings, one per column of `_REPORT_COLUMNS`."""
+        """The row as strings, one per column of `_REPORT_COLUMNS`; trusts its values and digits."""
         return (
             str(self.step),
             to_decimal(self.value.numerator),
             to_decimal(self.value.denominator),
-            decimal_string(self.value, digits),
+            _decimal_string(self.value.numerator, self.value.denominator, digits),
             str(self.correct_digits),
             self.side_of_sqrt2,
         )
@@ -195,10 +195,12 @@ class ConvergenceReport(NamedTuple):
     rows: tuple[ReportRow, ...]
 
     def to_csv(self, digits: int = DEFAULT_DECIMAL_DIGITS) -> str:
+        _require_int(digits, "digits", 0)
         lines = [_REPORT_COLUMNS] + [row.fields(digits) for row in self.rows]
         return "\n".join(",".join(line) for line in lines) + "\n"
 
     def to_json_dict(self, digits: int = DEFAULT_DECIMAL_DIGITS) -> dict:
+        _require_int(digits, "digits", 0)
         return {
             "method": self.method,
             "start": to_decimal(self.start),
@@ -250,7 +252,7 @@ def run_method(method: str, start, steps: int, cap: int = DEFAULT_DIGIT_CAP) -> 
     n = p * p - 2 * q * q
     for i in range(1, steps + 1):
         p, q, n = advance(p, q, n)
-        digits = _correct_digits(abs(n), q * p, q * q, cap)
+        digits = _correct_digits(p, q, abs(n), cap)
         rows.append(ReportRow(i, _coprime_fraction(p, q), digits, "under" if n < 0 else "over"))
     return ConvergenceReport(method, start, tuple(rows))
 

@@ -10,6 +10,7 @@ import contextlib
 import decimal
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -38,11 +39,16 @@ positive_int = _int_at_least(1)
 nonnegative_int = _int_at_least(0)
 
 
+# NUM/DEN or an integer.  Fraction() alone would also take decimal points and
+# exponents, and build 10**999999999 for `1e999999999` before any check.
+_RATIONAL = r"\s*[-+]?\d+(?:/\d+)?\s*"
+
+
 def rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational NUM/DEN or integer: {text!r}")
+    if re.fullmatch(_RATIONAL, text):
+        with contextlib.suppress(ZeroDivisionError):
+            return Fraction(text)
+    raise argparse.ArgumentTypeError(f"not a rational NUM/DEN or integer: {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,9 +105,8 @@ _GEN_COLUMNS = ("n", "a", "d", "e", "ratio_decimal", "correct_digits")
 def _gen_row(p: pairs.SideDiameterPair, digits: int) -> tuple[str, ...]:
     """One `gen` row as strings, one per column of `_GEN_COLUMNS`.
 
-    The ratio d/a goes to the digit helpers as the pair's own integers, with
-    no `Fraction` built or re-checked: `generate` made the pair, so a >= 1
-    and its Pell residual |d**2 - 2*a**2| is 1.
+    `generate` made the pair, so d/a goes to the trusted digit helpers with
+    its Pell residual |d**2 - 2*a**2| = 1.
     """
     return (
         str(p.index),
@@ -109,7 +114,7 @@ def _gen_row(p: pairs.SideDiameterPair, digits: int) -> tuple[str, ...]:
         approx.to_decimal(p.d),
         str(p.sign),
         approx._decimal_string(p.d, p.a, digits),
-        str(approx._correct_digits(1, p.a * p.d, p.a * p.a, approx.DEFAULT_DIGIT_CAP)),
+        str(approx._correct_digits(p.d, p.a, 1, approx.DEFAULT_DIGIT_CAP)),
     )
 
 
@@ -212,11 +217,9 @@ def _cmd_approx(args) -> int:
 def _cmd_compare(args) -> int:
     babylonian, side_diameter = approx.compare_methods(args.start, args.steps, args.cap)
     if args.format == "csv":
-        lines = []
-        for report in (babylonian, side_diameter):
-            header, *rows = report.to_csv(args.digits).splitlines()
-            lines += [f"{report.method},{row}" for row in rows]
-        print(f"method,{header}", *lines, sep="\n")
+        lines = [",".join((report.method, *row.fields(args.digits)))
+                 for report in (babylonian, side_diameter) for row in report.rows]
+        print(",".join(("method", *approx._REPORT_COLUMNS)), *lines, sep="\n")
     else:
         print(json.dumps(
             {

@@ -1,4 +1,5 @@
 import decimal
+import io
 import math
 import pickle
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sidediameter import approx
+from sidediameter import approx, cli
 from sidediameter.approx import (
     ConvergenceReport,
     ReportRow,
@@ -336,6 +337,22 @@ def test_compare_takes_no_gcd(monkeypatch):
         report.to_csv()
         report.to_json_dict()
     assert calls == []
+
+
+def test_compare_rows_call_no_checked_public_function(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checked public function was called")
+
+    for name in ("decimal_string", "correct_digits", "side_of_sqrt2", "babylonian_step", "sd_ratio_step"):
+        monkeypatch.setattr(approx, name, refuse)
+    for report in compare_methods(Fraction(19, 13), 6):
+        assert len(report.rows) == 6
+        report.to_csv()
+        report.to_json_dict()
+    for fmt in ("csv", "json"):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run(["compare", "--start", "19/13", "--steps", "6", "--format", fmt], out, err) == 0
+        assert out.getvalue() and err.getvalue() == ""
 
 
 def test_coprime_fraction_is_a_plain_fraction():

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -294,6 +295,17 @@ def test_compare_csv_table():
     assert lines[2].startswith("babylonian,2,577,408,")
     assert lines[3].startswith("side_diameter,1,7,5,")
     assert lines[4].startswith("side_diameter,2,17,12,")
+    # The CLI table is each report's own CSV, its rows prefixed with the method.
+    for start in (Fraction(1), Fraction(4, 3), Fraction(19, 13)):
+        for cap in (50, 200):
+            for digits in (0, 30):
+                argv = ["compare", "--start", str(start), "--steps", "7", "--cap", str(cap),
+                        "--digits", str(digits)]
+                code, out, _ = invoke(argv)
+                expected = [lines[0]]
+                for report in approx.compare_methods(start, 7, cap):
+                    expected += [f"{report.method},{row}" for row in report.to_csv(digits).splitlines()[1:]]
+                assert (code, out) == (0, "\n".join(expected) + "\n"), argv
 
 
 def test_compare_json_shape():
@@ -399,6 +411,12 @@ def test_golden_stdout_bytes(argv, size, sha256, int_str_limit):
         ["approx", "step", "x/y"],
         ["compare", "--steps", "-1"],
         [],
+        # Rationals are NUM/DEN or integers: no decimal point, no exponent.
+        ["approx", "step", "1e3"],
+        ["approx", "digits", "1.5"],
+        ["approx", "step", "1E-3"],
+        ["approx", "step", ".5"],
+        ["compare", "--start", "3/2e1", "--steps", "1"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -414,12 +432,24 @@ def test_usage_errors_exit_2(argv):
         (["compare", "--steps", "-1"], "argument --steps: must be >= 0, got -1"),
         (["nth", "x"], "argument n: not an integer: 'x'"),
         (["gen", "--count", "3", "--digits", "2.5"], "argument --digits: not an integer: '2.5'"),
+        (["approx", "step", "1e3"], "argument value: not a rational NUM/DEN or integer: '1e3'"),
+        (["approx", "digits", "1.5"], "argument value: not a rational NUM/DEN or integer: '1.5'"),
+        (["approx", "step", "1E-3"], "argument value: not a rational NUM/DEN or integer: '1E-3'"),
+        (["approx", "step", ".5"], "argument value: not a rational NUM/DEN or integer: '.5'"),
+        (["compare", "--start", "3/2e1", "--steps", "1"],
+         "argument --start: not a rational NUM/DEN or integer: '3/2e1'"),
     ],
 )
 def test_integer_argument_error_texts(argv, message):
     code, _, err = invoke(argv)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("text,shown", [("3/2", "3/2"), ("+3/2", "3/2"), (" 7/5", "7/5"), ("17", "17")])
+def test_rational_arguments_are_num_den_or_integers(text, shown):
+    code, out, _ = invoke(["compare", "--start", text, "--steps", "0", "--format", "json"])
+    assert (code, json.loads(out)["start"]) == (0, shown)
 
 
 @pytest.mark.parametrize(
