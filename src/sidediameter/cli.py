@@ -82,8 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap = sub.add_parser("approx", help="one approximation step, preimages, or digit count")
     ap.add_argument("action", choices=("step", "preimage", "digits"))
     ap.add_argument("value", type=rational)
-    ap.add_argument("--method", choices=("babylonian", "sd"), default="babylonian")
-    ap.add_argument("--cap", type=positive_int, default=approx.DEFAULT_DIGIT_CAP)
+    ap.add_argument("--method", choices=("babylonian", "sd"),
+                    help="step and preimage only (default: babylonian)")
+    ap.add_argument("--cap", type=positive_int,
+                    help=f"digits only (default: {approx.DEFAULT_DIGIT_CAP})")
 
     compare = sub.add_parser("compare", help="run both methods and tabulate convergence")
     compare.add_argument("--start", type=rational, default=Fraction(1))
@@ -201,16 +203,19 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    unread = "method" if args.action == "digits" else "cap"
+    if getattr(args, unread) is not None:
+        raise UsageError(f"--{unread} does not apply to approx {args.action}")
     if args.action == "step":
-        advance = approx.babylonian_step if args.method == "babylonian" else approx.sd_ratio_step
+        advance = approx.sd_ratio_step if args.method == "sd" else approx.babylonian_step
         print(approx.to_decimal(advance(args.value)))
     elif args.action == "preimage":
-        if args.method != "babylonian":
+        if args.method == "sd":
             raise UsageError("preimage is defined for the babylonian method only")
         roots = sorted(approx.babylonian_preimage(args.value))
         print("preimages: " + (", ".join(approx.to_decimal(r) for r in roots) if roots else "none"))
     else:
-        print(approx.correct_digits(args.value, args.cap))
+        print(approx.correct_digits(args.value, args.cap or approx.DEFAULT_DIGIT_CAP))
     return 0
 
 
@@ -278,9 +283,12 @@ def main() -> None:
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early (`| head`).  Point stdout at devnull
-        # so the interpreter's flush at exit cannot raise a second time.
+    except OSError as exc:
+        # A reader that closed stdout early (`| head`) needs no message; any
+        # other failed write (a full disk) gets one line.  Point stdout at
+        # devnull so the interpreter's flush at exit cannot raise a second time.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code)

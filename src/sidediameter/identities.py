@@ -51,38 +51,29 @@ class DerivationTrace(_Record):
     steps: tuple[TraceStep, ...]
 
     def __init__(self, pair: SideDiameterPair, steps: tuple[TraceStep, ...]):
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "steps", steps)
-        self.__post_init__()
-
-    def __post_init__(self):
-        tags = tuple(s.justification for s in self.steps)
+        tags = tuple(s.justification for s in steps)
         if tags != JUSTIFICATIONS:
             raise ValueError(f"unexpected justification sequence {tags!r}")
-        for s in self.steps:
+        for s in steps:
             if s.lhs_value != s.rhs_value:
                 raise ValueError(f"unbalanced step {s!r}")
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "steps", steps)
 
     def conclusion(self) -> TraceStep:
         return self.steps[-1]
 
-    def _value_texts(self) -> dict[int, str]:
-        """Each distinct step value in decimal, rendered once.
-
-        Both sides of a step are equal (checked on construction), so one
-        string serves both, and steps sharing a value share its string.
-        """
-        return {v: approx.to_decimal(v) for v in {s.lhs_value for s in self.steps}}
-
     def to_json_dict(self) -> dict:
-        """JSON-ready form; integer values as decimal strings (any size)."""
-        text = self._value_texts()
+        """JSON-ready form; integer values as decimal strings (any size).
+
+        Each distinct integer, a, d and the step values alike, is rendered
+        once: both sides of a step are equal (checked on construction), so
+        one string serves both.
+        """
+        p = self.pair
+        text = {v: approx.to_decimal(v) for v in {p.a, p.d, *(s.lhs_value for s in self.steps)}}
         return {
-            "pair": {
-                "a": approx.to_decimal(self.pair.a),
-                "d": approx.to_decimal(self.pair.d),
-                "e": str(self.pair.sign),
-            },
+            "pair": {"a": text[p.a], "d": text[p.d], "e": str(p.sign)},
             "steps": [
                 {
                     "justification": s.justification,
@@ -96,19 +87,16 @@ class DerivationTrace(_Record):
         }
 
     def pretty(self) -> str:
-        p = self.pair
-        text = self._value_texts()
-        lines = [
-            f"derivation for pair (a={approx.to_decimal(p.a)}, "
-            f"d={approx.to_decimal(p.d)}, e={p.sign:+d})"
-        ]
+        """The strings of `to_json_dict`, laid out one step per line."""
+        data = self.to_json_dict()
+        pair = data["pair"]
+        lines = [f"derivation for pair (a={pair['a']}, d={pair['d']}, e={self.pair.sign:+d})"]
         width = max(len(j) for j in JUSTIFICATIONS) + 2
-        for s in self.steps:
-            tag = f"[{s.justification}]"
-            value = text[s.lhs_value]
+        for s in data["steps"]:
+            tag = f"[{s['justification']}]"
             lines.append(
-                f"  {tag:<{width}}  {s.lhs_expr} = {s.rhs_expr}"
-                f"    ({value} = {value})"
+                f"  {tag:<{width}}  {s['lhs_expr']} = {s['rhs_expr']}"
+                f"    ({s['lhs_value']} = {s['rhs_value']})"
             )
         return "\n".join(lines)
 

@@ -156,10 +156,24 @@ def test_approx_digits():
     assert (code, out) == (0, "5\n")
 
 
-def test_approx_preimage_rejects_sd_method():
-    code, _, err = invoke(["approx", "preimage", "17/12", "--method", "sd"])
-    assert code == 2
-    assert "babylonian" in err
+# Only step and preimage read --method, and only digits reads --cap.
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["preimage", "--method", "sd"], "babylonian"),
+        (["digits", "--method", "sd"], "--method"),
+        (["digits", "--method", "babylonian"], "--method"),
+        (["step", "--cap", "3"], "--cap"),
+        (["preimage", "--cap", "3"], "--cap"),
+    ],
+    ids=["preimage-method-sd", "digits-method-sd", "digits-method-babylonian", "step-cap",
+         "preimage-cap"],
+)
+def test_approx_preimage_rejects_sd_method(argv, named):
+    action, *options = argv
+    code, out, err = invoke(["approx", action, "17/12", *options])
+    assert (code, out) == (2, "")
+    assert named in err and action in err
 
 
 def test_nth_check_oracle():
@@ -208,6 +222,16 @@ def test_closed_stdout_exits_1_without_a_traceback():
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_failed_write_exits_1_with_one_error_line():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "sidediameter", "nth", "5"], stdout=full,
+                              stderr=subprocess.PIPE, env=FRESH_ENV, timeout=60)
+    lines = proc.stderr.decode().splitlines()
+    assert (proc.returncode, len(lines)) == (1, 1)
+    assert lines[0].startswith("error:")
 
 
 def fresh_python(code: str) -> str:

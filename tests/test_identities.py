@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sidediameter.approx import run_method
+from sidediameter import approx, identities
+from sidediameter.approx import run_method, to_decimal
 from sidediameter.identities import (
     JUSTIFICATIONS,
     DerivationTrace,
@@ -20,7 +21,7 @@ from sidediameter.identities import (
     trace_elegant,
     verify_identity,
 )
-from sidediameter.pairs import SideDiameterPair, nth
+from sidediameter.pairs import SideDiameterPair, generate, nth
 from sidediameter.polynomials import Poly, symbols
 
 CATALOG_NAMES = ["euclid_II_10", "euclid_II_9", "elegant_core", "encouraging", "descent_core"]
@@ -185,6 +186,83 @@ def test_trace_json_schema():
         }
         assert isinstance(rendered["lhs_value"], str)
         assert int(rendered["lhs_value"]) == int(rendered["rhs_value"])
+
+
+def _two_renderer_json_dict(trace):
+    """Oracle: `to_json_dict` as it was when it rendered the pair apart from the steps."""
+    text = {v: to_decimal(v) for v in {s.lhs_value for s in trace.steps}}
+    return {
+        "pair": {
+            "a": to_decimal(trace.pair.a),
+            "d": to_decimal(trace.pair.d),
+            "e": str(trace.pair.sign),
+        },
+        "steps": [
+            {
+                "justification": s.justification,
+                "lhs_expr": s.lhs_expr,
+                "rhs_expr": s.rhs_expr,
+                "lhs_value": text[s.lhs_value],
+                "rhs_value": text[s.lhs_value],
+            }
+            for s in trace.steps
+        ],
+    }
+
+
+def _two_renderer_pretty(trace):
+    """Oracle: `pretty` as it was when it rendered the pair and walked the steps itself."""
+    p = trace.pair
+    text = {v: to_decimal(v) for v in {s.lhs_value for s in trace.steps}}
+    lines = [f"derivation for pair (a={to_decimal(p.a)}, d={to_decimal(p.d)}, e={p.sign:+d})"]
+    width = max(len(j) for j in JUSTIFICATIONS) + 2
+    for s in trace.steps:
+        tag = f"[{s.justification}]"
+        value = text[s.lhs_value]
+        lines.append(f"  {tag:<{width}}  {s.lhs_expr} = {s.rhs_expr}    ({value} = {value})")
+    return "\n".join(lines)
+
+
+# Both signs, generated pairs, caller-built pairs (whose a and d may be equal), and
+# nth(11010..11012), which straddle the 4,215-digit threshold where `to_decimal` leaves str().
+TRACED_PAIRS = st.one_of(
+    st.integers(1, 3000).map(nth),
+    st.sampled_from(generate(60)),
+    st.sampled_from([SideDiameterPair(12, 17), SideDiameterPair(1, 1),
+                     *(nth(n) for n in (11010, 11011, 11012))]),
+)
+
+
+@given(TRACED_PAIRS)
+def test_trace_renders_equal_the_two_renderer_oracles(pair):
+    trace = trace_elegant(pair)
+    assert (json.dumps(trace.to_json_dict(), indent=2)
+            == json.dumps(_two_renderer_json_dict(trace), indent=2))
+    assert trace.pretty() == _two_renderer_pretty(trace)
+
+
+# a, d and the three distinct step values; (1, 1) has a == d.
+@pytest.mark.parametrize("pair,calls", [(nth(2000), 5), (SideDiameterPair(1, 1), 4)],
+                         ids=["nth-2000", "1-1"])
+def test_each_render_converts_every_distinct_integer_once(monkeypatch, pair, calls):
+    trace = trace_elegant(pair)
+    rendered = []
+
+    def counting(value):
+        rendered.append(value)
+        return to_decimal(value)
+
+    monkeypatch.setattr(approx, "to_decimal", counting)
+    for render in (trace.to_json_dict, trace.pretty):
+        rendered.clear()
+        render()
+        assert len(rendered) == len(set(rendered)) == calls
+
+
+def test_trace_elegant_applies_the_subtraction_lemma(monkeypatch):
+    monkeypatch.setattr(identities, "proportion_subtract", lambda *args: False)
+    with pytest.raises(ArithmeticError):
+        trace_elegant(SideDiameterPair(2, 3))
 
 
 def test_trace_rejects_wrong_step_order():
