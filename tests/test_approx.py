@@ -241,6 +241,40 @@ def test_correct_digits_takes_no_isqrt(monkeypatch):
     assert calls == []
 
 
+class _SquareCountingInt(int):
+    """An int that counts products with itself and powers of itself."""
+
+    def __new__(cls, value):
+        self = super().__new__(cls, value)
+        self.squarings = 0
+        return self
+
+    def __mul__(self, other):
+        self.squarings += other is self
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent, modulo=None):
+        self.squarings += 1
+        return pow(int(self), exponent, modulo)
+
+
+@pytest.mark.parametrize("index,cap", [(3000, 50), (3000, 1), (400, 50), (1000, 200)])
+def test_correct_digits_squares_no_den_at_a_cap_below_the_answer(index, cap):
+    p = nth(index)
+    den = _SquareCountingInt(p.a)
+    assert approx._correct_digits(p.d, den, 1, cap) == cap
+    assert den.squarings == 0
+
+
+def test_correct_digits_squares_den_only_for_the_exact_test():
+    # The search starts at level 6 for 577/408, which only A**2 < 2*den**4 can refuse.
+    den = _SquareCountingInt(408)
+    assert approx._correct_digits(577, den, 1, 50) == 5
+    assert den.squarings == 1
+
+
 @given(positive_fractions)
 def test_side_of_sqrt2_is_the_side_of_t_squared(t):
     assert side_of_sqrt2(t) == ("under" if t * t < 2 else "over")

@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sidediameter
-from sidediameter import approx, generate, pairs, to_decimal, trace_elegant
+from sidediameter import approx, cli, generate, pairs, to_decimal, trace_elegant
 from sidediameter.cli import _gen_row, _nth_line, _pair_line, build_parser, run
 from sidediameter.pairs import SideDiameterPair, nth
 
@@ -213,6 +213,37 @@ def test_nth_keeps_the_pell_check_in_decimal(monkeypatch):
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "50" in err
     assert len(err.encode()) < 1024
+
+
+# 2**1100 lies past the recursion depth of `_nth_components`; 130616510 and
+# 6874551 are the first indices whose output passes the digit limit.
+@pytest.mark.parametrize("argv", [
+    ["nth", str(2**1100)],
+    ["nth", "130616510"],
+    ["trace", "--n", str(2**1100)],
+    ["trace", "--n", "6874551"],
+    ["trace", "--n", "6874551", "--pretty"],
+], ids=["nth-2**1100", "nth-first-over", "trace-2**1100", "trace-first-over", "trace-pretty-first-over"])
+def test_index_verbs_refuse_output_over_the_limit_before_computing(argv, monkeypatch):
+    def core_ran(*args):
+        raise AssertionError("the doubling core ran")
+
+    monkeypatch.setattr(pairs, "_nth_components", core_ran)
+    code, out, err = invoke(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
+    assert f"limit of {cli._PRINTED_DIGIT_LIMIT}" in err
+
+
+@pytest.mark.parametrize("verb,n", [
+    ("nth", 10000000),  # the ROADMAP baseline
+    ("nth", 20000000),  # measured: 15.3 MB of stdout
+    ("trace --n", 1000000),  # measured: 14.5 MB of stdout
+    ("nth", 130616509),
+    ("trace --n", 6874550),
+])
+def test_index_budget_accepts_the_sizes_below_the_limit(verb, n):
+    cli._check_index_budget(verb, n)
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
@@ -500,6 +531,27 @@ def test_run_restores_the_int_str_limit(argv, int_str_limit):
     int_str_limit(5000)
     invoke(argv)
     assert sys.get_int_max_str_digits() == 5000
+
+
+def test_big_rational_arguments_need_the_lifted_int_str_limit(int_str_limit):
+    int_str_limit(4300)
+    t = Fraction(BIG_PAIR.d, BIG_PAIR.a)
+    text = f"{to_decimal(BIG_PAIR.d)}/{to_decimal(BIG_PAIR.a)}"
+    babylonian, side_diameter = approx.compare_methods(t, 1)
+    expected = {
+        ("approx", "step", text): to_decimal(approx.babylonian_step(t)),
+        ("approx", "preimage", text):
+            "preimages: " + ", ".join(map(to_decimal, sorted(approx.babylonian_preimage(t)))),
+        ("compare", "--start", text, "--steps", "1", "--format", "json"): json.dumps({
+            "start": to_decimal(t),
+            "steps": "1",
+            "babylonian": babylonian.to_json_dict(),
+            "side_diameter": side_diameter.to_json_dict(),
+        }, indent=2),
+    }
+    for argv, shown in expected.items():
+        assert invoke(list(argv)) == (0, shown + "\n", ""), argv[:2]
+    assert sys.get_int_max_str_digits() == 4300
 
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
