@@ -5,44 +5,10 @@ the quadratic identities behind them verified symbolically, derivation
 traces for concrete pairs, and exact-rational analysis of two historical
 algorithms approximating the square root of 2.
 
-The names from `identities` and `polynomials` are imported on first use
-(PEP 562), so commands that need no symbolic identity never build the
-catalog.
+Every name of `__all__` is imported from its module on first use (PEP 562),
+so `import sidediameter` loads no submodule and commands that need no
+symbolic identity never build the catalog.
 """
-
-from sidediameter.approx import (
-    ConvergenceReport,
-    ReportRow,
-    babylonian_preimage,
-    babylonian_step,
-    cf_convergent_sqrt2,
-    compare_methods,
-    correct_digits,
-    decimal_digit_count,
-    decimal_string,
-    isqrt,
-    ratio,
-    run_method,
-    sd_ratio_step,
-    side_of_sqrt2,
-    to_decimal,
-)
-from sidediameter.pairs import (
-    DescentBelowSeedError,
-    IdentityCheck,
-    InvalidPairError,
-    PlatoReport,
-    SideDiameterPair,
-    adjacent_rational_diameter,
-    descend,
-    encouraging_identity_check,
-    generate,
-    nth,
-    nth_iterative,
-    plato_check,
-    seed,
-    step,
-)
 
 __all__ = [
     "ConvergenceReport",
@@ -90,12 +56,17 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """A name of `__all__` from `identities` or `polynomials`, imported on first use."""
+    """A name of `__all__`, imported from its module on first use and then kept."""
     if name in __all__:
-        from sidediameter import identities, polynomials
+        import importlib
 
-        for module in (identities, polynomials):
-            if name in vars(module):
-                globals()[name] = value = vars(module)[name]
+        for module in ("pairs", "approx", "polynomials", "identities"):
+            namespace = vars(importlib.import_module(f"{__name__}.{module}"))
+            if name in namespace:
+                globals()[name] = value = namespace[name]
                 return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -62,22 +62,26 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--count", type=positive_int, required=True)
     gen.add_argument("--format", choices=("csv", "json"), default="csv")
     gen.add_argument("--digits", type=nonnegative_int, default=approx.DEFAULT_DECIMAL_DIGITS)
+    gen.set_defaults(handler=_cmd_gen)
 
     nth = sub.add_parser("nth", help="compute the N-th pair by the fast doubling path")
     nth.add_argument("n", type=positive_int)
     nth.add_argument("--check-oracle", action="store_true",
                      help="confirm against the iterative path; both wall times go to stderr")
+    nth.set_defaults(handler=_cmd_nth)
 
     verify = sub.add_parser("verify", help="verify catalog identities symbolically")
     group = verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--identity", metavar="NAME", help="one catalog identity; an unknown name lists them")
     group.add_argument("--all", action="store_true")
+    verify.set_defaults(handler=_cmd_verify)
 
     trace = sub.add_parser("trace", help="derivation trace for a pair (JSON or --pretty)")
     trace.add_argument("pair", nargs="*", type=int, metavar="INT",
                        help="the pair as two integers: A D")
     trace.add_argument("--n", type=positive_int, help="use the N-th pair instead of A D")
     trace.add_argument("--pretty", action="store_true")
+    trace.set_defaults(handler=_cmd_trace)
 
     ap = sub.add_parser("approx", help="one approximation step, preimages, or digit count")
     ap.add_argument("action", choices=("step", "preimage", "digits"))
@@ -86,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="step and preimage only (default: babylonian)")
     ap.add_argument("--cap", type=positive_int,
                     help=f"digits only (default: {approx.DEFAULT_DIGIT_CAP})")
+    ap.set_defaults(handler=_cmd_approx)
 
     compare = sub.add_parser("compare", help="run both methods and tabulate convergence")
     compare.add_argument("--start", type=rational, default=Fraction(1))
@@ -93,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--format", choices=("csv", "json"), default="csv")
     compare.add_argument("--digits", type=nonnegative_int, default=approx.DEFAULT_DECIMAL_DIGITS)
     compare.add_argument("--cap", type=positive_int, default=approx.DEFAULT_DIGIT_CAP)
+    compare.set_defaults(handler=_cmd_compare)
 
     return parser
 
@@ -121,6 +127,10 @@ def _gen_row(p: pairs.SideDiameterPair, digits: int) -> tuple[str, ...]:
 
 
 def _cmd_gen(args) -> int:
+    # The a and d columns hold at most 2 * sum of ceil(0.3828 * i) <=
+    # ceil(0.3828 * count * (count + 1)) + 2 * count digits; the other columns
+    # of a row add `digits` places and at most ten more digits below 10**6 rows.
+    _check_printed_digits("gen", _component_digits(args.count * (args.count + 1)) + args.count * (args.digits + 12))
     table = pairs.generate(args.count)
     if args.format == "csv":
         rows = [",".join(_gen_row(p, args.digits)) for p in table]
@@ -131,27 +141,34 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-# Digits above which `nth` and `trace --n` refuse an index before computing.
-# Well below it, in process on a 2-CPU VM: `nth 20000000` printed 15.3 MB in
-# 3.6 s at 69 MB peak RSS, and `trace --n 1000000` 14.5 MB in 2.3 s at 58 MB.
+# Digits above which `nth`, `trace --n`, `gen` and `compare` refuse their
+# arguments before computing.  Well below it, in process on a 2-CPU VM:
+# `nth 20000000` printed 15.3 MB in 3.6 s at 69 MB peak RSS, and
+# `trace --n 1000000` 14.5 MB in 2.3 s at 58 MB.
 _PRINTED_DIGIT_LIMIT = 10**8
-# How many components' digits each index verb prints: `nth` prints a and d;
-# `trace` prints them with their squares and the step values, about 38.
-_PRINTED_COMPONENTS = {"nth": 2, "trace --n": 38}
+# Largest index `nth --check-oracle` takes.  Its linear oracle's time grows
+# about quadratically: in process on that VM, 0.67 s at 10**5, 2.5 s at
+# 2*10**5 and 11 s at 4*10**5.
+_ORACLE_INDEX_LIMIT = 400_000
 
 
-def _check_index_budget(verb: str, n: int) -> None:
-    """Refuse index n if `verb` would print more than `_PRINTED_DIGIT_LIMIT` digits.
+def _component_digits(n: int) -> int:
+    """ceil(0.3828 * n), at least the digits of each component of pair n: log10(1 + sqrt(2)) < 0.3828."""
+    return -(-3828 * n // 10000)
 
-    Each component of pair n has at most ceil(0.3828 * n) digits, because
-    log10(1 + sqrt(2)) < 0.3828; the estimate takes integers only.
-    """
-    estimate = _PRINTED_COMPONENTS[verb] * -(-3828 * n // 10000)
+
+def _check_printed_digits(verb: str, estimate: int) -> None:
+    """Refuse `verb` if it would print more than `_PRINTED_DIGIT_LIMIT` digits; integers only."""
     if estimate > _PRINTED_DIGIT_LIMIT:
         shown = str(estimate)
         if len(shown) > 20:
             shown = f"{shown[0]}.{shown[1:3]}e{len(shown) - 1}"
         raise ValueError(f"{verb} would print about {shown} digits, over the limit of {_PRINTED_DIGIT_LIMIT}")
+
+
+def _check_oracle_index(n: int) -> None:
+    if n > _ORACLE_INDEX_LIMIT:
+        raise ValueError(f"nth --check-oracle takes indices up to the limit of {_ORACLE_INDEX_LIMIT}")
 
 
 def _nth_line(n: int) -> str:
@@ -171,7 +188,9 @@ def _nth_line(n: int) -> str:
 
 
 def _cmd_nth(args) -> int:
-    _check_index_budget("nth", args.n)
+    _check_printed_digits("nth", 2 * _component_digits(args.n))
+    if args.check_oracle:
+        _check_oracle_index(args.n)
     begin = time.perf_counter()
     line = _nth_line(args.n)
     fast_seconds = time.perf_counter() - begin
@@ -211,7 +230,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_trace(args) -> int:
     if args.n is not None and not args.pair:
-        _check_index_budget("trace --n", args.n)
+        # The trace prints a and d with their squares and step values: about 38 components.
+        _check_printed_digits("trace --n", 38 * _component_digits(args.n))
         p = pairs.nth(args.n)
     elif len(args.pair) == 2 and args.n is None:
         p = pairs.SideDiameterPair(args.pair[0], args.pair[1])
@@ -245,6 +265,8 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    # Each method prints `steps` rows of `digits` places; the values' own growth is not counted.
+    _check_printed_digits("compare", 2 * args.steps * args.digits)
     babylonian, side_diameter = approx.compare_methods(args.start, args.steps, args.cap)
     if args.format == "csv":
         lines = [",".join((report.method, *row.fields(args.digits)))
@@ -261,16 +283,6 @@ def _cmd_compare(args) -> int:
             indent=2,
         ))
     return 0
-
-
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "nth": _cmd_nth,
-    "verify": _cmd_verify,
-    "trace": _cmd_trace,
-    "approx": _cmd_approx,
-    "compare": _cmd_compare,
-}
 
 
 def run(argv, stdout=None, stderr=None) -> int:
@@ -295,7 +307,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         try:
-            return _HANDLERS[args.verb](args)
+            return args.handler(args)
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2

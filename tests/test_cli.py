@@ -215,20 +215,35 @@ def test_nth_keeps_the_pell_check_in_decimal(monkeypatch):
     assert len(err.encode()) < 1024
 
 
+def raise_if_called(*args):
+    raise AssertionError("a core ran")
+
+
 # 2**1100 lies past the recursion depth of `_nth_components`; 130616510 and
-# 6874551 are the first indices whose output passes the digit limit.
+# 6874551 are the first indices whose output passes the digit limit.  `gen`
+# and `compare` take the same limit: 16108 rows, 99999988 places for one row,
+# 1666667 steps and 50000001 places for one step are their first refused
+# sizes, and 10**6 rows and 10**9 places are the CI's.
 @pytest.mark.parametrize("argv", [
     ["nth", str(2**1100)],
     ["nth", "130616510"],
     ["trace", "--n", str(2**1100)],
     ["trace", "--n", "6874551"],
     ["trace", "--n", "6874551", "--pretty"],
-], ids=["nth-2**1100", "nth-first-over", "trace-2**1100", "trace-first-over", "trace-pretty-first-over"])
+    ["gen", "--count", "16108"],
+    ["gen", "--count", "1000000"],
+    ["gen", "--count", "1", "--digits", "99999988"],
+    ["gen", "--count", "1", "--digits", "1000000000", "--format", "json"],
+    ["compare", "--steps", "1666667"],
+    ["compare", "--steps", "1", "--digits", "50000001"],
+    ["compare", "--steps", "1", "--digits", "1000000000", "--format", "json"],
+], ids=["nth-2**1100", "nth-first-over", "trace-2**1100", "trace-first-over", "trace-pretty-first-over",
+        "gen-first-over", "gen-ci", "gen-digits-first-over", "gen-digits-ci",
+        "compare-first-over", "compare-digits-first-over", "compare-digits-ci"])
 def test_index_verbs_refuse_output_over_the_limit_before_computing(argv, monkeypatch):
-    def core_ran(*args):
-        raise AssertionError("the doubling core ran")
-
-    monkeypatch.setattr(pairs, "_nth_components", core_ran)
+    monkeypatch.setattr(pairs, "_nth_components", raise_if_called)
+    monkeypatch.setattr(pairs, "generate", raise_if_called)
+    monkeypatch.setattr(approx, "compare_methods", raise_if_called)
     code, out, err = invoke(argv)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
@@ -241,9 +256,35 @@ def test_index_verbs_refuse_output_over_the_limit_before_computing(argv, monkeyp
     ("trace --n", 1000000),  # measured: 14.5 MB of stdout
     ("nth", 130616509),
     ("trace --n", 6874550),
+    ("gen --count", 16107),
+    ("gen --count 3000 --digits", 30000),  # the largest sizes the tests and CI run
+    ("gen --count 1 --digits", 99999987),
+    ("compare --steps", 1666666),
+    ("compare --format json --steps 1 --digits", 50000000),
+    ("compare --steps 0 --digits", 10**9),  # no rows, so no places
 ])
-def test_index_budget_accepts_the_sizes_below_the_limit(verb, n):
-    cli._check_index_budget(verb, n)
+def test_index_budget_accepts_the_sizes_below_the_limit(verb, n, monkeypatch):
+    # Cheap stand-ins for the cores, so that only the budget decides.
+    monkeypatch.setattr(cli, "_nth_line", lambda n: "computed")
+    monkeypatch.setattr(pairs, "nth", lambda n: SideDiameterPair(1, 1))
+    monkeypatch.setattr(pairs, "generate", lambda count: [])
+    monkeypatch.setattr(approx, "compare_methods", lambda start, steps, cap: (
+        approx.ConvergenceReport("babylonian", start, ()),
+        approx.ConvergenceReport("side_diameter", start, ())))
+    assert invoke([*verb.split(), str(n)])[0::2] == (0, "")
+
+
+def test_check_oracle_refuses_an_index_over_its_limit_before_computing(monkeypatch):
+    monkeypatch.setattr(pairs, "nth_iterative", raise_if_called)
+    monkeypatch.setattr(pairs, "_nth_components", raise_if_called)
+    code, out, err = invoke(["nth", str(cli._ORACLE_INDEX_LIMIT + 1), "--check-oracle"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"limit of {cli._ORACLE_INDEX_LIMIT}" in err
+    cli._check_oracle_index(cli._ORACLE_INDEX_LIMIT)
+    # Without the oracle, the same index goes on to the fast path.
+    monkeypatch.setattr(cli, "_nth_line", lambda n: "computed")
+    assert invoke(["nth", str(cli._ORACLE_INDEX_LIMIT + 1)]) == (0, "computed\n", "")
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
@@ -288,10 +329,25 @@ def test_short_commands_load_neither_dataclasses_nor_the_identity_catalog():
 
 def test_package_names_load_on_first_use():
     out = fresh_python(
-        "import sidediameter; names = {}; exec('from sidediameter import *', names); "
-        "print(sorted(set(sidediameter.__all__) - set(names)), names['trace_elegant'].__module__)"
+        "import sys, sidediameter\n"
+        "def loaded(): print(*sorted(m for m in sys.modules if m.startswith('sidediameter.')))\n"
+        "loaded()\n"
+        "print(sorted(set(sidediameter.__all__) - set(dir(sidediameter))))\n"
+        "from sidediameter import nth; loaded()\n"
+        "from sidediameter import Poly; loaded()\n"
+        "names = {}; exec('from sidediameter import *', names)\n"
+        "print(sorted(set(sidediameter.__all__) - set(names)), names['trace_elegant'].__module__)\n"
+        "print([n for n, v in names.items() if n in sidediameter.__all__\n"
+        "       and v is not getattr(sys.modules[v.__module__], n)])"
     )
-    assert out == "[] sidediameter.identities\n"
+    assert out.splitlines() == [
+        "",  # `import sidediameter` loads no submodule
+        "[]",  # `dir()` lists every public name before any is loaded
+        "sidediameter.pairs",
+        "sidediameter.approx sidediameter.pairs sidediameter.polynomials",
+        "[] sidediameter.identities",
+        "[]",  # each name is its defining module's object
+    ]
     with pytest.raises(AttributeError, match="no_such_name"):
         sidediameter.no_such_name
 
