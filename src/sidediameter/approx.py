@@ -96,8 +96,10 @@ def isqrt(n: int) -> int:
 def decimal_digit_count(n: int) -> int:
     """Number of decimal digits of |n|, without building a decimal string.
 
-    Works above the interpreter's int-to-str conversion limit: a bit-length
-    estimate is corrected by at most a couple of power-of-ten comparisons.
+    Works above the interpreter's int-to-str conversion limit.  The estimate
+    k = bitlen(n) * 30103 // 100000 is never below floor(log10(n)), since
+    30103/100000 > log10(2), so it is only ever corrected downward, by at
+    most a couple of power-of-ten comparisons.
     """
     n = abs(n)
     if n < 10:
@@ -105,8 +107,6 @@ def decimal_digit_count(n: int) -> int:
     k = n.bit_length() * 30103 // 100000
     while 10**k > n:
         k -= 1
-    while 10 ** (k + 1) <= n:
-        k += 1
     return k + 1
 
 
@@ -193,11 +193,6 @@ class ConvergenceReport(NamedTuple):
     method: str
     start: Fraction
     rows: tuple[ReportRow, ...]
-
-    def to_csv(self, digits: int = DEFAULT_DECIMAL_DIGITS) -> str:
-        _require_int(digits, "digits", 0)
-        lines = [_REPORT_COLUMNS] + [row.fields(digits) for row in self.rows]
-        return "\n".join(",".join(line) for line in lines) + "\n"
 
     def to_json_dict(self, digits: int = DEFAULT_DECIMAL_DIGITS) -> dict:
         _require_int(digits, "digits", 0)
@@ -309,12 +304,10 @@ def to_decimal(n: int | Fraction) -> str:
     powers = {}
 
     def power(w: int) -> decimal.Decimal:
-        # 2**w, each w computed once; an odd w reuses w - 1 by doubling.
+        # 2**w, each w computed once.
         if w not in powers:
             if w <= _LEAF_BITS:
                 powers[w] = decimal.Decimal(1 << w)
-            elif w - 1 in powers:
-                powers[w] = _EXACT.add(powers[w - 1], powers[w - 1])
             else:
                 half = w >> 1
                 powers[w] = _EXACT.multiply(power(half), power(w - half))

@@ -22,19 +22,29 @@ class UsageError(Exception):
     """Argument combinations argparse cannot express; mapped to exit 2."""
 
 
-def _int_at_least(minimum: int):
-    """An argparse type: an integer no smaller than `minimum`."""
+def _echoed(value) -> str:
+    """str(value) for a usage message, cut to its first 20 characters and its length past 40.
+
+    A huge int shows its size (`pairs._shown`), so it is never converted to decimal.
+    """
+    text = pairs._shown(value, str)
+    return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+
+
+def _int_at_least(minimum: int | None):
+    """An argparse type: an integer no smaller than `minimum`, or any integer for None."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+            raise argparse.ArgumentTypeError(f"not an integer: {_echoed(text)!r}")
+        if minimum is not None and value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {_echoed(value)}")
         return value
     return parse
 
 
+integer = _int_at_least(None)
 positive_int = _int_at_least(1)
 nonnegative_int = _int_at_least(0)
 
@@ -48,7 +58,7 @@ def rational(text: str) -> Fraction:
     if re.fullmatch(_RATIONAL, text):
         with contextlib.suppress(ZeroDivisionError):
             return Fraction(text)
-    raise argparse.ArgumentTypeError(f"not a rational NUM/DEN or integer: {text!r}")
+    raise argparse.ArgumentTypeError(f"not a rational NUM/DEN or integer: {_echoed(text)!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler=_cmd_verify)
 
     trace = sub.add_parser("trace", help="derivation trace for a pair (JSON or --pretty)")
-    trace.add_argument("pair", nargs="*", type=int, metavar="INT",
+    trace.add_argument("pair", nargs="*", type=integer, metavar="INT",
                        help="the pair as two integers: A D")
     trace.add_argument("--n", type=positive_int, help="use the N-th pair instead of A D")
     trace.add_argument("--pretty", action="store_true")
@@ -157,6 +167,24 @@ def _component_digits(n: int) -> int:
     return -(-3828 * n // 10000)
 
 
+def _compare_digits(start: Fraction, steps: int, places: int) -> int:
+    """About the digits `compare` prints: each row's numerator, denominator and places.
+
+    For start p/q, p + q*sqrt(2) < 2**L with L = bitlen(p + 2q).  The Babylonian
+    step squares p + q*sqrt(2) and the ratio step multiplies it by 1 + sqrt(2),
+    so at step k each component has at most 2**k * L bits, or L bits and
+    0.3828 * k digits, in the two methods.  Over both components of all rows,
+    that is at most 2 * log10(2) * L * (2**(steps + 1) - 2 + steps) +
+    0.3828 * steps * (steps + 1) + 4 * steps digits.
+    """
+    bits = (start.numerator + 2 * start.denominator).bit_length()
+    # Past 64 steps the Babylonian rows alone are far over the limit, so their count stops
+    # there, and the refusal gives that lower figure.
+    doubled = 2 ** (min(steps, 64) + 1) - 2
+    components = 2 * 30103 * bits * (doubled + steps) // 100000 + _component_digits(steps * (steps + 1))
+    return components + 2 * steps * (places + 2)
+
+
 def _check_printed_digits(verb: str, estimate: int) -> None:
     """Refuse `verb` if it would print more than `_PRINTED_DIGIT_LIMIT` digits; integers only."""
     if estimate > _PRINTED_DIGIT_LIMIT:
@@ -218,7 +246,8 @@ def _cmd_verify(args) -> int:
     else:
         by_name = identities.catalog_by_name()
         if args.identity not in by_name:
-            raise UsageError(f"unknown identity {args.identity!r}; choose from {', '.join(sorted(by_name))}")
+            raise UsageError(f"unknown identity {_echoed(args.identity)!r}; "
+                             f"choose from {', '.join(sorted(by_name))}")
         catalog = [by_name[args.identity]]
     all_ok = True
     for ident in catalog:
@@ -265,8 +294,7 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    # Each method prints `steps` rows of `digits` places; the values' own growth is not counted.
-    _check_printed_digits("compare", 2 * args.steps * args.digits)
+    _check_printed_digits("compare", _compare_digits(args.start, args.steps, args.digits))
     babylonian, side_diameter = approx.compare_methods(args.start, args.steps, args.cap)
     if args.format == "csv":
         lines = [",".join((report.method, *row.fields(args.digits)))

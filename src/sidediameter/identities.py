@@ -56,7 +56,9 @@ class DerivationTrace(_Record):
             raise ValueError(f"unexpected justification sequence {tags!r}")
         for s in steps:
             if s.lhs_value != s.rhs_value:
-                raise ValueError(f"unbalanced step {s!r}")
+                raise ValueError(
+                    f"unbalanced step {s.justification}: {_shown(s.lhs_value)} != {_shown(s.rhs_value)}"
+                )
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "steps", steps)
 
@@ -208,7 +210,7 @@ def trace_elegant(p: SideDiameterPair) -> DerivationTrace:
     x = next_a2
     y = a2
     if not proportion_subtract(u, v, x, y, 2):
-        raise ArithmeticError(f"subtraction lemma failed for {p!r}")
+        raise ArithmeticError(f"subtraction lemma failed for the pair ({_shown(p.a)}, {_shown(p.d)})")
 
     # Each integer is rendered once; the expressions reuse its string.
     text_a, text_d = approx.to_decimal(a), approx.to_decimal(d)

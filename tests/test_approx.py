@@ -135,14 +135,19 @@ def test_isqrt_floor_property(n):
     assert r * r <= n < (r + 1) * (r + 1)
 
 
-def test_decimal_digit_count():
+def test_decimal_digit_count(int_str_limit):
     assert decimal_digit_count(0) == 1
     assert decimal_digit_count(9) == 1
     assert decimal_digit_count(10) == 2
     assert decimal_digit_count(-10) == 2
-    for k in (1, 5, 20, 100):
+    # The bit-length estimate is corrected downward only; these are its edges, up to about 5,000 digits.
+    int_str_limit(0)
+    for k in (5, 20, 100, *range(1, 5001, 7)):
         assert decimal_digit_count(10**k - 1) == k
-        assert decimal_digit_count(10**k) == k + 1
+        assert decimal_digit_count(10**k) == decimal_digit_count(10**k + 1) == k + 1
+    for k in range(1, 16700, 11):
+        assert decimal_digit_count(2**k - 1) == len(str(2**k - 1))
+        assert decimal_digit_count(2**k) == len(str(2**k))
 
 
 @given(st.integers(-10**30, 10**30))
@@ -368,7 +373,7 @@ def test_compare_takes_no_gcd(monkeypatch):
     start = Fraction(3, 2)
     monkeypatch.setattr(math, "gcd", counting_gcd)
     for report in compare_methods(start, 12):
-        report.to_csv()
+        [row.fields(30) for row in report.rows]  # what `compare`'s CSV writes
         report.to_json_dict()
     assert calls == []
 
@@ -381,7 +386,6 @@ def test_compare_rows_call_no_checked_public_function(monkeypatch):
         monkeypatch.setattr(approx, name, refuse)
     for report in compare_methods(Fraction(19, 13), 6):
         assert len(report.rows) == 6
-        report.to_csv()
         report.to_json_dict()
     for fmt in ("csv", "json"):
         out, err = io.StringIO(), io.StringIO()
@@ -417,12 +421,19 @@ def test_run_method_rejects_unknown():
 
 
 def test_report_csv_schema():
+    # A report's rows as `compare` writes them to CSV, after its method column.
     report, _ = compare_methods(Fraction(3, 2), 2)
-    lines = report.to_csv().splitlines()
-    assert lines[0] == "step,value_num,value_den,decimal_value,correct_digits,side"
-    assert lines[1] == "1,17,12,1.416666666666666666666666666666,2,over"
-    assert lines[2].startswith("2,577,408,1.414215686274509803921568627450,5,over")
-    assert report.to_csv().endswith("\n")
+    lines = [",".join(row.fields(approx.DEFAULT_DECIMAL_DIGITS)) for row in report.rows]
+    assert ",".join(approx._REPORT_COLUMNS) == "step,value_num,value_den,decimal_value,correct_digits,side"
+    assert lines[0] == "1,17,12,1.416666666666666666666666666666,2,over"
+    assert lines[1].startswith("2,577,408,1.414215686274509803921568627450,5,over")
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["compare", "--start", "3/2", "--steps", "2"], out, err) == 0
+    assert out.getvalue().splitlines()[:3] == [
+        "method,step,value_num,value_den,decimal_value,correct_digits,side",
+        *(f"babylonian,{line}" for line in lines),
+    ]
+    assert out.getvalue().endswith("\n")
 
 
 def test_report_json_mirror():
@@ -438,11 +449,15 @@ def test_report_json_mirror():
         "correct_digits": "2",
         "side": "over",
     }
-    header, *lines = report.to_csv().splitlines()
+    # Each JSON row mirrors the row of `compare`'s CSV, after its method column.
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["compare", "--start", "3/2", "--steps", "4"], out, err) == 0
+    header, *lines = out.getvalue().splitlines()
+    lines = [line for line in lines if line.startswith("babylonian,")]
     assert len(lines) == len(payload["rows"]) == 4
     for line, row in zip(lines, payload["rows"]):
-        assert list(row) == header.split(",")
-        assert list(row.values()) == line.split(",")
+        assert ["method", *row] == header.split(",")
+        assert ["babylonian", *row.values()] == line.split(",")
 
 
 def test_decimal_string_rendering():
@@ -519,15 +534,14 @@ def test_renderers_work_under_the_default_int_str_limit(int_str_limit):
     trace = trace_elegant(p)
     report = run_method("babylonian", 1, 14)  # 6,000-digit denominators
     from_ratio = run_method("babylonian", Fraction(p.d, p.a), 0)
-    rendered = (trace.pretty(), trace.to_json_dict(), report.to_csv(), report.to_json_dict(),
-                from_ratio.to_json_dict())
+    rendered = (trace.pretty(), trace.to_json_dict(), [row.fields(30) for row in report.rows],
+                report.to_json_dict(), from_ratio.to_json_dict())
     int_str_limit(0)
     assert rendered[4] == {"method": "babylonian", "start": f"{p.d}/{p.a}", "rows": []}
     assert rendered[1]["pair"] == {"a": str(p.a), "d": str(p.d), "e": "1"}
     last = report.rows[-1]
-    assert rendered[2].splitlines()[-1].startswith(
-        f"14,{last.value.numerator},{last.value.denominator},1.414"
-    )
+    assert rendered[2][-1][:3] == ("14", str(last.value.numerator), str(last.value.denominator))
+    assert rendered[2][-1][3].startswith("1.414")
     assert rendered[3]["rows"][-1]["value_den"] == str(last.value.denominator)
     assert f"(a={p.a}, d={p.d}, e=+1)" in rendered[0]
 

@@ -222,8 +222,9 @@ def raise_if_called(*args):
 # 2**1100 lies past the recursion depth of `_nth_components`; 130616510 and
 # 6874551 are the first indices whose output passes the digit limit.  `gen`
 # and `compare` take the same limit: 16108 rows, 99999988 places for one row,
-# 1666667 steps and 50000001 places for one step are their first refused
-# sizes, and 10**6 rows and 10**9 places are the CI's.
+# 26 steps from 1 and 49999997 places for one step are their first refused
+# sizes, and 10**6 rows, 10**9 places and 40 steps are the CI's.  Counting
+# the values' growth refuses 1666666 steps, and 14 steps from a 4,594-digit start.
 @pytest.mark.parametrize("argv", [
     ["nth", str(2**1100)],
     ["nth", "130616510"],
@@ -234,12 +235,16 @@ def raise_if_called(*args):
     ["gen", "--count", "1000000"],
     ["gen", "--count", "1", "--digits", "99999988"],
     ["gen", "--count", "1", "--digits", "1000000000", "--format", "json"],
-    ["compare", "--steps", "1666667"],
-    ["compare", "--steps", "1", "--digits", "50000001"],
+    ["compare", "--steps", "26"],
+    ["compare", "--steps", "1", "--digits", "49999997"],
     ["compare", "--steps", "1", "--digits", "1000000000", "--format", "json"],
+    ["compare", "--steps", "40"],
+    ["compare", "--steps", "1666666"],
+    ["compare", "--start", f"{to_decimal(BIG_PAIR.d)}/{to_decimal(BIG_PAIR.a)}", "--steps", "14"],
 ], ids=["nth-2**1100", "nth-first-over", "trace-2**1100", "trace-first-over", "trace-pretty-first-over",
         "gen-first-over", "gen-ci", "gen-digits-first-over", "gen-digits-ci",
-        "compare-first-over", "compare-digits-first-over", "compare-digits-ci"])
+        "compare-first-over", "compare-digits-first-over", "compare-digits-ci", "compare-ci",
+        "compare-1666666", "compare-big-start"])
 def test_index_verbs_refuse_output_over_the_limit_before_computing(argv, monkeypatch):
     monkeypatch.setattr(pairs, "_nth_components", raise_if_called)
     monkeypatch.setattr(pairs, "generate", raise_if_called)
@@ -259,8 +264,13 @@ def test_index_verbs_refuse_output_over_the_limit_before_computing(argv, monkeyp
     ("gen --count", 16107),
     ("gen --count 3000 --digits", 30000),  # the largest sizes the tests and CI run
     ("gen --count 1 --digits", 99999987),
-    ("compare --steps", 1666666),
-    ("compare --format json --steps 1 --digits", 50000000),
+    ("compare --steps", 21),  # measured: 3.21 MB of stdout
+    # The last accepted step counts; the benchmark's compares run 13 to 15 steps from these starts.
+    ("compare --steps", 25),
+    ("compare --start 3/2 --steps", 24),
+    ("compare --start 7/5 --steps", 23),
+    ("compare --start 19/13 --steps", 23),
+    ("compare --format json --steps 1 --digits", 49999996),
     ("compare --steps 0 --digits", 10**9),  # no rows, so no places
 ])
 def test_index_budget_accepts_the_sizes_below_the_limit(verb, n, monkeypatch):
@@ -272,6 +282,16 @@ def test_index_budget_accepts_the_sizes_below_the_limit(verb, n, monkeypatch):
         approx.ConvergenceReport("babylonian", start, ()),
         approx.ConvergenceReport("side_diameter", start, ())))
     assert invoke([*verb.split(), str(n)])[0::2] == (0, "")
+
+
+@pytest.mark.parametrize("start", ["1", "3/2", "7/5", "19/13"])
+def test_compare_estimate_is_within_a_factor_of_2_of_the_printed_digits(start):
+    for steps in (10, 14, 18):
+        estimate = cli._compare_digits(Fraction(start), steps, approx.DEFAULT_DECIMAL_DIGITS)
+        for fmt in ("csv", "json"):
+            code, out, _ = invoke(["compare", "--start", start, "--steps", str(steps), "--format", fmt])
+            printed = sum(out.count(digit) for digit in "0123456789")
+            assert code == 0 and printed <= estimate < 2 * printed, (steps, fmt)
 
 
 def test_check_oracle_refuses_an_index_over_its_limit_before_computing(monkeypatch):
@@ -402,11 +422,12 @@ def test_compare_csv_table():
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "method,step,value_num,value_den,decimal_value,correct_digits,side"
-    assert lines[1].startswith("babylonian,1,17,12,")
-    assert lines[2].startswith("babylonian,2,577,408,")
-    assert lines[3].startswith("side_diameter,1,7,5,")
-    assert lines[4].startswith("side_diameter,2,17,12,")
-    # The CLI table is each report's own CSV, its rows prefixed with the method.
+    assert lines[1] == "babylonian,1,17,12,1.416666666666666666666666666666,2,over"
+    assert lines[2] == "babylonian,2,577,408,1.414215686274509803921568627450,5,over"
+    assert lines[3] == "side_diameter,1,7,5,1.400000000000000000000000000000,1,under"
+    assert lines[4] == "side_diameter,2,17,12,1.416666666666666666666666666666,2,over"
+    assert len(lines) == 5 and out.endswith("\n")
+    # An oracle that does not go through ReportRow.fields: the public steps and digit functions.
     for start in (Fraction(1), Fraction(4, 3), Fraction(19, 13)):
         for cap in (50, 200):
             for digits in (0, 30):
@@ -414,8 +435,14 @@ def test_compare_csv_table():
                         "--digits", str(digits)]
                 code, out, _ = invoke(argv)
                 expected = [lines[0]]
-                for report in approx.compare_methods(start, 7, cap):
-                    expected += [f"{report.method},{row}" for row in report.to_csv(digits).splitlines()[1:]]
+                for method, advance in (("babylonian", approx.babylonian_step),
+                                        ("side_diameter", approx.sd_ratio_step)):
+                    t = start
+                    for i in range(1, 8):
+                        t = advance(t)
+                        expected.append(f"{method},{i},{t.numerator},{t.denominator},"
+                                        f"{approx.decimal_string(t, digits)},{approx.correct_digits(t, cap)},"
+                                        f"{approx.side_of_sqrt2(t)}")
                 assert (code, out) == (0, "\n".join(expected) + "\n"), argv
 
 
@@ -521,6 +548,7 @@ def test_golden_stdout_bytes(argv, size, sha256, int_str_limit):
         ["approx", "step", "7/0"],
         ["approx", "step", "x/y"],
         ["compare", "--steps", "-1"],
+        ["trace", "2", "x"],
         [],
         # Rationals are NUM/DEN or integers: no decimal point, no exponent.
         ["approx", "step", "1e3"],
@@ -557,6 +585,27 @@ def test_integer_argument_error_texts(argv, message):
     assert message in err
 
 
+LONG = "9" * 99_999
+
+
+@pytest.mark.parametrize("argv", [
+    ["nth", "--", "-" + LONG],
+    ["nth", "x" + LONG],
+    ["gen", "--count", "-" + LONG],
+    ["compare", "--steps", "-" + LONG],
+    ["compare", "--start", "x" + LONG, "--steps", "1"],
+    ["approx", "step", "1." + LONG[1:]],
+    ["trace", "5", "x" + LONG],
+    ["verify", "--identity", "x" + LONG],
+], ids=["nth-negative", "nth-text", "gen", "compare-steps", "compare-start", "approx", "trace", "verify"])
+def test_usage_errors_shorten_a_huge_argument(argv):
+    assert len(max(argv, key=len)) == 100_000
+    code, out, err = invoke(argv)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 500
+    assert "(100000 characters)" in err or "<int of 332190 bits>" in err
+
+
 @pytest.mark.parametrize("text,shown", [("3/2", "3/2"), ("+3/2", "3/2"), (" 7/5", "7/5"), ("17", "17")])
 def test_rational_arguments_are_num_den_or_integers(text, shown):
     code, out, _ = invoke(["compare", "--start", text, "--steps", "0", "--format", "json"])
@@ -567,6 +616,8 @@ def test_rational_arguments_are_num_den_or_integers(text, shown):
     "argv",
     [
         ["trace", "3", "5"],
+        ["trace", "0", "1"],
+        ["trace", "-3", "5"],
         ["approx", "step", "0/5"],
         ["approx", "digits", "0"],
     ],

@@ -279,6 +279,21 @@ def test_trace_rejects_unbalanced_step():
         DerivationTrace(trace.pair, tuple(broken))
 
 
+def test_trace_errors_on_huge_pairs_show_their_size(monkeypatch, int_str_limit):
+    int_str_limit(4300)
+    trace = trace_elegant(nth(12000))  # 4,594-digit components
+    broken = list(trace.steps)
+    broken[1] = broken[1]._replace(rhs_value=broken[1].rhs_value + 1)
+    with pytest.raises(ValueError) as info:
+        DerivationTrace(trace.pair, tuple(broken))
+    message = str(info.value)
+    assert "unbalanced" in message and "bits>" in message and len(message) < 300
+    monkeypatch.setattr(identities, "proportion_subtract", lambda *args: False)
+    with pytest.raises(ArithmeticError) as info:
+        trace_elegant(nth(12000))
+    assert "bits>" in str(info.value) and len(str(info.value)) < 300
+
+
 def test_named_identity_is_frozen():
     trace = trace_elegant(nth(3))
     report = run_method("babylonian", 1, 2)

@@ -55,7 +55,6 @@ INTEGER_ARGUMENTS = [
     ("run_method", "steps", lambda v: run_method("babylonian", THREE_HALVES, v)),
     ("compare_methods", "steps", lambda v: compare_methods(THREE_HALVES, v)),
     ("run_method", "cap", lambda v: run_method("babylonian", THREE_HALVES, 0, v)),
-    ("to_csv", "digits", lambda v: run_method("babylonian", THREE_HALVES, 1).to_csv(v)),
     ("to_json_dict", "digits", lambda v: run_method("babylonian", THREE_HALVES, 1).to_json_dict(v)),
 ]
 INEXACT = [1.5, Decimal("1.5"), "3/2", True]
