@@ -31,20 +31,19 @@ def _echoed(value) -> str:
     return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
 
 
-def _int_at_least(minimum: int | None):
-    """An argparse type: an integer no smaller than `minimum`, or any integer for None."""
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {_echoed(text)!r}")
-        if minimum is not None and value < minimum:
+        if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {_echoed(value)}")
         return value
     return parse
 
 
-integer = _int_at_least(None)
 positive_int = _int_at_least(1)
 nonnegative_int = _int_at_least(0)
 
@@ -54,6 +53,19 @@ nonnegative_int = _int_at_least(0)
 _RATIONAL = r"\s*[-+]?\d+(?:/\d+)?\s*"
 
 
+# Exactly the strings int() takes: whitespace (not U+001C-U+001F, which int()
+# refuses but \s matches), a sign, Unicode digits, single underscores between
+# digits.  Decimal() alone would also take `1E0`, `12.`, `NaN` and `_1__2_`.
+_INTEGER = r"[^\S\x1c-\x1f]*[-+]?\d+(?:_\d+)*[^\S\x1c-\x1f]*"
+
+
+def decimal_integer(text: str) -> decimal.Decimal:
+    """An argparse type: the integer that int(text) gives, as an exact Decimal."""
+    if re.fullmatch(_INTEGER, text):
+        return decimal.Decimal(text)
+    raise argparse.ArgumentTypeError(f"not an integer: {_echoed(text)!r}")
+
+
 def rational(text: str) -> Fraction:
     if re.fullmatch(_RATIONAL, text):
         with contextlib.suppress(ZeroDivisionError):
@@ -61,8 +73,18 @@ def rational(text: str) -> Fraction:
     raise argparse.ArgumentTypeError(f"not a rational NUM/DEN or integer: {_echoed(text)!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with each over-long token of its own error messages cut by `_echoed`.
+
+    Subparsers are made of the same class, so `invalid choice` errors of any verb are cut too.
+    """
+
+    def error(self, message):
+        super().error(re.sub(r"[^\s'\"]{41,}", lambda m: _echoed(m.group()), message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sidediameter",
         description="Exact arithmetic for side-and-diameter numbers.",
     )
@@ -87,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler=_cmd_verify)
 
     trace = sub.add_parser("trace", help="derivation trace for a pair (JSON or --pretty)")
-    trace.add_argument("pair", nargs="*", type=integer, metavar="INT",
+    trace.add_argument("pair", nargs="*", type=decimal_integer, metavar="INT",
                        help="the pair as two integers: A D")
     trace.add_argument("--n", type=positive_int, help="use the N-th pair instead of A D")
     trace.add_argument("--pretty", action="store_true")
@@ -204,11 +226,12 @@ def _nth_line(n: int) -> str:
 
     libmpdec multiplies huge operands by a number-theoretic transform and
     str() of a Decimal is linear, so this skips CPython's int squaring and
-    int->decimal conversion.  The Pell check d^2 - 2a^2 = (-1)^n is kept.
+    int->decimal conversion.  The Pell check d^2 - 2a^2 = (-1)^n is kept,
+    with both terms squares.
     """
     with decimal.localcontext(approx._EXACT):
         a, d = pairs._nth_components(n, decimal.Decimal(1))
-        e = d * d - 2 * a * a
+        e = d * d - 2 * (a * a)
     sign = -1 if n % 2 else 1
     if e != sign:
         raise pairs.InvalidPairError(f"pair {n} failed its check d^2 - 2a^2 = {sign:+d}")
@@ -257,22 +280,35 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+def _pell_sign(a: decimal.Decimal, d: decimal.Decimal) -> int:
+    """d^2 - 2a^2 of the pair `trace A D` was given, which must be a side/diameter pair.
+
+    Checked in Decimal.  Only a refused pair is converted to ints, so that
+    `SideDiameterPair` raises with its own message.
+    """
+    e = d * d - 2 * (a * a)
+    if a < 1 or d < 1 or e not in (-1, 1):
+        pairs.SideDiameterPair(int(str(a)), int(str(d)))
+    return int(e)
+
+
 def _cmd_trace(args) -> int:
-    if args.n is not None and not args.pair:
-        # The trace prints a and d with their squares and step values: about 38 components.
-        _check_printed_digits("trace --n", 38 * _component_digits(args.n))
-        p = pairs.nth(args.n)
-    elif len(args.pair) == 2 and args.n is None:
-        p = pairs.SideDiameterPair(args.pair[0], args.pair[1])
-    else:
-        raise UsageError("trace expects either two integers A D or --n K")
+    """`trace_elegant`'s trace, computed, checked and printed in exact Decimal (see `_nth_line`)."""
     from sidediameter import identities
 
-    trace = identities.trace_elegant(p)
-    if args.pretty:
-        print(trace.pretty())
-    else:
-        print(json.dumps(trace.to_json_dict(), indent=2))
+    with decimal.localcontext(approx._EXACT):
+        if args.n is not None and not args.pair:
+            # The trace prints a and d with their squares and step values: about 38 components.
+            _check_printed_digits("trace --n", 38 * _component_digits(args.n))
+            a, d = pairs._nth_components(args.n, decimal.Decimal(1))
+            e = -1 if args.n % 2 else 1
+        elif len(args.pair) == 2 and args.n is None:
+            a, d = args.pair
+            e = _pell_sign(a, d)
+        else:
+            raise UsageError("trace expects either two integers A D or --n K")
+        data = identities._decimal_trace(a, d, e)
+    print(identities._laid_out(data) if args.pretty else json.dumps(data, indent=2))
     return 0
 
 

@@ -7,7 +7,9 @@ that checking an identity is an exact symbolic proof, not a sample check.
 the next pair's defining equation from the arithmetic form of Euclid II.10
 via the subtraction lemma Euclid V.19.  The trace implements the arithmetic
 reading of that derivation; no claim about the original author's intent is
-encoded.
+encoded.  Its steps are computed and serialized by private functions that
+take any exact number type: `trace_elegant` runs them on ints, and the CLI's
+`trace` on Decimals under an exact context.
 """
 
 from typing import NamedTuple
@@ -51,14 +53,7 @@ class DerivationTrace(_Record):
     steps: tuple[TraceStep, ...]
 
     def __init__(self, pair: SideDiameterPair, steps: tuple[TraceStep, ...]):
-        tags = tuple(s.justification for s in steps)
-        if tags != JUSTIFICATIONS:
-            raise ValueError(f"unexpected justification sequence {tags!r}")
-        for s in steps:
-            if s.lhs_value != s.rhs_value:
-                raise ValueError(
-                    f"unbalanced step {s.justification}: {_shown(s.lhs_value)} != {_shown(s.rhs_value)}"
-                )
+        _check_steps(steps)
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "steps", steps)
 
@@ -66,41 +61,59 @@ class DerivationTrace(_Record):
         return self.steps[-1]
 
     def to_json_dict(self) -> dict:
-        """JSON-ready form; integer values as decimal strings (any size).
-
-        Each distinct integer, a, d and the step values alike, is rendered
-        once: both sides of a step are equal (checked on construction), so
-        one string serves both.
-        """
-        p = self.pair
-        text = {v: approx.to_decimal(v) for v in {p.a, p.d, *(s.lhs_value for s in self.steps)}}
-        return {
-            "pair": {"a": text[p.a], "d": text[p.d], "e": str(p.sign)},
-            "steps": [
-                {
-                    "justification": s.justification,
-                    "lhs_expr": s.lhs_expr,
-                    "rhs_expr": s.rhs_expr,
-                    "lhs_value": text[s.lhs_value],
-                    "rhs_value": text[s.lhs_value],
-                }
-                for s in self.steps
-            ],
-        }
+        """JSON-ready form; integer values as decimal strings (any size)."""
+        return _json_dict(self.pair.a, self.pair.d, self.pair.sign, self.steps, approx.to_decimal)
 
     def pretty(self) -> str:
         """The strings of `to_json_dict`, laid out one step per line."""
-        data = self.to_json_dict()
-        pair = data["pair"]
-        lines = [f"derivation for pair (a={pair['a']}, d={pair['d']}, e={self.pair.sign:+d})"]
-        width = max(len(j) for j in JUSTIFICATIONS) + 2
-        for s in data["steps"]:
-            tag = f"[{s['justification']}]"
-            lines.append(
-                f"  {tag:<{width}}  {s['lhs_expr']} = {s['rhs_expr']}"
-                f"    ({s['lhs_value']} = {s['rhs_value']})"
+        return _laid_out(self.to_json_dict())
+
+
+def _check_steps(steps: tuple[TraceStep, ...]) -> None:
+    """Refuse steps out of the canonical order or with two unequal sides."""
+    tags = tuple(s.justification for s in steps)
+    if tags != JUSTIFICATIONS:
+        raise ValueError(f"unexpected justification sequence {tags!r}")
+    for s in steps:
+        if s.lhs_value != s.rhs_value:
+            raise ValueError(
+                f"unbalanced step {s.justification}: {_shown(s.lhs_value)} != {_shown(s.rhs_value)}"
             )
-        return "\n".join(lines)
+
+
+def _json_dict(a, d, e: int, steps: tuple[TraceStep, ...], render) -> dict:
+    """The JSON form of a trace of (a, d), each distinct value written once by `render`.
+
+    Both sides of a checked step are equal, so one string serves both.
+    """
+    text = {v: render(v) for v in {a, d, *(s.lhs_value for s in steps)}}
+    return {
+        "pair": {"a": text[a], "d": text[d], "e": str(e)},
+        "steps": [
+            {
+                "justification": s.justification,
+                "lhs_expr": s.lhs_expr,
+                "rhs_expr": s.rhs_expr,
+                "lhs_value": text[s.lhs_value],
+                "rhs_value": text[s.lhs_value],
+            }
+            for s in steps
+        ],
+    }
+
+
+def _laid_out(data: dict) -> str:
+    """A trace's JSON form laid out one step per line."""
+    pair = data["pair"]
+    lines = [f"derivation for pair (a={pair['a']}, d={pair['d']}, e={int(pair['e']):+d})"]
+    width = max(len(j) for j in JUSTIFICATIONS) + 2
+    for s in data["steps"]:
+        tag = f"[{s['justification']}]"
+        lines.append(
+            f"  {tag:<{width}}  {s['lhs_expr']} = {s['rhs_expr']}"
+            f"    ({s['lhs_value']} = {s['rhs_value']})"
+        )
+    return "\n".join(lines)
 
 
 def verify_identity(lhs: Poly, rhs: Poly) -> bool:
@@ -181,11 +194,13 @@ def proportion_subtract(u: int, v: int, x: int, y: int, r) -> bool:
             f"proportion with zero denominator: x={_shown(x, str)}, y={_shown(y, str)}, "
             f"x+y={_shown(x + y, str)}"
         )
-    ratio = _require_rational(r, "r")
-    premises = (u + v == ratio * (x + y)) and (v == ratio * y)
-    if not premises:
-        return True
-    return u == ratio * x
+    return _subtracts(u, v, x, y, _require_rational(r, "r"))
+
+
+def _subtracts(u, v, x, y, r) -> bool:
+    """`proportion_subtract` on trusted exact numbers of any one type, r included."""
+    premises = (u + v == r * (x + y)) and (v == r * y)
+    return not premises or u == r * x
 
 
 def trace_elegant(p: SideDiameterPair) -> DerivationTrace:
@@ -198,8 +213,30 @@ def trace_elegant(p: SideDiameterPair) -> DerivationTrace:
     (2a+d)**2 = 2*(a+d)**2 - e, i.e. the next pair's equation with the
     opposite sign.
     """
-    a, d, e = p.a, p.d, p.sign
-    a2, d2, next_a2, next_d2 = a * a, d * d, (a + d) ** 2, (2 * a + d) ** 2
+    return DerivationTrace(p, _derivation(p.a, p.d, p.sign, approx.to_decimal))
+
+
+def _decimal_trace(a, d, e: int) -> dict:
+    """`trace_elegant(SideDiameterPair(a, d)).to_json_dict()` for Decimal a and d.
+
+    The caller vouches for d**2 - 2*a**2 = e and runs this under an exact
+    context (approx._EXACT); the step checks of `DerivationTrace` still run.
+    """
+    steps = _derivation(a, d, e, str)
+    _check_steps(steps)
+    return _json_dict(a, d, e, steps, str)
+
+
+def _derivation(a, d, e: int, render) -> tuple[TraceStep, ...]:
+    """The four steps of `trace_elegant` for a pair of any exact number type.
+
+    `render` writes a and d for the expressions.  The pair's equation
+    d**2 = 2*a**2 + e is not checked here: the hypothesis-substitution step
+    balances only when it holds.
+    """
+    a2, d2 = a * a, d * d
+    side, diam = a + d, 2 * a + d
+    next_a2, next_d2 = side * side, diam * diam
     double = 2 * (a2 + next_a2)
     plus_e = f"+ {e}" if e > 0 else f"- {-e}"
     minus_e = f"- {e}" if e > 0 else f"+ {-e}"
@@ -209,16 +246,15 @@ def trace_elegant(p: SideDiameterPair) -> DerivationTrace:
     v = 2 * a2
     x = next_a2
     y = a2
-    if not proportion_subtract(u, v, x, y, 2):
-        raise ArithmeticError(f"subtraction lemma failed for the pair ({_shown(p.a)}, {_shown(p.d)})")
+    if not _subtracts(u, v, x, y, 2):
+        raise ArithmeticError(f"subtraction lemma failed for the pair ({_shown(a)}, {_shown(d)})")
 
-    # Each integer is rendered once; the expressions reuse its string.
-    text_a, text_d = approx.to_decimal(a), approx.to_decimal(d)
+    text_a, text_d = render(a), render(d)
     sq_next_d = f"(2*{text_a}+{text_d})^2"
     sq_d = f"{text_d}^2"
     rhs_sum = f"2*({text_a}^2 + ({text_a}+{text_d})^2)"
     twice_sq_next_a = f"2*({text_a}+{text_d})^2"
-    steps = (
+    return (
         TraceStep(
             "II.10",
             f"{sq_next_d} + {sq_d}",
@@ -248,4 +284,3 @@ def trace_elegant(p: SideDiameterPair) -> DerivationTrace:
             2 * x - e,
         ),
     )
-    return DerivationTrace(p, steps)

@@ -15,11 +15,13 @@ here: sides are at least 1, which keeps the inverse (descent) step
 well-founded and matches the classical presentation that starts at (1, 1).
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple
 
 _STR_MAX_BITS = 14_000  # at most 4,215 digits: str() below CPython's default 4,300-digit limit
+_STR_MAX_DIGITS = 4_215
 
 
 class InvalidPairError(ValueError):
@@ -200,10 +202,11 @@ def nth(n: int) -> SideDiameterPair:
 
     Uses the doubling identities
 
-        a(2n) = 2 * a(n) * d(n)        d(2n) = d(n)**2 + 2 * a(n)**2
+        a(2m) = 2 * a(m) * d(m)        d(2m) = d(m)**2 + 2 * a(m)**2 = 2 * d(m)**2 - (-1)**m
 
-    which are the m = n case of the addition law a(m+n) = a(m)d(n) + d(m)a(n),
-    d(m+n) = d(m)d(n) + 2 a(m)a(n).  Agrees with `nth_iterative` everywhere.
+    which are the n = m case of the addition law a(m+n) = a(m)d(n) + d(m)a(n),
+    d(m+n) = d(m)d(n) + 2 a(m)a(n); the last form uses d(m)**2 - 2*a(m)**2 =
+    (-1)**m.  Agrees with `nth_iterative` everywhere.
     """
     _require_int(n, "n", 1)
     a, d = _nth_components(n)
@@ -215,12 +218,16 @@ def _nth_components(n: int, one=1):
 
     `one` fixes the number type: 1 gives ints, decimal.Decimal(1) gives
     Decimals, which are exact only under a context that traps Inexact
-    (approx._EXACT).
+    (approx._EXACT).  Each level doubles m = n >> 1 with one product and one
+    square: a(2m) = 2*a(m)*d(m) and d(2m) = 2*d(m)**2 - (-1)**m.  The sign is
+    not checked here, but a wrong level stays wrong: d**2 - 2*a**2 = f != e
+    at level m gives 4*d**2*(f - e) + 1 at level 2m, never -1 or +1, so the
+    caller's final check catches it.
     """
     if n == 1:
         return one, one
     a, d = _nth_components(n >> 1, one)
-    a, d = 2 * a * d, d * d + 2 * a * a
+    a, d = 2 * (a * d), 2 * (d * d) - (-1 if n & 2 else 1)
     if n & 1:
         a, d = a + d, 2 * a + d
     return a, d
@@ -296,7 +303,9 @@ def _require_rational(t, name: str) -> Fraction:
 
 
 def _shown(v, form=repr) -> str:
-    """form(v) for a message; an int past str()'s default limit, alone or in a Fraction, shows its size."""
+    """form(v) for a message; an int or Decimal past str()'s default limit, or such ints in a Fraction, show their size."""
+    if isinstance(v, Decimal) and v.adjusted() >= _STR_MAX_DIGITS:
+        return f"{'-' if v < 0 else ''}<Decimal of {v.adjusted() + 1} digits>"
     if type(v) is Fraction and max(v.numerator.bit_length(), v.denominator.bit_length()) > _STR_MAX_BITS:
         return f"{_shown(v.numerator)}/{_shown(v.denominator)}"
     if isinstance(v, int) and v.bit_length() > _STR_MAX_BITS:

@@ -417,6 +417,83 @@ def test_trace_requires_pair_or_index():
     assert code == 2
 
 
+# What int() takes and what Decimal() also takes: whitespace int() refuses
+# (U+001C-U+001F), signs, ASCII and other Unicode digits, stray underscores,
+# points, exponents and the names of special values.
+INTEGER_ALPHABET = " \t\n\x0b\x1c\x1f\xa0\u3000+-_.eE0123456789\u0661\u0662\U0001d7d9NaInfsx"
+
+
+@given(st.one_of(st.text(alphabet=INTEGER_ALPHABET, max_size=12), st.text(max_size=12)))
+def test_decimal_integer_takes_exactly_what_int_takes(text):
+    try:
+        expected = int(text)
+    except ValueError:
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli.decimal_integer(text)
+    else:
+        value = cli.decimal_integer(text)
+        assert type(value) is Decimal and value == expected and value.as_tuple().exponent == 0
+
+
+@pytest.mark.parametrize("text", ["_12", "12_", "1__2", "1E0", "12.", "NaN", "Inf", "sNaN", "1.0", "1e3",
+                                  "0x10", "\x1c12", "12\x1f", "+-1", "", " "])
+def test_decimal_integer_refuses_what_int_refuses(text):
+    with pytest.raises(ValueError):
+        int(text)
+    with pytest.raises(argparse.ArgumentTypeError, match="not an integer"):
+        cli.decimal_integer(text)
+
+
+@pytest.mark.parametrize("text,value", [("12", 12), ("\u0661\u0662", 12), ("\U0001d7d9\U0001d7da", 12),
+                                        ("1_2", 12), (" +007 ", 7), ("-0", 0), ("\xa012\u3000", 12)])
+def test_decimal_integer_takes_what_int_takes(text, value):
+    assert int(text) == cli.decimal_integer(text) == value
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["trace", "-0", "1"], "error: side and diameter must be >= 1, got (0, 1)\n"),
+    (["trace", "0", "1"], "error: side and diameter must be >= 1, got (0, 1)\n"),
+    (["trace", "3", "5"], "error: (3, 5) is not a side/diameter pair: d^2 - 2a^2 = 7, expected -1 or +1\n"),
+    (["trace", "-3", "5"], "error: side and diameter must be >= 1, got (-3, 5)\n"),
+])
+def test_trace_refuses_a_pair_with_the_pair_check_message(argv, message):
+    assert invoke(argv) == (1, "", message)
+
+
+@given(st.integers(1, 3000), st.booleans())
+def test_decimal_trace_matches_the_library_trace(n, pretty):
+    trace = trace_elegant(nth(n))
+    expected = (trace.pretty() if pretty else json.dumps(trace.to_json_dict(), indent=2)) + "\n"
+    option = ["--pretty"] if pretty else []
+    assert invoke(["trace", "--n", str(n), *option]) == (0, expected, "")
+    assert invoke(["trace", to_decimal(trace.pair.a), to_decimal(trace.pair.d), *option]) == (0, expected, "")
+
+
+@pytest.mark.parametrize("n", [50, 12000])
+def test_trace_by_index_keeps_the_pell_check_in_decimal(monkeypatch, n):
+    components = pairs._nth_components
+
+    def off_by_one(n, one=1):
+        a, d = components(n, one)
+        return a, d + 1
+
+    monkeypatch.setattr(pairs, "_nth_components", off_by_one)
+    code, out, err = invoke(["trace", "--n", str(n)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: unbalanced step") and len(err.encode()) < 1024
+
+
+@pytest.mark.parametrize("n", [100, 3000, 12000])
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["json", "pretty"])
+def test_trace_of_a_pair_prints_a_fixed_multiple_of_its_arguments(n, pretty, int_str_limit):
+    """`trace A D` needs no output budget: its stdout grows linearly with len(A) + len(D)."""
+    int_str_limit(0)
+    argv = ["trace", to_decimal(nth(n).a), to_decimal(nth(n).d), *pretty]
+    code, out, _ = invoke(argv)
+    assert code == 0
+    assert len(out.encode()) <= 24 * (len(argv[1]) + len(argv[2])) + 1024
+
+
 def test_compare_csv_table():
     code, out, _ = invoke(["compare", "--start", "3/2", "--steps", "2"])
     assert code == 0
@@ -604,6 +681,25 @@ def test_usage_errors_shorten_a_huge_argument(argv):
     assert (code, out) == (2, "")
     assert len(err.encode()) < 500
     assert "(100000 characters)" in err or "<int of 332190 bits>" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--count", "1", "--format", "x" * 100_000],
+    ["approx", "y" * 100_000, "1"],
+    ["z" * 100_000],
+], ids=["gen-format", "approx-action", "verb"])
+def test_argparse_choice_errors_shorten_a_huge_argument(argv):
+    code, out, err = invoke(argv)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 1024 and "(100000 characters)" in err
+
+
+@pytest.mark.parametrize("argv", [["gen", "--count", "1", "--format", "x"], ["approx", "bad", "1"], ["bogus"],
+                                  ["nth", "5", "--frobnicate"], ["gen"], ["trace", "2", "x"]])
+def test_short_argparse_errors_are_those_of_argparse(argv, monkeypatch):
+    ours = invoke(argv)
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    assert ours == invoke(argv) and ours[0] == 2
 
 
 @pytest.mark.parametrize("text,shown", [("3/2", "3/2"), ("+3/2", "3/2"), (" 7/5", "7/5"), ("17", "17")])

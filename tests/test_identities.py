@@ -260,7 +260,8 @@ def test_each_render_converts_every_distinct_integer_once(monkeypatch, pair, cal
 
 
 def test_trace_elegant_applies_the_subtraction_lemma(monkeypatch):
-    monkeypatch.setattr(identities, "proportion_subtract", lambda *args: False)
+    # The trace applies V.19 through the trusted test that `proportion_subtract` delegates to.
+    monkeypatch.setattr(identities, "_subtracts", lambda *args: False)
     with pytest.raises(ArithmeticError):
         trace_elegant(SideDiameterPair(2, 3))
 
@@ -288,7 +289,7 @@ def test_trace_errors_on_huge_pairs_show_their_size(monkeypatch, int_str_limit):
         DerivationTrace(trace.pair, tuple(broken))
     message = str(info.value)
     assert "unbalanced" in message and "bits>" in message and len(message) < 300
-    monkeypatch.setattr(identities, "proportion_subtract", lambda *args: False)
+    monkeypatch.setattr(identities, "_subtracts", lambda *args: False)
     with pytest.raises(ArithmeticError) as info:
         trace_elegant(nth(12000))
     assert "bits>" in str(info.value) and len(str(info.value)) < 300

@@ -1,4 +1,5 @@
 import copy
+import decimal
 import math
 import pickle
 import random
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sidediameter import approx, pairs
 from sidediameter.pairs import (
     DescentBelowSeedError,
     InvalidPairError,
@@ -119,6 +121,56 @@ def test_oracle_equivalence_up_to_256():
     for n in range(1, 257):
         assert nth(n) == SideDiameterPair(a, d, index=n)
         a, d = a + d, 2 * a + d
+
+
+def _counting(base):
+    """A subclass of `base` whose values stay in it and count their products with one another."""
+    class Counting(base):
+        products = 0
+
+        def __mul__(self, other):
+            if isinstance(other, Counting):
+                Counting.products += 1
+            return Counting(base.__mul__(self, other))
+
+        def __rmul__(self, other):
+            return Counting(base.__rmul__(self, other))
+
+        def __add__(self, other):
+            return Counting(base.__add__(self, other))
+
+        __radd__ = __add__
+
+        def __sub__(self, other):
+            return Counting(base.__sub__(self, other))
+
+    return Counting
+
+
+@pytest.mark.parametrize("base", [int, decimal.Decimal])
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 1000, 20001])
+def test_nth_doubling_takes_two_products_per_level(base, n):
+    """One product a*d and one square d*d per halving of n; the other factors are 2 and signs."""
+    Counting = _counting(base)
+    with decimal.localcontext(approx._EXACT):
+        a, d = pairs._nth_components(n, Counting(1))
+    assert type(a) is type(d) is Counting
+    assert Counting.products == 2 * (n.bit_length() - 1)
+    assert (a, d) == (nth(n).a, nth(n).d)
+
+
+def test_nth_components_equal_the_iterative_oracle_in_both_number_types():
+    walk = pairs._walk()
+    sampled = set(random.Random(0).sample(range(601, 20001), 25)) | {2**k for k in range(10, 15)} | {20000}
+    with decimal.localcontext(approx._EXACT):
+        for n in range(1, 601):
+            expected = next(walk)
+            assert pairs._nth_components(n) == expected, n
+            assert pairs._nth_components(n, decimal.Decimal(1)) == expected, n
+        for n in sorted(sampled):
+            expected = nth_iterative(n)
+            assert pairs._nth_components(n) == (expected.a, expected.d), n
+            assert pairs._nth_components(n, decimal.Decimal(1)) == (expected.a, expected.d), n
 
 
 def test_generate_first_four():
