@@ -20,16 +20,17 @@ float enters: a number is accepted only as an int or Fraction, by type.
 state (p, q, N) with N = p**2 - 2*q**2, the residual of a side/diameter
 pair.  The ratio step is the pair step: (p + 2q, p + q, -N), coprime
 because gcd(p + 2q, p + q) = gcd(p, q).  The averaging step is the pair
-doubling a -> 2ad, d -> d**2 + 2a**2: (p**2 + 2q**2, 2pq, N**2), whose
-only common factor is 2, present exactly when p is even; halving then
-leaves p odd, so that happens on the first step at most.  Each row reads
-its side from the sign of N and its digit count from |N|, and wraps the
-coprime p/q in a Fraction without a gcd.
+doubling a -> 2ad, d -> 2d**2 - e of `pairs._nth_components`, with the
+carried N for e: (2p**2 - N, 2pq, N**2), whose only common factor is 2,
+present exactly when p is even; halving then leaves p odd, so that happens
+on the first step at most.  Each row reads its side from the sign of N and
+its digit count from |N|, and wraps the coprime p/q in a Fraction without a gcd.
 
-Big integers are rendered by `to_decimal`, exactly and byte-identical to
-str(): above about 4,200 digits it converts by divide and conquer through
-the standard library's `decimal` module, in subquadratic time and without
-the interpreter's int-to-str digit limit.
+Every exact number the package prints is rendered by `to_decimal`,
+byte-identical to str(): a Decimal by its linear str(), and an int above
+about 4,200 digits by divide and conquer through the standard library's
+`decimal` module, in subquadratic time and without the interpreter's
+int-to-str digit limit.
 """
 
 import decimal
@@ -205,7 +206,7 @@ class ConvergenceReport(NamedTuple):
 
 def _babylonian_state(p: int, q: int, n: int) -> tuple[int, int, int]:
     """`babylonian_step` on the reduced state (p, q, p**2 - 2*q**2)."""
-    p, q, n = p * p + 2 * q * q, 2 * p * q, n * n
+    p, q, n = 2 * (p * p) - n, 2 * (p * q), n * n
     # The two share only a 2, and only when the old p was even.
     if p & 1:
         return p, q, n
@@ -284,22 +285,23 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=deci
 _EXACT.traps[decimal.Inexact] = True
 
 
-def to_decimal(n: int | Fraction) -> str:
+def to_decimal(n: int | Fraction | decimal.Decimal) -> str:
     """Exactly str(n), in subquadratic time and for ints of any size.
 
     A Fraction renders as num/den, or num when den is 1, as str() does.
-    Small ints go to str().  Larger ones are split recursively at powers of
-    two, m = hi * 2**w + lo, and rebuilt as a `decimal.Decimal`, whose big
-    products run in libmpdec's number-theoretic transform (Brent and
-    Zimmermann, Modern Computer Arithmetic, section 1.7; CPython 3.12's
-    _pylong).  The context keeps every digit and traps Inexact, so a
-    rounding would raise instead of printing a wrong digit.  Unlike str(),
-    this never depends on sys.set_int_max_str_digits.
+    A Decimal and a small int go to str(), which is linear on a Decimal.
+    Larger ints are split recursively at powers of two, m = hi * 2**w + lo,
+    and rebuilt as a `decimal.Decimal`, whose big products run in libmpdec's
+    number-theoretic transform (Brent and Zimmermann, Modern Computer
+    Arithmetic, section 1.7; CPython 3.12's _pylong).  The context keeps
+    every digit and traps Inexact, so a rounding would raise instead of
+    printing a wrong digit.  Unlike str(), this never depends on
+    sys.set_int_max_str_digits.
     """
     if isinstance(n, Fraction):
         num = to_decimal(n.numerator)
         return num if n.denominator == 1 else f"{num}/{to_decimal(n.denominator)}"
-    if n.bit_length() <= _STR_MAX_BITS:
+    if isinstance(n, decimal.Decimal) or n.bit_length() <= _STR_MAX_BITS:
         return str(n)
     powers = {}
 

@@ -135,8 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pair_line(p: pairs.SideDiameterPair) -> str:
-    return f"n={p.index} a={approx.to_decimal(p.a)} d={approx.to_decimal(p.d)} e={p.sign}"
+def _pair_line(n: int, a, d, e: int) -> str:
+    """The `nth` line of pair n with components a and d, ints or Decimals, and sign e."""
+    return f"n={n} a={approx.to_decimal(a)} d={approx.to_decimal(d)} e={e}"
 
 
 _GEN_COLUMNS = ("n", "a", "d", "e", "ratio_decimal", "correct_digits")
@@ -222,12 +223,12 @@ def _check_oracle_index(n: int) -> None:
 
 
 def _nth_line(n: int) -> str:
-    """`_pair_line(pairs.nth(n))`, computed, checked and printed in exact Decimal.
+    """`_pair_line` of `pairs.nth(n)`'s components, computed, checked and printed in exact Decimal.
 
     libmpdec multiplies huge operands by a number-theoretic transform and
-    str() of a Decimal is linear, so this skips CPython's int squaring and
-    int->decimal conversion.  The Pell check d^2 - 2a^2 = (-1)^n is kept,
-    with both terms squares.
+    `to_decimal` prints a Decimal by its linear str(), so this skips
+    CPython's int squaring and int->decimal conversion.  The Pell check
+    d^2 - 2a^2 = (-1)^n is kept, with both terms squares.
     """
     with decimal.localcontext(approx._EXACT):
         a, d = pairs._nth_components(n, decimal.Decimal(1))
@@ -235,7 +236,7 @@ def _nth_line(n: int) -> str:
     sign = -1 if n % 2 else 1
     if e != sign:
         raise pairs.InvalidPairError(f"pair {n} failed its check d^2 - 2a^2 = {sign:+d}")
-    return f"n={n} a={a} d={d} e={sign}"
+    return _pair_line(n, a, d, sign)
 
 
 def _cmd_nth(args) -> int:
@@ -249,7 +250,8 @@ def _cmd_nth(args) -> int:
     if not args.check_oracle:
         return 0
     begin = time.perf_counter()
-    oracle = _pair_line(pairs.nth_iterative(args.n))
+    p = pairs.nth_iterative(args.n)
+    oracle = _pair_line(p.index, p.a, p.d, p.sign)
     iterative_seconds = time.perf_counter() - begin
     print(f"fast_seconds={fast_seconds:.6f}", file=sys.stderr)
     print(f"iterative_seconds={iterative_seconds:.6f}", file=sys.stderr)
@@ -307,7 +309,7 @@ def _cmd_trace(args) -> int:
             e = _pell_sign(a, d)
         else:
             raise UsageError("trace expects either two integers A D or --n K")
-        data = identities._decimal_trace(a, d, e)
+        data = identities._json_dict(a, d, e, identities._derivation(a, d, e))
     print(identities._laid_out(data) if args.pretty else json.dumps(data, indent=2))
     return 0
 
@@ -357,8 +359,9 @@ def run(argv, stdout=None, stderr=None) -> int:
     """
     with contextlib.ExitStack() as stack:
         if hasattr(sys, "set_int_max_str_digits"):
-            # Parsing `trace A D` and big rationals needs ints beyond the
-            # default str() limit; the caller's limit comes back on return.
+            # Big `rational` arguments, huge integer options and `_pell_sign`'s
+            # int(str(...)) of a refused pair need ints beyond the default str()
+            # limit; the caller's limit comes back on return.
             stack.callback(sys.set_int_max_str_digits, sys.get_int_max_str_digits())
             sys.set_int_max_str_digits(0)
         if stdout is not None:

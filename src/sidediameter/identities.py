@@ -7,8 +7,9 @@ that checking an identity is an exact symbolic proof, not a sample check.
 the next pair's defining equation from the arithmetic form of Euclid II.10
 via the subtraction lemma Euclid V.19.  The trace implements the arithmetic
 reading of that derivation; no claim about the original author's intent is
-encoded.  Its steps are computed and serialized by private functions that
-take any exact number type: `trace_elegant` runs them on ints, and the CLI's
+encoded.  Its steps are computed, checked and serialized by private
+functions that take any exact number type and render through
+`approx.to_decimal`: `trace_elegant` runs them on ints, and the CLI's
 `trace` on Decimals under an exact context.
 """
 
@@ -62,7 +63,7 @@ class DerivationTrace(_Record):
 
     def to_json_dict(self) -> dict:
         """JSON-ready form; integer values as decimal strings (any size)."""
-        return _json_dict(self.pair.a, self.pair.d, self.pair.sign, self.steps, approx.to_decimal)
+        return _json_dict(self.pair.a, self.pair.d, self.pair.sign, self.steps)
 
     def pretty(self) -> str:
         """The strings of `to_json_dict`, laid out one step per line."""
@@ -81,12 +82,12 @@ def _check_steps(steps: tuple[TraceStep, ...]) -> None:
             )
 
 
-def _json_dict(a, d, e: int, steps: tuple[TraceStep, ...], render) -> dict:
-    """The JSON form of a trace of (a, d), each distinct value written once by `render`.
+def _json_dict(a, d, e: int, steps: tuple[TraceStep, ...]) -> dict:
+    """The JSON form of a trace of (a, d), each distinct value written once by `to_decimal`.
 
     Both sides of a checked step are equal, so one string serves both.
     """
-    text = {v: render(v) for v in {a, d, *(s.lhs_value for s in steps)}}
+    text = {v: approx.to_decimal(v) for v in {a, d, *(s.lhs_value for s in steps)}}
     return {
         "pair": {"a": text[a], "d": text[d], "e": str(e)},
         "steps": [
@@ -213,26 +214,15 @@ def trace_elegant(p: SideDiameterPair) -> DerivationTrace:
     (2a+d)**2 = 2*(a+d)**2 - e, i.e. the next pair's equation with the
     opposite sign.
     """
-    return DerivationTrace(p, _derivation(p.a, p.d, p.sign, approx.to_decimal))
+    return DerivationTrace(p, _derivation(p.a, p.d, p.sign))
 
 
-def _decimal_trace(a, d, e: int) -> dict:
-    """`trace_elegant(SideDiameterPair(a, d)).to_json_dict()` for Decimal a and d.
+def _derivation(a, d, e: int) -> tuple[TraceStep, ...]:
+    """The four checked steps of `trace_elegant` for a pair of any exact number type.
 
-    The caller vouches for d**2 - 2*a**2 = e and runs this under an exact
-    context (approx._EXACT); the step checks of `DerivationTrace` still run.
-    """
-    steps = _derivation(a, d, e, str)
-    _check_steps(steps)
-    return _json_dict(a, d, e, steps, str)
-
-
-def _derivation(a, d, e: int, render) -> tuple[TraceStep, ...]:
-    """The four steps of `trace_elegant` for a pair of any exact number type.
-
-    `render` writes a and d for the expressions.  The pair's equation
-    d**2 = 2*a**2 + e is not checked here: the hypothesis-substitution step
-    balances only when it holds.
+    A Decimal pair needs an exact context (approx._EXACT).  The pair's
+    equation d**2 = 2*a**2 + e is checked by `_check_steps`: the
+    hypothesis-substitution step balances only when it holds.
     """
     a2, d2 = a * a, d * d
     side, diam = a + d, 2 * a + d
@@ -249,12 +239,12 @@ def _derivation(a, d, e: int, render) -> tuple[TraceStep, ...]:
     if not _subtracts(u, v, x, y, 2):
         raise ArithmeticError(f"subtraction lemma failed for the pair ({_shown(a)}, {_shown(d)})")
 
-    text_a, text_d = render(a), render(d)
+    text_a, text_d = approx.to_decimal(a), approx.to_decimal(d)
     sq_next_d = f"(2*{text_a}+{text_d})^2"
     sq_d = f"{text_d}^2"
     rhs_sum = f"2*({text_a}^2 + ({text_a}+{text_d})^2)"
     twice_sq_next_a = f"2*({text_a}+{text_d})^2"
-    return (
+    steps = (
         TraceStep(
             "II.10",
             f"{sq_next_d} + {sq_d}",
@@ -284,3 +274,5 @@ def _derivation(a, d, e: int, render) -> tuple[TraceStep, ...]:
             2 * x - e,
         ),
     )
+    _check_steps(steps)
+    return steps

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sidediameter import approx, cli
+from sidediameter import approx, cli, pairs
 from sidediameter.approx import (
     ConvergenceReport,
     ReportRow,
@@ -362,6 +362,43 @@ def test_run_method_rows_equal_the_public_fraction_steps(start, method_steps, ca
         assert math.gcd(row.value.numerator, row.value.denominator) == 1
 
 
+class _CountingInt(int):
+    """An int that counts its products with another counting int; factors like 2 go uncounted."""
+
+    products = 0
+
+    def __mul__(self, other):
+        if isinstance(other, _CountingInt):
+            _CountingInt.products += 1
+        return _CountingInt(int(self) * int(other))
+
+    def __rmul__(self, other):
+        return _CountingInt(int(other) * int(self))
+
+    def __sub__(self, other):
+        return _CountingInt(int(self) - int(other))
+
+    def __rshift__(self, other):
+        return _CountingInt(int(self) >> other)
+
+
+# 4/3 has an even numerator, so its first step is halved.
+@pytest.mark.parametrize("start", [Fraction(1), Fraction(3, 2), Fraction(19, 13), Fraction(4, 3)])
+def test_babylonian_state_takes_three_products_per_step(start):
+    """Two squares, p*p and N*N, and one product p*q: p**2 + 2q**2 is formed as 2p**2 - N."""
+    steps = 9
+    _CountingInt.products = 0
+    p, q = _CountingInt(start.numerator), _CountingInt(start.denominator)
+    n = _CountingInt(start.numerator**2 - 2 * start.denominator**2)
+    value = start
+    for _ in range(steps):
+        p, q, n = approx._babylonian_state(p, q, n)
+        value = babylonian_step(value)
+        assert type(p) is type(q) is type(n) is _CountingInt
+        assert (p, q, n) == (value.numerator, value.denominator, int(p) ** 2 - 2 * int(q) ** 2)
+    assert _CountingInt.products == 3 * steps
+
+
 def test_compare_takes_no_gcd(monkeypatch):
     calls = []
     real_gcd = math.gcd
@@ -518,6 +555,22 @@ def test_to_decimal_matches_str(n, negate):
 )
 def test_to_decimal_examples(n):
     assert to_decimal(n) == reference_str(n)
+
+
+with decimal.localcontext(approx._EXACT):
+    EXACT_PAIR_60000 = pairs._nth_components(60000, decimal.Decimal(1))
+
+
+# 4,215 and 4,216 digits straddle the width where `to_decimal` leaves str() for ints.
+@pytest.mark.parametrize(
+    "n",
+    [decimal.Decimal(0), decimal.Decimal(-987654321), decimal.Decimal("9" * 4215),
+     decimal.Decimal("1" + "0" * 4215), *EXACT_PAIR_60000],
+    ids=["0", "negative", "4215-digits", "4216-digits", "nth(60000).a", "nth(60000).d"],
+)
+def test_to_decimal_of_an_integral_decimal_is_its_str(n):
+    """The same bytes as str() of the Decimal and as `to_decimal` of the int."""
+    assert to_decimal(n) == str(n) == to_decimal(int(n))
 
 
 def test_to_decimal_raises_rather_than_rounds(monkeypatch):

@@ -193,12 +193,14 @@ def test_nth_check_oracle_reports_a_mismatch(monkeypatch):
 # 11010-11012 straddle the 4,215-digit threshold where `to_decimal` leaves str().
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 11010, 11011, 11012, 100000])
 def test_nth_decimal_line_matches_the_int_line(n):
-    assert _nth_line(n) == _pair_line(nth(n))
+    p = nth(n)
+    assert _nth_line(n) == _pair_line(p.index, p.a, p.d, p.sign)
 
 
 @given(st.integers(1, 30000))
 def test_nth_decimal_line_matches_the_int_line_in_range(n):
-    assert _nth_line(n) == _pair_line(nth(n))
+    p = nth(n)
+    assert _nth_line(n) == _pair_line(p.index, p.a, p.d, p.sign)
 
 
 def test_nth_keeps_the_pell_check_in_decimal(monkeypatch):
@@ -398,13 +400,16 @@ def test_trace_invalid_pair_is_domain_error():
     assert "not a side/diameter pair" in err
 
 
-def test_trace_of_a_huge_invalid_pair_keeps_stderr_short():
+def test_trace_of_a_huge_invalid_pair_keeps_stderr_short(int_str_limit):
+    # `_pell_sign` hands the refused 23,000-digit pair to `SideDiameterPair` through int(str(...)).
+    int_str_limit(4300)
     p = nth(60000)
     code, out, err = invoke(["trace", to_decimal(p.a), to_decimal(p.d + 1)])
     assert code == 1
     assert out == ""
     assert "not a side/diameter pair" in err
     assert len(err.encode()) < 1024
+    assert sys.get_int_max_str_digits() == 4300
 
 
 def test_trace_requires_pair_or_index():
@@ -467,6 +472,23 @@ def test_decimal_trace_matches_the_library_trace(n, pretty):
     option = ["--pretty"] if pretty else []
     assert invoke(["trace", "--n", str(n), *option]) == (0, expected, "")
     assert invoke(["trace", to_decimal(trace.pair.a), to_decimal(trace.pair.d), *option]) == (0, expected, "")
+
+
+def test_trace_renders_every_value_through_to_decimal_in_decimal(monkeypatch):
+    trace = trace_elegant(nth(2000))
+    values = {trace.pair.a, trace.pair.d, *(v for s in trace.steps for v in (s.lhs_value, s.rhs_value))}
+    recorded = []
+
+    def recording(value):
+        recorded.append(value)
+        return to_decimal(value)
+
+    monkeypatch.setattr(approx, "to_decimal", recording)
+    for argv in (["trace", "--n", "2000"], ["trace", str(trace.pair.a), str(trace.pair.d)]):
+        recorded.clear()
+        assert invoke(argv)[0] == 0
+        assert {type(v) for v in recorded} == {Decimal}
+        assert {int(v) for v in recorded} == values
 
 
 @pytest.mark.parametrize("n", [50, 12000])

@@ -1,4 +1,5 @@
 import copy
+import decimal
 import json
 import pickle
 import random
@@ -278,6 +279,16 @@ def test_trace_rejects_unbalanced_step():
     broken[0] = TraceStep("II.10", "1", "2", 1, 2)
     with pytest.raises(ValueError):
         DerivationTrace(trace.pair, tuple(broken))
+
+
+@pytest.mark.parametrize("number", [int, decimal.Decimal])
+def test_derivation_refuses_an_unbalanced_step_by_itself(number):
+    p = nth(50)
+    with decimal.localcontext(approx._EXACT):
+        a, d = number(p.a), number(p.d)
+        assert identities._derivation(a, d, p.sign) == trace_elegant(p).steps
+        with pytest.raises(ValueError, match="^unbalanced step hypothesis-substitution"):
+            identities._derivation(a, d, -p.sign)
 
 
 def test_trace_errors_on_huge_pairs_show_their_size(monkeypatch, int_str_limit):
