@@ -8,7 +8,6 @@ timing information is diagnostic and always goes to stderr.
 import argparse
 import contextlib
 import decimal
-import json
 import os
 import re
 import sys
@@ -159,18 +158,27 @@ def _gen_row(p: pairs.SideDiameterPair, digits: int) -> tuple[str, ...]:
     )
 
 
+# Per format: the text before the first row, between rows and after the last,
+# and the row template.  Every cell is ASCII digits, `-` or `.`, so the JSON
+# template gives `json.dumps(rows, indent=2)` byte for byte.
+_GEN_LAYOUTS = {
+    "csv": (",".join(_GEN_COLUMNS) + "\n", "\n", "\n", ",".join(["%s"] * len(_GEN_COLUMNS))),
+    "json": ("[\n", ",\n", "\n]\n",
+             "  {\n" + ",\n".join(f'    "{c}": "%s"' for c in _GEN_COLUMNS) + "\n  }"),
+}
+
+
 def _cmd_gen(args) -> int:
     # The a and d columns hold at most 2 * sum of ceil(0.3828 * i) <=
     # ceil(0.3828 * count * (count + 1)) + 2 * count digits; the other columns
     # of a row add `digits` places and at most ten more digits below 10**6 rows.
     _check_printed_digits("gen", _component_digits(args.count * (args.count + 1)) + args.count * (args.digits + 12))
-    table = pairs.generate(args.count)
-    if args.format == "csv":
-        rows = [",".join(_gen_row(p, args.digits)) for p in table]
-        print(",".join(_GEN_COLUMNS), *rows, sep="\n")
-    else:
-        rows = [dict(zip(_GEN_COLUMNS, _gen_row(p, args.digits))) for p in table]
-        print(json.dumps(rows, indent=2))
+    lead, separator, tail, row = _GEN_LAYOUTS[args.format]
+    # One write per row, as it is made: no table of rows or document is held.
+    for p in pairs.generate(args.count):
+        sys.stdout.write(lead + row % _gen_row(p, args.digits))
+        lead = separator
+    sys.stdout.write(tail)
     return 0
 
 
@@ -310,7 +318,14 @@ def _cmd_trace(args) -> int:
         else:
             raise UsageError("trace expects either two integers A D or --n K")
         data = identities._json_dict(a, d, e, identities._derivation(a, d, e))
-    print(identities._laid_out(data) if args.pretty else json.dumps(data, indent=2))
+    if args.pretty:
+        print(identities._laid_out(data))
+    else:
+        import json  # only trace and compare --format json write JSON
+
+        # About 120 writes, one per chunk, so neither the whole document nor its bytes are held.
+        json.dump(data, sys.stdout, indent=2)
+        print()
     return 0
 
 
@@ -339,6 +354,9 @@ def _cmd_compare(args) -> int:
                  for report in (babylonian, side_diameter) for row in report.rows]
         print(",".join(("method", *approx._REPORT_COLUMNS)), *lines, sep="\n")
     else:
+        import json
+
+        # Whole: the document is small, and `json.dump` would write each of its hundreds of chunks.
         print(json.dumps(
             {
                 "start": approx.to_decimal(args.start),

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import sidediameter
 from sidediameter import approx, cli, generate, pairs, to_decimal, trace_elegant
-from sidediameter.cli import _gen_row, _nth_line, _pair_line, build_parser, run
+from sidediameter.cli import _GEN_COLUMNS, _gen_row, _nth_line, _pair_line, build_parser, run
 from sidediameter.pairs import SideDiameterPair, nth
 
 
@@ -103,6 +104,20 @@ def test_gen_digits_flag_controls_decimal_precision():
     code, out, _ = invoke(["gen", "--count", "2", "--digits", "4"])
     assert code == 0
     assert out.splitlines()[2].startswith("2,2,3,1,1.5000,")
+
+
+def _former_gen_stdout(count: int, digits: int, fmt: str) -> str:
+    """What `gen` printed when it built the whole table first: the oracle for the streamed rows."""
+    rows = [_gen_row(p, digits) for p in generate(count)]
+    if fmt == "json":
+        return json.dumps([dict(zip(_GEN_COLUMNS, row)) for row in rows], indent=2) + "\n"
+    return "\n".join([",".join(_GEN_COLUMNS), *(",".join(row) for row in rows)]) + "\n"
+
+
+@given(st.integers(1, 80), st.integers(0, 120), st.sampled_from(["csv", "json"]))
+def test_gen_streams_what_the_former_renderers_printed(count, digits, fmt):
+    argv = ["gen", "--count", str(count), "--digits", str(digits), "--format", fmt]
+    assert invoke(argv) == (0, _former_gen_stdout(count, digits, fmt), "")
 
 
 def test_verify_single_identity():
@@ -318,6 +333,16 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert (proc.returncode, err) == (1, b"")
 
 
+def test_stdout_closed_in_the_middle_of_gen_json_exits_1_without_a_traceback():
+    # `gen` writes each row as it is made, so the pipe breaks inside the handler.
+    proc = subprocess.Popen([sys.executable, "-m", "sidediameter", "gen", "--count", "3000", "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=FRESH_ENV)
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 def test_failed_write_exits_1_with_one_error_line():
     with open("/dev/full", "w") as full:
@@ -347,6 +372,19 @@ def test_short_commands_load_neither_dataclasses_nor_the_identity_catalog():
     assert heavy.isdisjoint(loaded.split())
     # The catalog still loads for the verbs that need it.
     assert "\n".join(rest) + "\n" == invoke(["verify", "--all"])[1] + invoke(["trace", "--n", "3"])[1]
+
+
+def test_only_json_output_loads_json():
+    out = fresh_python(
+        "import io, sys; from sidediameter import cli\n"
+        "for argv in (['nth', '5'], ['gen', '--count', '3'], ['gen', '--count', '3', '--format', 'json'],\n"
+        "             ['approx', 'step', '17/12'], ['approx', 'preimage', '17/12'], ['approx', 'digits', '17/12'],\n"
+        "             ['compare', '--steps', '2'], ['trace', '--n', '3', '--pretty']):\n"
+        "    assert cli.run(argv, io.StringIO()) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'json' or m.startswith('json.')))\n"
+        "cli.run(['trace', '--n', '3'], io.StringIO()); print('json' in sys.modules)"
+    )
+    assert out.splitlines() == ["[]", "True"]
 
 
 def test_package_names_load_on_first_use():
@@ -634,6 +672,35 @@ def test_golden_stdout_bytes(argv, size, sha256, int_str_limit):
     assert (code, err) == (0, "")
     payload = out.encode()
     assert (len(payload), hashlib.sha256(payload).hexdigest()) == (size, sha256)
+
+
+class _CountingSink:
+    """A stdout that counts the characters written to it and keeps none of them."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("argv,ratio", [
+    # Holding the rows or the document would take 5.30 and 2.74 times the characters written.
+    (["gen", "--count", "1500", "--format", "json", "--digits", "100"], 0.75),
+    (["trace", "--n", "60000"], 1.25),
+], ids=["gen-json", "trace"])
+def test_output_is_written_as_it_is_made(argv, ratio):
+    run(argv, _CountingSink(), io.StringIO())  # lazy imports happen outside the measurement
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        code = run(argv, sink, io.StringIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.chars > 800_000
+    assert peak < ratio * sink.chars
 
 
 @pytest.mark.parametrize(
