@@ -72,7 +72,7 @@ def babylonian_preimage(t) -> set[Fraction]:
     n = p * p - 2 * q * q
     if n < 0:
         return set()
-    s = isqrt(n)
+    s = math.isqrt(n)
     if s * s != n:
         return set()
     return {Fraction(p - s, q), Fraction(p + s, q)}

@@ -319,7 +319,8 @@ def _cmd_trace(args) -> int:
             raise UsageError("trace expects either two integers A D or --n K")
         data = identities._json_dict(a, d, e, identities._derivation(a, d, e))
     if args.pretty:
-        print(identities._laid_out(data))
+        for line in identities._laid_out(data):
+            sys.stdout.write(line + "\n")
     else:
         import json  # only trace and compare --format json write JSON
 

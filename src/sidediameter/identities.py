@@ -13,6 +13,7 @@ functions that take any exact number type and render through
 `trace` on Decimals under an exact context.
 """
 
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from sidediameter import approx
@@ -67,7 +68,7 @@ class DerivationTrace(_Record):
 
     def pretty(self) -> str:
         """The strings of `to_json_dict`, laid out one step per line."""
-        return _laid_out(self.to_json_dict())
+        return "\n".join(_laid_out(self.to_json_dict()))
 
 
 def _check_steps(steps: tuple[TraceStep, ...]) -> None:
@@ -103,18 +104,17 @@ def _json_dict(a, d, e: int, steps: tuple[TraceStep, ...]) -> dict:
     }
 
 
-def _laid_out(data: dict) -> str:
-    """A trace's JSON form laid out one step per line."""
+def _laid_out(data: dict) -> Iterator[str]:
+    """A trace's JSON form laid out one step per line, each line without its line end."""
     pair = data["pair"]
-    lines = [f"derivation for pair (a={pair['a']}, d={pair['d']}, e={int(pair['e']):+d})"]
+    yield f"derivation for pair (a={pair['a']}, d={pair['d']}, e={int(pair['e']):+d})"
     width = max(len(j) for j in JUSTIFICATIONS) + 2
     for s in data["steps"]:
         tag = f"[{s['justification']}]"
-        lines.append(
+        yield (
             f"  {tag:<{width}}  {s['lhs_expr']} = {s['rhs_expr']}"
             f"    ({s['lhs_value']} = {s['rhs_value']})"
         )
-    return "\n".join(lines)
 
 
 def verify_identity(lhs: Poly, rhs: Poly) -> bool:
@@ -195,11 +195,7 @@ def proportion_subtract(u: int, v: int, x: int, y: int, r) -> bool:
             f"proportion with zero denominator: x={_shown(x, str)}, y={_shown(y, str)}, "
             f"x+y={_shown(x + y, str)}"
         )
-    return _subtracts(u, v, x, y, _require_rational(r, "r"))
-
-
-def _subtracts(u, v, x, y, r) -> bool:
-    """`proportion_subtract` on trusted exact numbers of any one type, r included."""
+    r = _require_rational(r, "r")
     premises = (u + v == r * (x + y)) and (v == r * y)
     return not premises or u == r * x
 
@@ -220,9 +216,10 @@ def trace_elegant(p: SideDiameterPair) -> DerivationTrace:
 def _derivation(a, d, e: int) -> tuple[TraceStep, ...]:
     """The four checked steps of `trace_elegant` for a pair of any exact number type.
 
-    A Decimal pair needs an exact context (approx._EXACT).  The pair's
-    equation d**2 = 2*a**2 + e is checked by `_check_steps`: the
-    hypothesis-substitution step balances only when it holds.
+    A Decimal pair needs an exact context (approx._EXACT).  `_check_steps`
+    checks every step: the hypothesis-substitution step balances only when
+    the pair's equation d**2 = 2*a**2 + e holds, and the V.19-subtraction
+    step only when the remainder u equals 2*(a+d)**2.
     """
     a2, d2 = a * a, d * d
     side, diam = a + d, 2 * a + d
@@ -231,13 +228,9 @@ def _derivation(a, d, e: int) -> tuple[TraceStep, ...]:
     plus_e = f"+ {e}" if e > 0 else f"- {-e}"
     minus_e = f"- {e}" if e > 0 else f"+ {-e}"
 
-    # V.19 data: wholes (u + v) and (x + y), parts v and y, remainders u and x.
+    # V.19 with ratio 2: from the whole u + v take the part v = 2*a^2; the remainder is u.
     u = next_d2 + e
     v = 2 * a2
-    x = next_a2
-    y = a2
-    if not _subtracts(u, v, x, y, 2):
-        raise ArithmeticError(f"subtraction lemma failed for the pair ({_shown(a)}, {_shown(d)})")
 
     text_a, text_d = approx.to_decimal(a), approx.to_decimal(d)
     sq_next_d = f"(2*{text_a}+{text_d})^2"
@@ -264,14 +257,14 @@ def _derivation(a, d, e: int) -> tuple[TraceStep, ...]:
             f"{sq_next_d} {plus_e}",
             twice_sq_next_a,
             u,
-            2 * x,
+            2 * next_a2,
         ),
         TraceStep(
             "conclusion",
             sq_next_d,
             f"{twice_sq_next_a} {minus_e}",
             next_d2,
-            2 * x - e,
+            2 * next_a2 - e,
         ),
     )
     _check_steps(steps)

@@ -343,6 +343,17 @@ def test_stdout_closed_in_the_middle_of_gen_json_exits_1_without_a_traceback():
     assert (proc.returncode, err) == (1, b"")
 
 
+def test_stdout_closed_after_the_first_pretty_trace_line_exits_1_without_a_traceback():
+    # `trace --pretty` writes each line as it is made; the 827 KB after the first overflow the pipe.
+    proc = subprocess.Popen([sys.executable, "-m", "sidediameter", "trace", "--n", "60000", "--pretty"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=FRESH_ENV)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first.startswith(b"derivation for pair (a=") and first.endswith(b", e=+1)\n")
+    assert (proc.returncode, err) == (1, b"")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 def test_failed_write_exits_1_with_one_error_line():
     with open("/dev/full", "w") as full:
@@ -385,6 +396,11 @@ def test_only_json_output_loads_json():
         "cli.run(['trace', '--n', '3'], io.StringIO()); print('json' in sys.modules)"
     )
     assert out.splitlines() == ["[]", "True"]
+
+
+def test_dir_lists_every_public_name_sorted():
+    names = dir(sidediameter)
+    assert names == sorted(names) and set(sidediameter.__all__) <= set(names)
 
 
 def test_package_names_load_on_first_use():
@@ -686,10 +702,12 @@ class _CountingSink:
 
 
 @pytest.mark.parametrize("argv,ratio", [
-    # Holding the rows or the document would take 5.30 and 2.74 times the characters written.
+    # Holding the rows, the document or the laid-out text would take 5.30, 2.74 and 2.73
+    # times the characters written.
     (["gen", "--count", "1500", "--format", "json", "--digits", "100"], 0.75),
     (["trace", "--n", "60000"], 1.25),
-], ids=["gen-json", "trace"])
+    (["trace", "--n", "60000", "--pretty"], 1.5),
+], ids=["gen-json", "trace", "trace-pretty"])
 def test_output_is_written_as_it_is_made(argv, ratio):
     run(argv, _CountingSink(), io.StringIO())  # lazy imports happen outside the measurement
     sink = _CountingSink()

@@ -260,11 +260,15 @@ def test_each_render_converts_every_distinct_integer_once(monkeypatch, pair, cal
         assert len(rendered) == len(set(rendered)) == calls
 
 
-def test_trace_elegant_applies_the_subtraction_lemma(monkeypatch):
-    # The trace applies V.19 through the trusted test that `proportion_subtract` delegates to.
-    monkeypatch.setattr(identities, "_subtracts", lambda *args: False)
-    with pytest.raises(ArithmeticError):
-        trace_elegant(SideDiameterPair(2, 3))
+@pytest.mark.parametrize("number", [int, decimal.Decimal])
+def test_trace_refuses_a_subtraction_step_off_by_one(number):
+    # The V.19 subtraction is checked once, by its step's balance u = 2*(a+d)^2.
+    p = nth(50)
+    with decimal.localcontext(approx._EXACT):
+        steps = list(identities._derivation(number(p.a), number(p.d), p.sign))
+        steps[2] = steps[2]._replace(lhs_value=steps[2].lhs_value + 1)
+        with pytest.raises(ValueError, match="^unbalanced step V.19-subtraction"):
+            DerivationTrace(p, tuple(steps))
 
 
 def test_trace_rejects_wrong_step_order():
@@ -291,7 +295,7 @@ def test_derivation_refuses_an_unbalanced_step_by_itself(number):
             identities._derivation(a, d, -p.sign)
 
 
-def test_trace_errors_on_huge_pairs_show_their_size(monkeypatch, int_str_limit):
+def test_trace_errors_on_huge_pairs_show_their_size(int_str_limit):
     int_str_limit(4300)
     trace = trace_elegant(nth(12000))  # 4,594-digit components
     broken = list(trace.steps)
@@ -300,10 +304,6 @@ def test_trace_errors_on_huge_pairs_show_their_size(monkeypatch, int_str_limit):
         DerivationTrace(trace.pair, tuple(broken))
     message = str(info.value)
     assert "unbalanced" in message and "bits>" in message and len(message) < 300
-    monkeypatch.setattr(identities, "_subtracts", lambda *args: False)
-    with pytest.raises(ArithmeticError) as info:
-        trace_elegant(nth(12000))
-    assert "bits>" in str(info.value) and len(str(info.value)) < 300
 
 
 def test_named_identity_is_frozen():
@@ -314,6 +314,8 @@ def test_named_identity_is_frozen():
     for record, field in records:
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
 
 
 def test_record_reprs_name_every_field():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,6 +40,47 @@ def test_zero_coefficients_are_dropped():
     p = A**2 - A**2 + D
     assert p == D
     assert p.terms == {(0, 1): 1}
+
+
+def test_construction_refuses_duplicate_names_and_bad_exponent_vectors():
+    with pytest.raises(ValueError, match="^duplicate variable names"):
+        Poly(("a", "a"))
+    for mono in [(1,), (1, 2, 0), (1, -1), (1, 0.5)]:
+        with pytest.raises(ValueError, match="^bad exponent vector"):
+            Poly(("a", "d"), {mono: 1})
+
+
+def test_exponent_vectors_equal_as_tuples_are_one_term():
+    # A key is read as a tuple, so (1, 0) and range(1, -1, -1) name the same monomial.
+    assert Poly(("a", "d"), {(1, 0): 2, range(1, -1, -1): -2}).is_zero()
+    assert Poly(("a", "d"), {(1, 0): 2, range(1, -1, -1): 1}) == 3 * A
+
+
+def test_poly_is_immutable():
+    for name in ("_terms", "_variables", "extra"):
+        with pytest.raises(AttributeError, match="^Poly is immutable$"):
+            setattr(A, name, None)
+    assert A == Poly(("a", "d"), {(1, 0): 1})
+
+
+@pytest.mark.parametrize("other", [1.5, True, Fraction(1, 2), "1"], ids=["float", "bool", "fraction", "str"])
+@pytest.mark.parametrize("combine", [
+    lambda p, x: p + x, lambda p, x: x + p, lambda p, x: p - x,
+    lambda p, x: x - p, lambda p, x: p * x, lambda p, x: x * p,
+], ids=["add", "radd", "sub", "rsub", "mul", "rmul"])
+def test_ring_operations_refuse_a_non_integer(combine, other):
+    with pytest.raises(TypeError):
+        combine(A + D, other)
+
+
+def test_a_poly_equals_no_number():
+    assert (Poly.constant(("a", "d"), 1) == 1) is False
+    assert Poly.constant(("a", "d"), 1) != 1.0
+
+
+def test_repr_names_the_ring_and_the_terms():
+    assert repr(2 * A - D) == "Poly(a, d: 2*a - d)"
+    assert repr(Poly.zero(("x",))) == "Poly(x: 0)"
 
 
 def test_pow():
