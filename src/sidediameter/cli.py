@@ -59,9 +59,9 @@ _INTEGER = r"[^\S\x1c-\x1f]*[-+]?\d+(?:_\d+)*[^\S\x1c-\x1f]*"
 
 
 def decimal_integer(text: str) -> decimal.Decimal:
-    """An argparse type: the integer that int(text) gives, as an exact Decimal."""
+    """An argparse type: the integer that int(text) gives, as an exact Decimal; plus() makes -0 into 0."""
     if re.fullmatch(_INTEGER, text):
-        return decimal.Decimal(text)
+        return approx._EXACT.plus(decimal.Decimal(text))
     raise argparse.ArgumentTypeError(f"not an integer: {_echoed(text)!r}")
 
 
@@ -235,16 +235,13 @@ def _nth_line(n: int) -> str:
 
     libmpdec multiplies huge operands by a number-theoretic transform and
     `to_decimal` prints a Decimal by its linear str(), so this skips
-    CPython's int squaring and int->decimal conversion.  The Pell check
-    d^2 - 2a^2 = (-1)^n is kept, with both terms squares.
+    CPython's int squaring and int->decimal conversion.  `pairs._pell_sign`
+    checks the pair and its index n in Decimal.
     """
     with decimal.localcontext(approx._EXACT):
         a, d = pairs._nth_components(n, decimal.Decimal(1))
-        e = d * d - 2 * (a * a)
-    sign = -1 if n % 2 else 1
-    if e != sign:
-        raise pairs.InvalidPairError(f"pair {n} failed its check d^2 - 2a^2 = {sign:+d}")
-    return _pair_line(n, a, d, sign)
+        e = pairs._pell_sign(a, d, n)
+    return _pair_line(n, a, d, e)
 
 
 def _cmd_nth(args) -> int:
@@ -290,20 +287,12 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
-def _pell_sign(a: decimal.Decimal, d: decimal.Decimal) -> int:
-    """d^2 - 2a^2 of the pair `trace A D` was given, which must be a side/diameter pair.
-
-    Checked in Decimal.  Only a refused pair is converted to ints, so that
-    `SideDiameterPair` raises with its own message.
-    """
-    e = d * d - 2 * (a * a)
-    if a < 1 or d < 1 or e not in (-1, 1):
-        pairs.SideDiameterPair(int(str(a)), int(str(d)))
-    return int(e)
-
-
 def _cmd_trace(args) -> int:
-    """`trace_elegant`'s trace, computed, checked and printed in exact Decimal (see `_nth_line`)."""
+    """`trace_elegant`'s trace, computed, checked and printed in exact Decimal (see `_nth_line`).
+
+    `pairs._pell_sign` checks a pair A D in Decimal.  `--n K` needs no check: the
+    hypothesis-substitution step balances only when d^2 - 2a^2 = (-1)^K.
+    """
     from sidediameter import identities
 
     with decimal.localcontext(approx._EXACT):
@@ -314,7 +303,7 @@ def _cmd_trace(args) -> int:
             e = -1 if args.n % 2 else 1
         elif len(args.pair) == 2 and args.n is None:
             a, d = args.pair
-            e = _pell_sign(a, d)
+            e = pairs._pell_sign(a, d)
         else:
             raise UsageError("trace expects either two integers A D or --n K")
         data = identities._json_dict(a, d, e, identities._derivation(a, d, e))
@@ -378,9 +367,8 @@ def run(argv, stdout=None, stderr=None) -> int:
     """
     with contextlib.ExitStack() as stack:
         if hasattr(sys, "set_int_max_str_digits"):
-            # Big `rational` arguments, huge integer options and `_pell_sign`'s
-            # int(str(...)) of a refused pair need ints beyond the default str()
-            # limit; the caller's limit comes back on return.
+            # Big `rational` arguments and huge integer options need ints beyond
+            # the default str() limit; the caller's limit comes back on return.
             stack.callback(sys.set_int_max_str_digits, sys.get_int_max_str_digits())
             sys.set_int_max_str_digits(0)
         if stdout is not None:

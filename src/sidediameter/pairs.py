@@ -99,28 +99,36 @@ class SideDiameterPair(_Record):
                 f"side, diameter and index must be plain ints, got ({_shown(self.a)}, "
                 f"{_shown(self.d)}, index={_shown(self.index)})"
             )
-        if self.a < 1 or self.d < 1:
-            raise InvalidPairError(
-                f"side and diameter must be >= 1, got ({_shown(self.a)}, {_shown(self.d)})"
-            )
-        e = self.d * self.d - 2 * self.a * self.a
-        if e not in (-1, 1):
-            raise InvalidPairError(
-                f"({_shown(self.a)}, {_shown(self.d)}) is not a side/diameter pair: "
-                f"d^2 - 2a^2 = {_shown(e)}, expected -1 or +1"
-            )
-        if self.index is not None:
-            if self.index < 1:
-                raise InvalidPairError(f"index must be >= 1, got {_shown(self.index)}")
-            if e != (-1 if self.index % 2 else 1):
-                raise InvalidPairError(f"index {_shown(self.index)} inconsistent with sign {e:+d}")
         # Not a field, so ==, hash and repr are unchanged.
-        object.__setattr__(self, "_sign", e)
+        object.__setattr__(self, "_sign", _pell_sign(self.a, self.d, self.index))
 
     @property
     def sign(self) -> int:
         """The value d**2 - 2*a**2, always -1 or +1, kept from construction."""
         return self._sign
+
+
+def _pell_sign(a, d, index=None) -> int:
+    """d**2 - 2*a**2 of the side/diameter pair (a, d), -1 or +1; else InvalidPairError.
+
+    Takes ints, or integral Decimals under approx._EXACT.  Sides must be >= 1,
+    and a given index must be >= 1 with sign (-1)**index.
+    """
+    if a < 1 or d < 1:
+        raise InvalidPairError(f"side and diameter must be >= 1, got ({_shown(a, str)}, {_shown(d, str)})")
+    e = d * d - 2 * (a * a)
+    if e not in (-1, 1):
+        at = "" if index is None else f" at index {_shown(index, str)}"
+        raise InvalidPairError(
+            f"({_shown(a, str)}, {_shown(d, str)}) is not a side/diameter pair{at}: "
+            f"d^2 - 2a^2 = {_shown(e, str)}, expected -1 or +1"
+        )
+    if index is not None:
+        if index < 1:
+            raise InvalidPairError(f"index must be >= 1, got {_shown(index, str)}")
+        if e != (-1 if index % 2 else 1):
+            raise InvalidPairError(f"index {_shown(index, str)} inconsistent with sign {int(e):+d}")
+    return int(e)
 
 
 def _stepped(a: int, d: int, index: int | None, sign: int) -> SideDiameterPair:

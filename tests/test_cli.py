@@ -232,6 +232,24 @@ def test_nth_keeps_the_pell_check_in_decimal(monkeypatch):
     assert len(err.encode()) < 1024
 
 
+@pytest.mark.parametrize("n", [50, 12000])
+@pytest.mark.parametrize("level", ["top", "middle"])
+def test_nth_refuses_a_wrong_value_at_one_doubling_level(monkeypatch, n, level):
+    components = pairs._nth_components
+    # The recursion calls the patched name, so exactly one level's value is made wrong.
+    wrong = n if level == "top" else n >> (n.bit_length() // 2)
+
+    def one_wrong_level(m, one=1):
+        a, d = components(m, one)
+        return (a, d + 1) if m == wrong else (a, d)
+
+    monkeypatch.setattr(pairs, "_nth_components", one_wrong_level)
+    code, out, err = invoke(["nth", str(n)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and f"index {n}" in err
+    assert len(err.encode()) < 1024
+
+
 def raise_if_called(*args):
     raise AssertionError("a core ran")
 
@@ -455,13 +473,13 @@ def test_trace_invalid_pair_is_domain_error():
 
 
 def test_trace_of_a_huge_invalid_pair_keeps_stderr_short(int_str_limit):
-    # `_pell_sign` hands the refused 23,000-digit pair to `SideDiameterPair` through int(str(...)).
+    # The refused 23,000-digit pair is checked and shown in Decimal, never converted to int.
     int_str_limit(4300)
     p = nth(60000)
     code, out, err = invoke(["trace", to_decimal(p.a), to_decimal(p.d + 1)])
     assert code == 1
     assert out == ""
-    assert "not a side/diameter pair" in err
+    assert "not a side/diameter pair" in err and "<Decimal of" in err
     assert len(err.encode()) < 1024
     assert sys.get_int_max_str_digits() == 4300
 

@@ -3,6 +3,7 @@ import decimal
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -273,6 +274,44 @@ def test_pair_accepts_valid_constructions():
 def test_pair_rejects_invalid_constructions(a, d, index):
     with pytest.raises(InvalidPairError):
         SideDiameterPair(a, d, index)
+
+
+def test_a_refused_indexed_pair_names_its_index():
+    message = "(3, 5) is not a side/diameter pair at index 2: d^2 - 2a^2 = 7, expected -1 or +1"
+    with pytest.raises(InvalidPairError, match=f"^{re.escape(message)}$"):
+        SideDiameterPair(3, 5, index=2)
+
+
+# Valid pairs either side of the 4,215-digit size display of `_shown`, and refused ones:
+# small and of 4,594 digits, each with no index, its own, the wrong parity and 0.
+def _check_cases():
+    cases = []
+    for n in (1, 2, 5, 11010, 11011, 11012, 12000):
+        p = nth(n)
+        variants = [("pair", p.a, p.d)]
+        if n in (5, 12000):
+            variants += [("d+1", p.a, p.d + 1), ("d-1", p.a, p.d - 1), ("a=0", 0, p.d),
+                         ("-a", -p.a, p.d), ("-d", p.a, -p.d)]
+        for label, a, d in variants:
+            for index in (None, n, n + 1, 0):
+                cases.append(pytest.param(a, d, index, id=f"{n}-{label}-index={index}"))
+    return cases
+
+
+def _sign_or_message(check, a, d, index):
+    """check's sign, or its InvalidPairError message with each shown size as <size>."""
+    try:
+        return check(a, d, index)
+    except InvalidPairError as exc:
+        return re.sub(r"<(int of \d+ bits|Decimal of \d+ digits)>", "<size>", str(exc))
+
+
+@pytest.mark.parametrize("a,d,index", _check_cases())
+def test_int_and_decimal_pair_checks_agree(a, d, index):
+    as_decimal = decimal.Decimal(approx.to_decimal(a)), decimal.Decimal(approx.to_decimal(d))
+    with decimal.localcontext(approx._EXACT):
+        in_decimal = _sign_or_message(pairs._pell_sign, *as_decimal, index)
+    assert in_decimal == _sign_or_message(lambda *args: SideDiameterPair(*args).sign, a, d, index)
 
 
 def test_alternation_of_sign():
