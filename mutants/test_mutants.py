@@ -68,6 +68,46 @@ MUTANTS = [
         ["tests/test_approx.py::test_compare_takes_no_gcd"],
         id="fraction-with-gcd",
     ),
+    pytest.param(
+        "approx.py",
+        '"under" if n < 0 else "over"',
+        '"under" if -n < 0 else "over"',
+        ["tests/test_approx.py::test_run_method_rows_equal_the_public_fraction_steps",
+         "tests/test_cli.py::test_golden_stdout_bytes"],
+        id="side-from-minus-n",
+    ),
+    pytest.param(
+        "approx.py",
+        "while j > 0:",
+        "while j > 1:",
+        ["tests/test_approx.py::test_correct_digits_matches_linear_scan",
+         "tests/test_cli.py::test_gen_rows_agree_with_the_public_digit_functions"],
+        id="correct-digits-walk-stops-at-1",
+    ),
+    pytest.param(
+        "cli.py",
+        '"-1" if n % 2 else "1",',
+        '"1" if n % 2 else "-1",',
+        ["tests/test_cli.py::test_gen_rows_agree_with_the_public_digit_functions",
+         "tests/test_cli.py::test_gen_prints_the_rows_of_the_public_generate_list"],
+        id="gen-parity-sign-swapped",
+    ),
+    pytest.param(
+        "cli.py",
+        '"\\n]\\n"',
+        '"\\n]"',
+        ["tests/test_cli.py::test_gen_streams_what_the_former_renderers_printed",
+         "tests/test_cli.py::test_golden_stdout_bytes"],
+        id="gen-json-tail-newline-dropped",
+    ),
+    pytest.param(
+        "identities.py",
+        '"," if i else ""',
+        '""',
+        ["tests/test_cli.py::test_decimal_trace_matches_the_library_trace",
+         "tests/test_cli.py::test_golden_stdout_bytes"],
+        id="trace-json-step-separator-dropped",
+    ),
 ]
 
 

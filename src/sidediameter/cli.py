@@ -142,19 +142,19 @@ def _pair_line(n: int, a, d, e: int) -> str:
 _GEN_COLUMNS = ("n", "a", "d", "e", "ratio_decimal", "correct_digits")
 
 
-def _gen_row(p: pairs.SideDiameterPair, digits: int) -> tuple[str, ...]:
-    """One `gen` row as strings, one per column of `_GEN_COLUMNS`.
+def _gen_row(n: int, a, d, digits: int) -> tuple[str, ...]:
+    """One `gen` row of pair n = (a, d) as strings, one per column of `_GEN_COLUMNS`.
 
-    `generate` made the pair, so d/a goes to the trusted digit helpers with
-    its Pell residual |d**2 - 2*a**2| = 1.
+    The walk from the seed made the pair, so its sign is (-1)**n and d/a goes
+    to the trusted digit helpers with its Pell residual |d**2 - 2*a**2| = 1.
     """
     return (
-        str(p.index),
-        approx.to_decimal(p.a),
-        approx.to_decimal(p.d),
-        str(p.sign),
-        approx._decimal_string(p.d, p.a, digits),
-        str(approx._correct_digits(p.d, p.a, 1, approx.DEFAULT_DIGIT_CAP)),
+        str(n),
+        approx.to_decimal(a),
+        approx.to_decimal(d),
+        "-1" if n % 2 else "1",
+        approx._decimal_string(d, a, digits),
+        str(approx._correct_digits(d, a, 1, approx.DEFAULT_DIGIT_CAP)),
     )
 
 
@@ -174,9 +174,9 @@ def _cmd_gen(args) -> int:
     # of a row add `digits` places and at most ten more digits below 10**6 rows.
     _check_printed_digits("gen", _component_digits(args.count * (args.count + 1)) + args.count * (args.digits + 12))
     lead, separator, tail, row = _GEN_LAYOUTS[args.format]
-    # One write per row, as it is made: no table of rows or document is held.
-    for p in pairs.generate(args.count):
-        sys.stdout.write(lead + row % _gen_row(p, args.digits))
+    # One write per row, as it is made: no list of pairs, table of rows or document is held.
+    for n, (a, d) in zip(range(1, args.count + 1), pairs._walk()):
+        sys.stdout.write(lead + row % _gen_row(n, a, d, args.digits))
         lead = separator
     sys.stdout.write(tail)
     return 0
@@ -306,16 +306,13 @@ def _cmd_trace(args) -> int:
             e = pairs._pell_sign(a, d)
         else:
             raise UsageError("trace expects either two integers A D or --n K")
-        data = identities._json_dict(a, d, e, identities._derivation(a, d, e))
-    if args.pretty:
-        for line in identities._laid_out(data):
-            sys.stdout.write(line + "\n")
-    else:
-        import json  # only trace and compare --format json write JSON
-
-        # About 120 writes, one per chunk, so neither the whole document nor its bytes are held.
-        json.dump(data, sys.stdout, indent=2)
-        print()
+        text, steps = identities._derivation(a, d, e)
+    layout = identities._pretty_laid_out if args.pretty else identities._json_laid_out
+    # One write per piece: the digits of each value are held once, and no expression, line
+    # or document is joined.
+    for piece in layout(text, a, d, e, steps):
+        sys.stdout.write(piece)
+    sys.stdout.write("\n")
     return 0
 
 

@@ -7,10 +7,11 @@ that checking an identity is an exact symbolic proof, not a sample check.
 the next pair's defining equation from the arithmetic form of Euclid II.10
 via the subtraction lemma Euclid V.19.  The trace implements the arithmetic
 reading of that derivation; no claim about the original author's intent is
-encoded.  Its steps are computed, checked and serialized by private
-functions that take any exact number type and render through
-`approx.to_decimal`: `trace_elegant` runs them on ints, and the CLI's
-`trace` on Decimals under an exact context.
+encoded.  Its steps are computed, checked and rendered by one private core
+that takes any exact number type and renders each distinct value once
+through `approx.to_decimal`, and laid out by one private layout per format:
+`trace_elegant` runs them on ints, and the CLI's `trace` on Decimals under
+an exact context.
 """
 
 from collections.abc import Iterator
@@ -50,7 +51,8 @@ class DerivationTrace(_Record):
     integer and that the justification tags appear in the canonical order.
     """
 
-    __slots__ = _fields = ("pair", "steps")
+    __slots__ = ("pair", "steps", "_text")
+    _fields = ("pair", "steps")
     pair: SideDiameterPair
     steps: tuple[TraceStep, ...]
 
@@ -58,17 +60,41 @@ class DerivationTrace(_Record):
         _check_steps(steps)
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "steps", steps)
+        # Not a field: the decimal text of a, d and each step value, when `trace_elegant` has it.
+        object.__setattr__(self, "_text", None)
 
     def conclusion(self) -> TraceStep:
         return self.steps[-1]
 
     def to_json_dict(self) -> dict:
         """JSON-ready form; integer values as decimal strings (any size)."""
-        return _json_dict(self.pair.a, self.pair.d, self.pair.sign, self.steps)
+        p, text = self.pair, self._texts()
+        return {
+            "pair": {"a": text[p.a], "d": text[p.d], "e": str(p.sign)},
+            "steps": [
+                {
+                    "justification": s.justification,
+                    "lhs_expr": s.lhs_expr,
+                    "rhs_expr": s.rhs_expr,
+                    "lhs_value": text[s.lhs_value],
+                    "rhs_value": text[s.lhs_value],
+                }
+                for s in self.steps
+            ],
+        }
 
     def pretty(self) -> str:
         """The strings of `to_json_dict`, laid out one step per line."""
-        return "\n".join(_laid_out(self.to_json_dict()))
+        p = self.pair
+        steps = [s._replace(lhs_expr=(s.lhs_expr,), rhs_expr=(s.rhs_expr,)) for s in self.steps]
+        return "".join(_pretty_laid_out(self._texts(), p.a, p.d, p.sign, steps))
+
+    def _texts(self) -> dict:
+        """Each of a, d and the step values to its decimal text; both sides of a checked step are equal."""
+        if self._text is None:
+            values = {self.pair.a, self.pair.d, *(s.lhs_value for s in self.steps)}
+            return {v: approx.to_decimal(v) for v in values}
+        return self._text
 
 
 def _check_steps(steps: tuple[TraceStep, ...]) -> None:
@@ -83,38 +109,38 @@ def _check_steps(steps: tuple[TraceStep, ...]) -> None:
             )
 
 
-def _json_dict(a, d, e: int, steps: tuple[TraceStep, ...]) -> dict:
-    """The JSON form of a trace of (a, d), each distinct value written once by `to_decimal`.
+# The two layouts of a trace: each takes the text of `_derivation` and its pair
+# (a, d, e), and steps whose expressions are tuples of pieces, and yields the
+# output in pieces, without its final line end.  No expression or line is joined.
 
-    Both sides of a checked step are equal, so one string serves both.
+def _json_laid_out(text: dict, a, d, e: int, steps) -> Iterator[str]:
+    """`json.dumps(to_json_dict(), indent=2)` in pieces.
+
+    Every string is ASCII letters, digits, `.()*+-^` and spaces, so none needs escaping.
     """
-    text = {v: approx.to_decimal(v) for v in {a, d, *(s.lhs_value for s in steps)}}
-    return {
-        "pair": {"a": text[a], "d": text[d], "e": str(e)},
-        "steps": [
-            {
-                "justification": s.justification,
-                "lhs_expr": s.lhs_expr,
-                "rhs_expr": s.rhs_expr,
-                "lhs_value": text[s.lhs_value],
-                "rhs_value": text[s.lhs_value],
-            }
-            for s in steps
-        ],
-    }
+    yield from ('{\n  "pair": {\n    "a": "', text[a], '",\n    "d": "', text[d],
+                f'",\n    "e": "{e}"\n  }},\n  "steps": [')
+    for i, s in enumerate(steps):
+        value = text[s.lhs_value]
+        yield f'{"," if i else ""}\n    {{\n      "justification": "{s.justification}",\n      "lhs_expr": "'
+        yield from s.lhs_expr
+        yield '",\n      "rhs_expr": "'
+        yield from s.rhs_expr
+        yield from ('",\n      "lhs_value": "', value, '",\n      "rhs_value": "', value, '"\n    }')
+    yield "\n  ]\n}"
 
 
-def _laid_out(data: dict) -> Iterator[str]:
-    """A trace's JSON form laid out one step per line, each line without its line end."""
-    pair = data["pair"]
-    yield f"derivation for pair (a={pair['a']}, d={pair['d']}, e={int(pair['e']):+d})"
+def _pretty_laid_out(text: dict, a, d, e: int, steps) -> Iterator[str]:
+    """`DerivationTrace.pretty()` in pieces: the pair's line, then one line per step."""
+    yield from ("derivation for pair (a=", text[a], ", d=", text[d], f", e={e:+d})")
     width = max(len(j) for j in JUSTIFICATIONS) + 2
-    for s in data["steps"]:
-        tag = f"[{s['justification']}]"
-        yield (
-            f"  {tag:<{width}}  {s['lhs_expr']} = {s['rhs_expr']}"
-            f"    ({s['lhs_value']} = {s['rhs_value']})"
-        )
+    for s in steps:
+        value = text[s.lhs_value]
+        yield f"\n  {f'[{s.justification}]':<{width}}  "
+        yield from s.lhs_expr
+        yield " = "
+        yield from s.rhs_expr
+        yield from ("    (", value, " = ", value, ")")
 
 
 def verify_identity(lhs: Poly, rhs: Poly) -> bool:
@@ -210,16 +236,42 @@ def trace_elegant(p: SideDiameterPair) -> DerivationTrace:
     (2a+d)**2 = 2*(a+d)**2 - e, i.e. the next pair's equation with the
     opposite sign.
     """
-    return DerivationTrace(p, _derivation(p.a, p.d, p.sign))
+    text, steps = _derivation(p.a, p.d, p.sign)
+    trace = DerivationTrace(p, tuple(
+        s._replace(lhs_expr="".join(s.lhs_expr), rhs_expr="".join(s.rhs_expr)) for s in steps
+    ))
+    object.__setattr__(trace, "_text", text)
+    return trace
 
 
-def _derivation(a, d, e: int) -> tuple[TraceStep, ...]:
-    """The four checked steps of `trace_elegant` for a pair of any exact number type.
+def _derivation(a, d, e: int) -> tuple[dict, tuple[TraceStep, ...]]:
+    """The text and the four checked steps of `trace_elegant` for a pair of any exact number type.
 
-    A Decimal pair needs an exact context (approx._EXACT).  `_check_steps`
-    checks every step: the hypothesis-substitution step balances only when
-    the pair's equation d**2 = 2*a**2 + e holds, and the V.19-subtraction
-    step only when the remainder u equals 2*(a+d)**2.
+    A Decimal pair needs an exact context (approx._EXACT).  Each expression
+    is a tuple of pieces that refer to one string for a and one for d.  The
+    dict maps a, d and each step value to its decimal text: each distinct
+    value is rendered once by `approx.to_decimal`, the step values after the
+    check, when only the three distinct ones are still held.
+    """
+    text = {}
+
+    def render(values):
+        for v in values:
+            if v not in text:
+                text[v] = approx.to_decimal(v)
+
+    render((a, d))
+    steps = _checked_steps(a, d, e, text[a], text[d])
+    render(s.lhs_value for s in steps)
+    return text, steps
+
+
+def _checked_steps(a, d, e: int, text_a: str, text_d: str) -> tuple[TraceStep, ...]:
+    """The steps of `_derivation`, checked by `_check_steps`, with one value object per step.
+
+    The hypothesis-substitution step balances only when the pair's equation
+    d**2 = 2*a**2 + e holds, and the V.19-subtraction step only when the
+    remainder u equals 2*(a+d)**2.
     """
     a2, d2 = a * a, d * d
     side, diam = a + d, 2 * a + d
@@ -232,29 +284,27 @@ def _derivation(a, d, e: int) -> tuple[TraceStep, ...]:
     u = next_d2 + e
     v = 2 * a2
 
-    text_a, text_d = approx.to_decimal(a), approx.to_decimal(d)
-    sq_next_d = f"(2*{text_a}+{text_d})^2"
-    sq_d = f"{text_d}^2"
-    rhs_sum = f"2*({text_a}^2 + ({text_a}+{text_d})^2)"
-    twice_sq_next_a = f"2*({text_a}+{text_d})^2"
+    sq_next_d = ("(2*", text_a, "+", text_d, ")^2")
+    rhs_sum = ("2*(", text_a, "^2 + (", text_a, "+", text_d, ")^2)")
+    twice_sq_next_a = ("2*(", text_a, "+", text_d, ")^2")
     steps = (
         TraceStep(
             "II.10",
-            f"{sq_next_d} + {sq_d}",
+            (*sq_next_d, " + ", text_d, "^2"),
             rhs_sum,
             next_d2 + d2,
             double,
         ),
         TraceStep(
             "hypothesis-substitution",
-            f"({sq_next_d} {plus_e}) + 2*{text_a}^2",
+            ("(", *sq_next_d, f" {plus_e}) + 2*", text_a, "^2"),
             rhs_sum,
             u + v,
             double,
         ),
         TraceStep(
             "V.19-subtraction",
-            f"{sq_next_d} {plus_e}",
+            (*sq_next_d, f" {plus_e}"),
             twice_sq_next_a,
             u,
             2 * next_a2,
@@ -262,10 +312,11 @@ def _derivation(a, d, e: int) -> tuple[TraceStep, ...]:
         TraceStep(
             "conclusion",
             sq_next_d,
-            f"{twice_sq_next_a} {minus_e}",
+            (*twice_sq_next_a, f" {minus_e}"),
             next_d2,
             2 * next_a2 - e,
         ),
     )
     _check_steps(steps)
-    return steps
+    # The two sides are equal: keep the right-hand one, which the first two steps share.
+    return tuple(s._replace(lhs_value=s.rhs_value) for s in steps)

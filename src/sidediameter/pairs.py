@@ -21,7 +21,6 @@ from itertools import islice
 from typing import Iterator, NamedTuple
 
 _STR_MAX_BITS = 14_000  # at most 4,215 digits: str() below CPython's default 4,300-digit limit
-_STR_MAX_DIGITS = 4_215
 
 
 class InvalidPairError(ValueError):
@@ -311,11 +310,14 @@ def _require_rational(t, name: str) -> Fraction:
 
 
 def _shown(v, form=repr) -> str:
-    """form(v) for a message; an int or Decimal past str()'s default limit, or such ints in a Fraction, show their size."""
-    if isinstance(v, Decimal) and v.adjusted() >= _STR_MAX_DIGITS:
-        return f"{'-' if v < 0 else ''}<Decimal of {v.adjusted() + 1} digits>"
+    """form(v) for a message; an int or Decimal of at least 2**_STR_MAX_BITS in size, or such ints in a Fraction, show their size.
+
+    One rule for both types, so an int and the equal Decimal are shown alike.
+    """
     if type(v) is Fraction and max(v.numerator.bit_length(), v.denominator.bit_length()) > _STR_MAX_BITS:
         return f"{_shown(v.numerator)}/{_shown(v.denominator)}"
     if isinstance(v, int) and v.bit_length() > _STR_MAX_BITS:
         return f"{'-' if v < 0 else ''}<int of {v.bit_length()} bits>"
+    if isinstance(v, Decimal) and v.is_finite() and v.copy_abs() >= 2**_STR_MAX_BITS:
+        return f"{'-' if v < 0 else ''}<Decimal of {v.adjusted() + 1} digits>"
     return form(v)

@@ -86,7 +86,7 @@ def test_gen_rows_agree_with_the_public_digit_functions(digits):
     cap = approx.DEFAULT_DIGIT_CAP
     for p in generate(300):
         value = approx.ratio(p)
-        row = _gen_row(p, digits)
+        row = _gen_row(p.index, p.a, p.d, digits)
         assert row == (
             str(p.index),
             to_decimal(p.a),
@@ -108,7 +108,7 @@ def test_gen_digits_flag_controls_decimal_precision():
 
 def _former_gen_stdout(count: int, digits: int, fmt: str) -> str:
     """What `gen` printed when it built the whole table first: the oracle for the streamed rows."""
-    rows = [_gen_row(p, digits) for p in generate(count)]
+    rows = [_gen_row(p.index, p.a, p.d, digits) for p in generate(count)]
     if fmt == "json":
         return json.dumps([dict(zip(_GEN_COLUMNS, row)) for row in rows], indent=2) + "\n"
     return "\n".join([",".join(_GEN_COLUMNS), *(",".join(row) for row in rows)]) + "\n"
@@ -118,6 +118,26 @@ def _former_gen_stdout(count: int, digits: int, fmt: str) -> str:
 def test_gen_streams_what_the_former_renderers_printed(count, digits, fmt):
     argv = ["gen", "--count", str(count), "--digits", str(digits), "--format", fmt]
     assert invoke(argv) == (0, _former_gen_stdout(count, digits, fmt), "")
+
+
+@pytest.mark.parametrize("digits", [0, 30, 100])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_gen_prints_the_rows_of_the_public_generate_list(fmt, digits):
+    """`gen` walks the pairs itself; its rows are those of `generate`'s pairs, built by public functions."""
+    cap = approx.DEFAULT_DIGIT_CAP
+    table = [
+        (str(p.index), to_decimal(p.a), to_decimal(p.d), str(p.sign),
+         approx.decimal_string(approx.ratio(p), digits), str(approx.correct_digits(approx.ratio(p), cap)))
+        for p in generate(40)
+    ]
+    for count in range(1, 41):
+        rows = table[:count]
+        if fmt == "json":
+            expected = json.dumps([dict(zip(_GEN_COLUMNS, row)) for row in rows], indent=2) + "\n"
+        else:
+            expected = "".join(line + "\n" for line in [",".join(_GEN_COLUMNS), *map(",".join, rows)])
+        argv = ["gen", "--count", str(count), "--digits", str(digits), "--format", fmt]
+        assert invoke(argv) == (0, expected, "")
 
 
 def test_verify_single_identity():
@@ -282,7 +302,7 @@ def raise_if_called(*args):
         "compare-1666666", "compare-big-start"])
 def test_index_verbs_refuse_output_over_the_limit_before_computing(argv, monkeypatch):
     monkeypatch.setattr(pairs, "_nth_components", raise_if_called)
-    monkeypatch.setattr(pairs, "generate", raise_if_called)
+    monkeypatch.setattr(pairs, "_walk", raise_if_called)
     monkeypatch.setattr(approx, "compare_methods", raise_if_called)
     code, out, err = invoke(argv)
     assert (code, out) == (1, "")
@@ -312,7 +332,7 @@ def test_index_budget_accepts_the_sizes_below_the_limit(verb, n, monkeypatch):
     # Cheap stand-ins for the cores, so that only the budget decides.
     monkeypatch.setattr(cli, "_nth_line", lambda n: "computed")
     monkeypatch.setattr(pairs, "nth", lambda n: SideDiameterPair(1, 1))
-    monkeypatch.setattr(pairs, "generate", lambda count: [])
+    monkeypatch.setattr(pairs, "_walk", lambda: iter(()))
     monkeypatch.setattr(approx, "compare_methods", lambda start, steps, cap: (
         approx.ConvergenceReport("babylonian", start, ()),
         approx.ConvergenceReport("side_diameter", start, ())))
@@ -408,10 +428,10 @@ def test_only_json_output_loads_json():
         "import io, sys; from sidediameter import cli\n"
         "for argv in (['nth', '5'], ['gen', '--count', '3'], ['gen', '--count', '3', '--format', 'json'],\n"
         "             ['approx', 'step', '17/12'], ['approx', 'preimage', '17/12'], ['approx', 'digits', '17/12'],\n"
-        "             ['compare', '--steps', '2'], ['trace', '--n', '3', '--pretty']):\n"
+        "             ['compare', '--steps', '2'], ['trace', '--n', '3', '--pretty'], ['trace', '--n', '3']):\n"
         "    assert cli.run(argv, io.StringIO()) == 0\n"
         "print(sorted(m for m in sys.modules if m == 'json' or m.startswith('json.')))\n"
-        "cli.run(['trace', '--n', '3'], io.StringIO()); print('json' in sys.modules)"
+        "cli.run(['compare', '--steps', '2', '--format', 'json'], io.StringIO()); print('json' in sys.modules)"
     )
     assert out.splitlines() == ["[]", "True"]
 
@@ -561,6 +581,7 @@ def test_trace_renders_every_value_through_to_decimal_in_decimal(monkeypatch):
         assert invoke(argv)[0] == 0
         assert {type(v) for v in recorded} == {Decimal}
         assert {int(v) for v in recorded} == values
+        assert len(recorded) == len(values)  # each distinct value once
 
 
 @pytest.mark.parametrize("n", [50, 12000])
@@ -719,13 +740,20 @@ class _CountingSink:
         return len(text)
 
 
+TRACED_PAIR = [to_decimal(nth(60000).a), to_decimal(nth(60000).d)]
+
+
 @pytest.mark.parametrize("argv,ratio", [
     # Holding the rows, the document or the laid-out text would take 5.30, 2.74 and 2.73
-    # times the characters written.
-    (["gen", "--count", "1500", "--format", "json", "--digits", "100"], 0.75),
-    (["trace", "--n", "60000"], 1.25),
-    (["trace", "--n", "60000", "--pretty"], 1.5),
-], ids=["gen-json", "trace", "trace-pretty"])
+    # times the characters written; the list of pairs takes 0.55 (JSON) and 0.63 (CSV), and
+    # a trace that joins its expressions 0.92 (JSON) and 1.26 (--pretty).  Written piece by
+    # piece, a trace holds the digits of each distinct number once: about 0.43.
+    (["gen", "--count", "1500", "--format", "json", "--digits", "100"], 0.1),
+    (["gen", "--count", "1500", "--format", "csv", "--digits", "100"], 0.1),
+    (["trace", "--n", "60000"], 0.5),
+    (["trace", "--n", "60000", "--pretty"], 0.5),
+    (["trace", *TRACED_PAIR], 0.5),
+], ids=["gen-json", "gen-csv", "trace", "trace-pretty", "trace-A-D"])
 def test_output_is_written_as_it_is_made(argv, ratio):
     run(argv, _CountingSink(), io.StringIO())  # lazy imports happen outside the measurement
     sink = _CountingSink()

@@ -242,22 +242,54 @@ def test_trace_renders_equal_the_two_renderer_oracles(pair):
     assert trace.pretty() == _two_renderer_pretty(trace)
 
 
-# a, d and the three distinct step values; (1, 1) has a == d.
-@pytest.mark.parametrize("pair,calls", [(nth(2000), 5), (SideDiameterPair(1, 1), 4)],
-                         ids=["nth-2000", "1-1"])
-def test_each_render_converts_every_distinct_integer_once(monkeypatch, pair, calls):
-    trace = trace_elegant(pair)
+def _recorded_to_decimal(monkeypatch) -> list:
+    """The list to which every later `approx.to_decimal` call appends its argument."""
     rendered = []
 
-    def counting(value):
+    def recording(value):
         rendered.append(value)
         return to_decimal(value)
 
-    monkeypatch.setattr(approx, "to_decimal", counting)
+    monkeypatch.setattr(approx, "to_decimal", recording)
+    return rendered
+
+
+# a, d and the three distinct step values; (1, 1) has a == d.
+RENDER_CASES = pytest.mark.parametrize("pair,calls", [(nth(2000), 5), (SideDiameterPair(1, 1), 4)],
+                                       ids=["nth-2000", "1-1"])
+
+
+@RENDER_CASES
+def test_each_render_converts_every_distinct_integer_once(monkeypatch, pair, calls):
+    # Built by the constructor, a trace holds no text, so each render converts its values.
+    trace = DerivationTrace(pair, trace_elegant(pair).steps)
+    rendered = _recorded_to_decimal(monkeypatch)
     for render in (trace.to_json_dict, trace.pretty):
         rendered.clear()
         render()
         assert len(rendered) == len(set(rendered)) == calls
+
+
+@RENDER_CASES
+def test_trace_elegant_and_its_renders_convert_each_distinct_integer_once(monkeypatch, pair, calls):
+    rendered = _recorded_to_decimal(monkeypatch)
+    trace = trace_elegant(pair)
+    trace.to_json_dict()
+    trace.pretty()
+    assert len(rendered) == len(set(rendered)) == calls
+
+
+@RENDER_CASES
+@pytest.mark.parametrize("number", [int, decimal.Decimal])
+def test_the_trace_core_and_layouts_convert_each_distinct_value_once(monkeypatch, pair, calls, number):
+    rendered = _recorded_to_decimal(monkeypatch)
+    with decimal.localcontext(approx._EXACT):
+        a, d = number(pair.a), number(pair.d)
+        text, steps = identities._derivation(a, d, pair.sign)
+    for layout in (identities._json_laid_out, identities._pretty_laid_out):
+        "".join(layout(text, a, d, pair.sign, steps))
+    assert {type(v) for v in rendered} == {number}
+    assert len(rendered) == len(set(rendered)) == calls
 
 
 @pytest.mark.parametrize("number", [int, decimal.Decimal])
@@ -265,7 +297,7 @@ def test_trace_refuses_a_subtraction_step_off_by_one(number):
     # The V.19 subtraction is checked once, by its step's balance u = 2*(a+d)^2.
     p = nth(50)
     with decimal.localcontext(approx._EXACT):
-        steps = list(identities._derivation(number(p.a), number(p.d), p.sign))
+        steps = list(identities._derivation(number(p.a), number(p.d), p.sign)[1])
         steps[2] = steps[2]._replace(lhs_value=steps[2].lhs_value + 1)
         with pytest.raises(ValueError, match="^unbalanced step V.19-subtraction"):
             DerivationTrace(p, tuple(steps))
@@ -290,7 +322,10 @@ def test_derivation_refuses_an_unbalanced_step_by_itself(number):
     p = nth(50)
     with decimal.localcontext(approx._EXACT):
         a, d = number(p.a), number(p.d)
-        assert identities._derivation(a, d, p.sign) == trace_elegant(p).steps
+        text, steps = identities._derivation(a, d, p.sign)
+        assert [s._replace(lhs_expr="".join(s.lhs_expr), rhs_expr="".join(s.rhs_expr))
+                for s in steps] == list(trace_elegant(p).steps)
+        assert text == trace_elegant(p)._text
         with pytest.raises(ValueError, match="^unbalanced step hypothesis-substitution"):
             identities._derivation(a, d, -p.sign)
 

@@ -282,14 +282,15 @@ def test_a_refused_indexed_pair_names_its_index():
         SideDiameterPair(3, 5, index=2)
 
 
-# Valid pairs either side of the 4,215-digit size display of `_shown`, and refused ones:
-# small and of 4,594 digits, each with no index, its own, the wrong parity and 0.
+# Valid pairs either side of the 2**14000 size display of `_shown`, and refused ones: small,
+# of 4,215 digits and 14,001 bits (11011), and of 4,594 digits; each with no index, its own,
+# the wrong parity and 0.
 def _check_cases():
     cases = []
     for n in (1, 2, 5, 11010, 11011, 11012, 12000):
         p = nth(n)
         variants = [("pair", p.a, p.d)]
-        if n in (5, 12000):
+        if n in (5, 11011, 12000):
             variants += [("d+1", p.a, p.d + 1), ("d-1", p.a, p.d - 1), ("a=0", 0, p.d),
                          ("-a", -p.a, p.d), ("-d", p.a, -p.d)]
         for label, a, d in variants:
