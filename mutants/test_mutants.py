@@ -5,8 +5,8 @@ copies src/, tests/, README.md and pyproject.toml to a temporary directory
 (tests/conftest.py puts the copy's src/ first on sys.path, and the README
 tests read README.md), applies one exact text substitution, which must match
 exactly once so that a refactor moving the code fails the case loudly, and
-runs the named tests of the copy in a subprocess.  Every named test must
-report a FAILED line.
+runs the named tests of the copy in a subprocess, without shrinking a failing
+hypothesis example.  Every named test must report a FAILED line.
 """
 
 import os
@@ -94,11 +94,42 @@ MUTANTS = [
     ),
     pytest.param(
         "cli.py",
-        '"\\n]\\n"',
-        '"\\n]"',
+        'f"\\n{pad[2:]}]\\n"',
+        'f"\\n{pad[2:]}]"',
         ["tests/test_cli.py::test_gen_streams_what_the_former_renderers_printed",
          "tests/test_cli.py::test_golden_stdout_bytes"],
         id="gen-json-tail-newline-dropped",
+    ),
+    pytest.param(
+        "cli.py",
+        'end = lead.strip() + tail.strip() + "\\n"',
+        "end = lead + tail",
+        ["tests/test_cli.py::test_compare_prints_the_library_reports_byte_for_byte",
+         "tests/test_cli.py::test_golden_stdout_bytes"],
+        id="empty-table-not-as-json-dumps",
+    ),
+    pytest.param(
+        "cli.py",
+        "            write(row[-1])\n",
+        "",
+        ["tests/test_cli.py::test_compare_prints_the_library_reports_byte_for_byte",
+         "tests/test_cli.py::test_gen_streams_what_the_former_renderers_printed"],
+        id="row-end-dropped-when-written-in-pieces",
+    ),
+    pytest.param(
+        "approx.py",
+        "return _EXACT.add(convert(lo, half), _EXACT.multiply(convert(hi, width - half), power(half)))",
+        "return _EXACT.multiply(convert(hi, width - half), power(half))",
+        ["tests/test_approx.py::test_to_decimal_matches_str",
+         "tests/test_approx.py::test_to_decimal_examples"],
+        id="to-decimal-split-drops-lo",
+    ),
+    pytest.param(
+        "cli.py",
+        "doubled = 2 ** (min(steps, 64) + 1) - 2",
+        "doubled = 2 ** min(steps, 64) - 2",
+        ["tests/test_cli.py::test_index_verbs_refuse_output_over_the_limit_before_computing[compare-first-over]"],
+        id="compare-estimate-halved",
     ),
     pytest.param(
         "identities.py",
@@ -122,7 +153,8 @@ def test_mutant_is_caught(tmp_path, module, text, replacement, tests):
     assert source.count(text) == 1, f"{text!r} must occur exactly once in {module}"
     path.write_text(source.replace(text, replacement))
     result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", "--hypothesis-seed=0", *tests],
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+         "--hypothesis-profile=no-shrink", *tests],
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path / "src")),
         capture_output=True, text=True, timeout=120,
     )

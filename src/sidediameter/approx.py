@@ -242,15 +242,18 @@ def run_method(method: str, start, steps: int, cap: int = DEFAULT_DIGIT_CAP) -> 
     start = _positive_fraction(start, "start")
     _require_int(steps, "steps", 0)
     _require_int(cap, "cap", 1)
+    return ConvergenceReport(method, start, tuple(_rows(method, start, steps, cap)))
+
+
+def _rows(method: str, start: Fraction, steps: int, cap: int):
+    """The rows of `run_method` for checked arguments, made one at a time."""
     advance = _METHOD_STEPS[method]
-    rows = []
     p, q = start.numerator, start.denominator
     n = p * p - 2 * q * q
     for i in range(1, steps + 1):
         p, q, n = advance(p, q, n)
         digits = _correct_digits(p, q, abs(n), cap)
-        rows.append(ReportRow(i, _coprime_fraction(p, q), digits, "under" if n < 0 else "over"))
-    return ConvergenceReport(method, start, tuple(rows))
+        yield ReportRow(i, _coprime_fraction(p, q), digits, "under" if n < 0 else "over")
 
 
 def compare_methods(start, steps: int, cap: int = DEFAULT_DIGIT_CAP) -> tuple[ConvergenceReport, ConvergenceReport]:

@@ -158,14 +158,45 @@ def _gen_row(n: int, a, d, digits: int) -> tuple[str, ...]:
     )
 
 
-# Per format: the text before the first row, between rows and after the last,
-# and the row template.  Every cell is ASCII digits, `-` or `.`, so the JSON
-# template gives `json.dumps(rows, indent=2)` byte for byte.
-_GEN_LAYOUTS = {
-    "csv": (",".join(_GEN_COLUMNS) + "\n", "\n", "\n", ",".join(["%s"] * len(_GEN_COLUMNS))),
-    "json": ("[\n", ",\n", "\n]\n",
-             "  {\n" + ",\n".join(f'    "{c}": "%s"' for c in _GEN_COLUMNS) + "\n  }"),
-}
+def _layout(fmt: str, columns: tuple[str, ...], indent: int = 2) -> tuple:
+    """(lead, separator, tail, row): the text before the first row, between rows and after
+    the last, ending the line, and the text before each cell of a row and after its last.
+
+    CSV has a header line.  JSON is `json.dumps(rows, indent=2)` byte for byte with the rows
+    at `indent`, since no cell (digits, `-`, `.`, `/`, a method or side name) needs escaping.
+    """
+    if fmt == "csv":
+        return ",".join(columns) + "\n", "\n", "\n", ("", *[","] * (len(columns) - 1), "")
+    pad = " " * indent
+    keys = [f'{pad}  "{column}": "' for column in columns]
+    return ("[\n", ",\n", f"\n{pad[2:]}]\n",
+            (f"{pad}{{\n{keys[0]}", *(f'",\n{key}' for key in keys[1:]), f'"\n{pad}}}'))
+
+
+# Rows of fewer characters are joined and written at once.  One write per piece
+# costs about 5 us a row, 10% of `gen --count 1500`; joining the 10**5-digit rows
+# of `compare --steps 19` would hold each of them twice.
+_JOINED_ROW_CHARS = 1 << 16
+
+
+def _write_table(layout: tuple, rows) -> None:
+    """Write `rows`, tuples of cells, in a `_layout` as they are made, joining no table and no
+    row of `_JOINED_ROW_CHARS` or more.  An empty table is `[]`, as from `json.dumps`, or the header."""
+    lead, separator, tail, row = layout
+    write = sys.stdout.write
+    template = "%s".join(row)
+    end = lead.strip() + tail.strip() + "\n"
+    for cells in rows:
+        if sum(map(len, cells)) < _JOINED_ROW_CHARS:
+            write(lead + template % cells)
+        else:
+            write(lead)
+            for before, cell in zip(row, cells):
+                write(before)
+                write(cell)
+            write(row[-1])
+        lead, end = separator, tail
+    write(end)
 
 
 def _cmd_gen(args) -> int:
@@ -173,12 +204,9 @@ def _cmd_gen(args) -> int:
     # ceil(0.3828 * count * (count + 1)) + 2 * count digits; the other columns
     # of a row add `digits` places and at most ten more digits below 10**6 rows.
     _check_printed_digits("gen", _component_digits(args.count * (args.count + 1)) + args.count * (args.digits + 12))
-    lead, separator, tail, row = _GEN_LAYOUTS[args.format]
-    # One write per row, as it is made: no list of pairs, table of rows or document is held.
-    for n, (a, d) in zip(range(1, args.count + 1), pairs._walk()):
-        sys.stdout.write(lead + row % _gen_row(n, a, d, args.digits))
-        lead = separator
-    sys.stdout.write(tail)
+    # No list of pairs is held: `_walk` makes each pair as its row is written.
+    _write_table(_layout(args.format, _GEN_COLUMNS),
+                 (_gen_row(n, a, d, args.digits) for n, (a, d) in zip(range(1, args.count + 1), pairs._walk())))
     return 0
 
 
@@ -334,25 +362,25 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    """Both methods' rows, written as `approx._rows` makes them.  The JSON is, byte for byte,
+    `json.dumps(..., indent=2)` of the reports' `to_json_dict`s under `start` and `steps`."""
     _check_printed_digits("compare", _compare_digits(args.start, args.steps, args.digits))
-    babylonian, side_diameter = approx.compare_methods(args.start, args.steps, args.cap)
-    if args.format == "csv":
-        lines = [",".join((report.method, *row.fields(args.digits)))
-                 for report in (babylonian, side_diameter) for row in report.rows]
-        print(",".join(("method", *approx._REPORT_COLUMNS)), *lines, sep="\n")
-    else:
-        import json
+    start = approx._positive_fraction(args.start, "start")  # before the first write
 
-        # Whole: the document is small, and `json.dump` would write each of its hundreds of chunks.
-        print(json.dumps(
-            {
-                "start": approx.to_decimal(args.start),
-                "steps": str(args.steps),
-                "babylonian": babylonian.to_json_dict(args.digits),
-                "side_diameter": side_diameter.to_json_dict(args.digits),
-            },
-            indent=2,
-        ))
+    def cells(method):
+        return (row.fields(args.digits) for row in approx._rows(method, start, args.steps, args.cap))
+
+    if args.format == "csv":
+        _write_table(_layout("csv", ("method", *approx._REPORT_COLUMNS)),
+                     ((method, *row) for method in approx._METHOD_STEPS for row in cells(method)))
+        return 0
+    shown = approx.to_decimal(start)
+    sys.stdout.write(f'{{\n  "start": "{shown}",\n  "steps": "{args.steps}"')
+    for method in approx._METHOD_STEPS:
+        sys.stdout.write(f',\n  "{method}": {{\n    "method": "{method}",\n    "start": "{shown}",\n    "rows": ')
+        _write_table(_layout("json", approx._REPORT_COLUMNS, 6), cells(method))
+        sys.stdout.write("  }")
+    sys.stdout.write("\n}\n")
     return 0
 
 

@@ -2,6 +2,7 @@ import os
 import sys
 
 import pytest
+from hypothesis import Phase, settings
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -12,3 +13,7 @@ def int_str_limit():
     before = sys.get_int_max_str_digits()
     yield sys.set_int_max_str_digits
     sys.set_int_max_str_digits(before)
+
+
+# Stops at the first failing example instead of shrinking it; `mutants/` only needs to see a test fail.
+settings.register_profile("no-shrink", phases=[Phase.explicit, Phase.reuse, Phase.generate])

@@ -11,6 +11,7 @@ import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -114,10 +115,12 @@ def _former_gen_stdout(count: int, digits: int, fmt: str) -> str:
     return "\n".join([",".join(_GEN_COLUMNS), *(",".join(row) for row in rows)]) + "\n"
 
 
-@given(st.integers(1, 80), st.integers(0, 120), st.sampled_from(["csv", "json"]))
-def test_gen_streams_what_the_former_renderers_printed(count, digits, fmt):
+@given(st.integers(1, 80), st.integers(0, 120), st.sampled_from(["csv", "json"]),
+       st.sampled_from([0, cli._JOINED_ROW_CHARS]))  # 0: every row written piece by piece
+def test_gen_streams_what_the_former_renderers_printed(count, digits, fmt, joined_row_chars):
     argv = ["gen", "--count", str(count), "--digits", str(digits), "--format", fmt]
-    assert invoke(argv) == (0, _former_gen_stdout(count, digits, fmt), "")
+    with mock.patch.object(cli, "_JOINED_ROW_CHARS", joined_row_chars):
+        assert invoke(argv) == (0, _former_gen_stdout(count, digits, fmt), "")
 
 
 @pytest.mark.parametrize("digits", [0, 30, 100])
@@ -303,7 +306,7 @@ def raise_if_called(*args):
 def test_index_verbs_refuse_output_over_the_limit_before_computing(argv, monkeypatch):
     monkeypatch.setattr(pairs, "_nth_components", raise_if_called)
     monkeypatch.setattr(pairs, "_walk", raise_if_called)
-    monkeypatch.setattr(approx, "compare_methods", raise_if_called)
+    monkeypatch.setattr(approx, "_rows", raise_if_called)
     code, out, err = invoke(argv)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
@@ -333,9 +336,7 @@ def test_index_budget_accepts_the_sizes_below_the_limit(verb, n, monkeypatch):
     monkeypatch.setattr(cli, "_nth_line", lambda n: "computed")
     monkeypatch.setattr(pairs, "nth", lambda n: SideDiameterPair(1, 1))
     monkeypatch.setattr(pairs, "_walk", lambda: iter(()))
-    monkeypatch.setattr(approx, "compare_methods", lambda start, steps, cap: (
-        approx.ConvergenceReport("babylonian", start, ()),
-        approx.ConvergenceReport("side_diameter", start, ())))
+    monkeypatch.setattr(approx, "_rows", lambda method, start, steps, cap: iter(()))
     assert invoke([*verb.split(), str(n)])[0::2] == (0, "")
 
 
@@ -371,11 +372,15 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert (proc.returncode, err) == (1, b"")
 
 
-def test_stdout_closed_in_the_middle_of_gen_json_exits_1_without_a_traceback():
-    # `gen` writes each row as it is made, so the pipe breaks inside the handler.
-    proc = subprocess.Popen([sys.executable, "-m", "sidediameter", "gen", "--count", "3000", "--format", "json"],
+@pytest.mark.parametrize("argv,first", [
+    (["gen", "--count", "3000", "--format", "json"], b"[\n"),
+    (["compare", "--steps", "19", "--format", "json"], b"{\n"),
+], ids=["gen-json", "compare-json"])
+def test_stdout_closed_in_the_middle_of_the_output_exits_1_without_a_traceback(argv, first):
+    # `gen` and `compare` write each row as it is made, so the pipe breaks inside the handler.
+    proc = subprocess.Popen([sys.executable, "-m", "sidediameter", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=FRESH_ENV)
-    assert proc.stdout.readline() == b"[\n"
+    assert proc.stdout.readline() == first
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (1, b"")
@@ -423,7 +428,7 @@ def test_short_commands_load_neither_dataclasses_nor_the_identity_catalog():
     assert "\n".join(rest) + "\n" == invoke(["verify", "--all"])[1] + invoke(["trace", "--n", "3"])[1]
 
 
-def test_only_json_output_loads_json():
+def test_no_verb_loads_json():
     out = fresh_python(
         "import io, sys; from sidediameter import cli\n"
         "for argv in (['nth', '5'], ['gen', '--count', '3'], ['gen', '--count', '3', '--format', 'json'],\n"
@@ -433,7 +438,7 @@ def test_only_json_output_loads_json():
         "print(sorted(m for m in sys.modules if m == 'json' or m.startswith('json.')))\n"
         "cli.run(['compare', '--steps', '2', '--format', 'json'], io.StringIO()); print('json' in sys.modules)"
     )
-    assert out.splitlines() == ["[]", "True"]
+    assert out.splitlines() == ["[]", "False"]
 
 
 def test_dir_lists_every_public_name_sorted():
@@ -638,6 +643,38 @@ def test_compare_csv_table():
                 assert (code, out) == (0, "\n".join(expected) + "\n"), argv
 
 
+def _compare_oracle(start: Fraction, steps: int, fmt: str, digits: int, cap: int) -> str:
+    """`compare`'s stdout from the library's reports, without the CLI's table writer."""
+    babylonian, side_diameter = approx.compare_methods(start, steps, cap)
+    if fmt == "json":
+        return json.dumps({
+            "start": to_decimal(start),
+            "steps": str(steps),
+            "babylonian": babylonian.to_json_dict(digits),
+            "side_diameter": side_diameter.to_json_dict(digits),
+        }, indent=2) + "\n"
+    lines = [",".join(("method", *approx._REPORT_COLUMNS))]
+    lines += [",".join((report.method, *row.fields(digits)))
+              for report in (babylonian, side_diameter) for row in report.rows]
+    return "\n".join(lines) + "\n"
+
+
+@given(
+    st.one_of(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(4, 3), Fraction(19, 13)]),
+              st.builds(Fraction, st.integers(1, 300), st.integers(1, 300))),
+    st.integers(0, 8),
+    st.sampled_from(["csv", "json"]),
+    st.integers(0, 40),
+    st.sampled_from([1, 50, 200]),
+    st.sampled_from([0, cli._JOINED_ROW_CHARS]),  # 0: every row written piece by piece
+)
+def test_compare_prints_the_library_reports_byte_for_byte(start, steps, fmt, digits, cap, joined_row_chars):
+    argv = ["compare", "--start", str(start), "--steps", str(steps), "--format", fmt,
+            "--digits", str(digits), "--cap", str(cap)]
+    with mock.patch.object(cli, "_JOINED_ROW_CHARS", joined_row_chars):
+        assert invoke(argv) == (0, _compare_oracle(start, steps, fmt, digits, cap), "")
+
+
 def test_compare_json_shape():
     code, out, _ = invoke(["compare", "--start", "3/2", "--steps", "1", "--format", "json"])
     assert code == 0
@@ -747,13 +784,17 @@ TRACED_PAIR = [to_decimal(nth(60000).a), to_decimal(nth(60000).d)]
     # Holding the rows, the document or the laid-out text would take 5.30, 2.74 and 2.73
     # times the characters written; the list of pairs takes 0.55 (JSON) and 0.63 (CSV), and
     # a trace that joins its expressions 0.92 (JSON) and 1.26 (--pretty).  Written piece by
-    # piece, a trace holds the digits of each distinct number once: about 0.43.
+    # piece, a trace holds the digits of each distinct number once: about 0.43.  `compare`
+    # read 4.14 (JSON) and 2.58 (CSV) holding both reports and the document or the lines;
+    # written row by row, 2.05 and 2.06, most of it the last Babylonian step's digit count.
     (["gen", "--count", "1500", "--format", "json", "--digits", "100"], 0.1),
     (["gen", "--count", "1500", "--format", "csv", "--digits", "100"], 0.1),
     (["trace", "--n", "60000"], 0.5),
     (["trace", "--n", "60000", "--pretty"], 0.5),
     (["trace", *TRACED_PAIR], 0.5),
-], ids=["gen-json", "gen-csv", "trace", "trace-pretty", "trace-A-D"])
+    (["compare", "--steps", "19", "--format", "json"], 2.5),
+    (["compare", "--steps", "19", "--format", "csv"], 2.5),
+], ids=["gen-json", "gen-csv", "trace", "trace-pretty", "trace-A-D", "compare-json", "compare-csv"])
 def test_output_is_written_as_it_is_made(argv, ratio):
     run(argv, _CountingSink(), io.StringIO())  # lazy imports happen outside the measurement
     sink = _CountingSink()
