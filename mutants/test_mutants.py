@@ -139,6 +139,40 @@ MUTANTS = [
          "tests/test_cli.py::test_golden_stdout_bytes"],
         id="trace-json-step-separator-dropped",
     ),
+    pytest.param(
+        "identities.py",
+        "def identity_catalog() -> list[NamedIdentity]:",
+        "_build_catalog()\n\n\ndef identity_catalog() -> list[NamedIdentity]:",
+        ["tests/test_cli.py::test_each_verb_loads_only_the_modules_it_needs[trace --n 3-identities]",
+         "tests/test_cli.py::test_library_trace_loads_no_polynomial_ring"],
+        id="catalog-built-at-import",
+    ),
+    pytest.param(
+        "identities.py",
+        "side * side, diam * diam",
+        "diam * diam, side * side",
+        ["tests/test_cli.py::test_decimal_trace_matches_the_library_trace",
+         "tests/test_identities.py::test_trace_steps_are_balanced_and_ordered"],
+        id="trace-next-squares-swapped",
+    ),
+    pytest.param(
+        "approx.py",
+        "decimal.Decimal(1 << w)",
+        "decimal.Decimal(1 << (w - 1))",
+        ["tests/test_approx.py::test_to_decimal_matches_str",
+         "tests/test_approx.py::test_to_decimal_examples"],
+        id="to-decimal-leaf-power-halved",
+    ),
+    pytest.param(
+        "pairs.py",
+        "(-1 if n & 2 else 1)",
+        "(-1 if n & 2 or n == 4 else 1)",
+        # Level 4 lies on no index that a test module computes at collection (6, 7, 2000, 12000, 60000).
+        ["tests/test_pairs.py::test_nth_examples",
+         "tests/test_pairs.py::test_nth_64_matches_frozen_oracle_value",
+         "tests/test_pairs.py::test_nth_components_equal_the_iterative_oracle_in_both_number_types"],
+        id="nth-sign-term-wrong-at-level-4",
+    ),
 ]
 
 

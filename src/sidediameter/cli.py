@@ -297,7 +297,7 @@ def _cmd_nth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from sidediameter import identities  # builds the symbolic catalog; only verify and trace need it
+    from sidediameter import identities  # only verify builds the symbolic catalog
 
     if args.all:
         catalog = identities.identity_catalog()

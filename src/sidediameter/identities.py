@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 from sidediameter import approx
 from sidediameter.pairs import SideDiameterPair, _Record, _require_rational, _shown
-from sidediameter.polynomials import Poly, symbols
 
 JUSTIFICATIONS = ("II.10", "hypothesis-substitution", "V.19-subtraction", "conclusion")
 
@@ -28,8 +27,8 @@ class NamedIdentity(NamedTuple):
     """A named polynomial identity with a short note on where it comes from."""
 
     name: str
-    lhs: Poly
-    rhs: Poly
+    lhs: "Poly"
+    rhs: "Poly"
     source: str
 
     def holds(self) -> bool:
@@ -143,7 +142,7 @@ def _pretty_laid_out(text: dict, a, d, e: int, steps) -> Iterator[str]:
         yield from ("    (", value, " = ", value, ")")
 
 
-def verify_identity(lhs: Poly, rhs: Poly) -> bool:
+def verify_identity(lhs: "Poly", rhs: "Poly") -> bool:
     """True iff lhs - rhs cancels to the zero polynomial.
 
     Because both sides are canonical, a True result proves the identity for
@@ -154,6 +153,8 @@ def verify_identity(lhs: Poly, rhs: Poly) -> bool:
 
 
 def _build_catalog() -> tuple[NamedIdentity, ...]:
+    from sidediameter.polynomials import symbols  # loaded only when a catalog is built
+
     a, d = symbols("a", "d")
     c, t = symbols("c", "t")
     return (
@@ -192,16 +193,13 @@ def _build_catalog() -> tuple[NamedIdentity, ...]:
     )
 
 
-_CATALOG = _build_catalog()
-
-
 def identity_catalog() -> list[NamedIdentity]:
-    """The built-in identities, every one of which passes `verify_identity`."""
-    return list(_CATALOG)
+    """The built-in identities, every one of which passes `verify_identity`; built on each call."""
+    return list(_build_catalog())
 
 
 def catalog_by_name() -> dict[str, NamedIdentity]:
-    return {ident.name: ident for ident in _CATALOG}
+    return {ident.name: ident for ident in _build_catalog()}
 
 
 def proportion_subtract(u: int, v: int, x: int, y: int, r) -> bool:

@@ -424,8 +424,35 @@ def test_short_commands_load_neither_dataclasses_nor_the_identity_catalog():
     assert "sidediameter.approx" in loaded.split()
     heavy = {"dataclasses", "inspect", "ast", "dis", "sidediameter.identities", "sidediameter.polynomials"}
     assert heavy.isdisjoint(loaded.split())
-    # The catalog still loads for the verbs that need it.
+    # `verify` and `trace`, run later in the same process, still print what they print alone.
     assert "\n".join(rest) + "\n" == invoke(["verify", "--all"])[1] + invoke(["trace", "--n", "3"])[1]
+
+
+@pytest.mark.parametrize("argv,needs", [
+    ("nth 5", ""),
+    ("gen --count 3", ""),
+    ("approx step 17/12", ""),
+    ("compare --steps 2", ""),
+    ("trace --n 3", "identities"),
+    ("trace 2 3", "identities"),
+    ("verify --all", "identities polynomials"),
+])
+def test_each_verb_loads_only_the_modules_it_needs(argv, needs):
+    out = fresh_python(
+        "import io, sys; from sidediameter import cli\n"
+        f"assert cli.run({argv.split()!r}, io.StringIO()) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('sidediameter.')))"
+    )
+    # Only `verify` builds the symbolic catalog and so loads the polynomial ring.
+    assert set(out.split()) == {f"sidediameter.{m}" for m in ["cli", "pairs", "approx", *needs.split()]}
+
+
+def test_library_trace_loads_no_polynomial_ring():
+    out = fresh_python(
+        "import sys; from sidediameter.identities import trace_elegant; from sidediameter.pairs import nth\n"
+        "trace_elegant(nth(5)); print('sidediameter.polynomials' in sys.modules)"
+    )
+    assert out == "False\n"
 
 
 def test_no_verb_loads_json():

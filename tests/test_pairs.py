@@ -160,6 +160,23 @@ def test_nth_doubling_takes_two_products_per_level(base, n):
     assert (a, d) == (nth(n).a, nth(n).d)
 
 
+@pytest.mark.parametrize("n", [50, 12000])
+@pytest.mark.parametrize("level", ["top", "middle"])
+def test_library_nth_refuses_a_wrong_value_at_one_doubling_level(monkeypatch, n, level):
+    """The library's runtime guard: the final pair check refuses a fault at any one level."""
+    components = pairs._nth_components
+    # The recursion calls the patched name, so exactly one level's value is made wrong.
+    wrong = n if level == "top" else n >> (n.bit_length() // 2)
+
+    def one_wrong_level(m, one=1):
+        a, d = components(m, one)
+        return (a, d + 1) if m == wrong else (a, d)
+
+    monkeypatch.setattr(pairs, "_nth_components", one_wrong_level)
+    with pytest.raises(InvalidPairError, match=f"at index {n}:"):
+        nth(n)
+
+
 def test_nth_components_equal_the_iterative_oracle_in_both_number_types():
     walk = pairs._walk()
     sampled = set(random.Random(0).sample(range(601, 20001), 25)) | {2**k for k in range(10, 15)} | {20000}
