@@ -156,6 +156,24 @@ MUTANTS = [
         id="trace-next-squares-swapped",
     ),
     pytest.param(
+        "identities.py",
+        '"(2*A+D)^2 + D^2"',
+        '"(2*A+D)^2 + A^2"',
+        ["tests/test_identities.py::test_library_trace_sides_evaluate_to_their_values",
+         "tests/test_identities.py::test_cli_trace_sides_evaluate_to_their_values",
+         "tests/test_cli.py::test_golden_stdout_bytes"],
+        id="trace-table-side-misprinted",
+    ),
+    pytest.param(
+        "identities.py",
+        '"+e": f"+ {e}"',
+        '"+e": f"- {e}"',
+        ["tests/test_identities.py::test_library_trace_sides_evaluate_to_their_values",
+         "tests/test_identities.py::test_cli_trace_sides_evaluate_to_their_values",
+         "tests/test_cli.py::test_golden_stdout_bytes"],
+        id="trace-plus-e-word-flipped",
+    ),
+    pytest.param(
         "approx.py",
         "decimal.Decimal(1 << w)",
         "decimal.Decimal(1 << (w - 1))",

@@ -364,8 +364,8 @@ def _cmd_approx(args) -> int:
 def _cmd_compare(args) -> int:
     """Both methods' rows, written as `approx._rows` makes them.  The JSON is, byte for byte,
     `json.dumps(..., indent=2)` of the reports' `to_json_dict`s under `start` and `steps`."""
-    _check_printed_digits("compare", _compare_digits(args.start, args.steps, args.digits))
-    start = approx._positive_fraction(args.start, "start")  # before the first write
+    start = approx._positive_fraction(args.start, "start")  # before the estimate and the first write
+    _check_printed_digits("compare", _compare_digits(start, args.steps, args.digits))
 
     def cells(method):
         return (row.fields(args.digits) for row in approx._rows(method, start, args.steps, args.cap))

@@ -7,20 +7,30 @@ that checking an identity is an exact symbolic proof, not a sample check.
 the next pair's defining equation from the arithmetic form of Euclid II.10
 via the subtraction lemma Euclid V.19.  The trace implements the arithmetic
 reading of that derivation; no claim about the original author's intent is
-encoded.  Its steps are computed, checked and rendered by one private core
-that takes any exact number type and renders each distinct value once
-through `approx.to_decimal`, and laid out by one private layout per format:
-`trace_elegant` runs them on ints, and the CLI's `trace` on Decimals under
-an exact context.
+encoded.  `_STEPS` states its four steps once, each a justification and two
+sides as printed.  One private core computes and checks the steps' values for
+any exact number type, renders each distinct value once through
+`approx.to_decimal` and fills in the printed sides; one private layout per
+format lays them out.  `trace_elegant` runs them on ints, and the CLI's
+`trace` on Decimals under an exact context.
 """
 
+import re
 from collections.abc import Iterator
 from typing import NamedTuple
 
 from sidediameter import approx
 from sidediameter.pairs import SideDiameterPair, _Record, _require_rational, _shown
 
-JUSTIFICATIONS = ("II.10", "hypothesis-substitution", "V.19-subtraction", "conclusion")
+# The derivation, one row per step: its justification and its two sides as printed.  A and D
+# stand for the pair's a and d, +e for its sign e added and -e for e taken away.
+_STEPS = (
+    ("II.10", "(2*A+D)^2 + D^2", "2*(A^2 + (A+D)^2)"),
+    ("hypothesis-substitution", "((2*A+D)^2 +e) + 2*A^2", "2*(A^2 + (A+D)^2)"),
+    ("V.19-subtraction", "(2*A+D)^2 +e", "2*(A+D)^2"),
+    ("conclusion", "(2*A+D)^2", "2*(A+D)^2 -e"),
+)
+JUSTIFICATIONS = tuple(step[0] for step in _STEPS)
 
 
 class NamedIdentity(NamedTuple):
@@ -71,13 +81,7 @@ class DerivationTrace(_Record):
         return {
             "pair": {"a": text[p.a], "d": text[p.d], "e": str(p.sign)},
             "steps": [
-                {
-                    "justification": s.justification,
-                    "lhs_expr": s.lhs_expr,
-                    "rhs_expr": s.rhs_expr,
-                    "lhs_value": text[s.lhs_value],
-                    "rhs_value": text[s.lhs_value],
-                }
+                {**s._asdict(), "lhs_value": text[s.lhs_value], "rhs_value": text[s.lhs_value]}
                 for s in self.steps
             ],
         }
@@ -251,16 +255,9 @@ def _derivation(a, d, e: int) -> tuple[dict, tuple[TraceStep, ...]]:
     value is rendered once by `approx.to_decimal`, the step values after the
     check, when only the three distinct ones are still held.
     """
-    text = {}
-
-    def render(values):
-        for v in values:
-            if v not in text:
-                text[v] = approx.to_decimal(v)
-
-    render((a, d))
+    text = {v: approx.to_decimal(v) for v in {a, d}}
     steps = _checked_steps(a, d, e, text[a], text[d])
-    render(s.lhs_value for s in steps)
+    text.update({v: approx.to_decimal(v) for v in {s.lhs_value for s in steps} if v not in text})
     return text, steps
 
 
@@ -269,52 +266,26 @@ def _checked_steps(a, d, e: int, text_a: str, text_d: str) -> tuple[TraceStep, .
 
     The hypothesis-substitution step balances only when the pair's equation
     d**2 = 2*a**2 + e holds, and the V.19-subtraction step only when the
-    remainder u equals 2*(a+d)**2.
+    remainder u equals 2*(a+d)**2.  Each side of `_STEPS` becomes a tuple of
+    pieces in which A and D are the strings text_a and text_d.
     """
     a2, d2 = a * a, d * d
     side, diam = a + d, 2 * a + d
     next_a2, next_d2 = side * side, diam * diam
     double = 2 * (a2 + next_a2)
-    plus_e = f"+ {e}" if e > 0 else f"- {-e}"
-    minus_e = f"- {e}" if e > 0 else f"+ {-e}"
 
     # V.19 with ratio 2: from the whole u + v take the part v = 2*a^2; the remainder is u.
-    u = next_d2 + e
-    v = 2 * a2
+    u, v = next_d2 + e, 2 * a2
+    values = ((next_d2 + d2, double), (u + v, double), (u, 2 * next_a2), (next_d2, 2 * next_a2 - e))
 
-    sq_next_d = ("(2*", text_a, "+", text_d, ")^2")
-    rhs_sum = ("2*(", text_a, "^2 + (", text_a, "+", text_d, ")^2)")
-    twice_sq_next_a = ("2*(", text_a, "+", text_d, ")^2")
-    steps = (
-        TraceStep(
-            "II.10",
-            (*sq_next_d, " + ", text_d, "^2"),
-            rhs_sum,
-            next_d2 + d2,
-            double,
-        ),
-        TraceStep(
-            "hypothesis-substitution",
-            ("(", *sq_next_d, f" {plus_e}) + 2*", text_a, "^2"),
-            rhs_sum,
-            u + v,
-            double,
-        ),
-        TraceStep(
-            "V.19-subtraction",
-            (*sq_next_d, f" {plus_e}"),
-            twice_sq_next_a,
-            u,
-            2 * next_a2,
-        ),
-        TraceStep(
-            "conclusion",
-            sq_next_d,
-            (*twice_sq_next_a, f" {minus_e}"),
-            next_d2,
-            2 * next_a2 - e,
-        ),
-    )
+    words = {"A": text_a, "D": text_d,
+             "+e": f"+ {e}" if e > 0 else f"- {-e}", "-e": f"- {e}" if e > 0 else f"+ {-e}"}
+
+    def pieces(printed: str) -> tuple[str, ...]:
+        return tuple(words.get(w, w) for w in re.split(r"(A|D|[+-]e)", printed))
+
+    steps = tuple(TraceStep(tag, pieces(lhs), pieces(rhs), *pair)
+                  for (tag, lhs, rhs), pair in zip(_STEPS, values))
     _check_steps(steps)
     # The two sides are equal: keep the right-hand one, which the first two steps share.
     return tuple(s._replace(lhs_value=s.rhs_value) for s in steps)

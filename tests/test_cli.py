@@ -946,8 +946,12 @@ def test_domain_errors_exit_1(argv):
     assert err.startswith("error:")
 
 
-def test_nonpositive_start_error_names_the_argument():
-    assert invoke(["compare", "--start", "-1", "--steps", "2"]) == (1, "", "error: start must be positive, got -1\n")
+@pytest.mark.parametrize("steps", ["2", "40"])
+@pytest.mark.parametrize("start", ["-1", "0"])
+def test_nonpositive_start_error_names_the_argument(start, steps):
+    # At 40 steps the output estimate is far over the limit: the start is checked first.
+    expected = (1, "", f"error: start must be positive, got {start}\n")
+    assert invoke(["compare", "--start", start, "--steps", steps]) == expected
 
 
 @pytest.mark.parametrize("argv", [["nth", "20000"], ["trace", "3", "5"], ["bogus"]])

@@ -1,8 +1,11 @@
 import copy
 import decimal
+import io
+import itertools
 import json
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from sidediameter import approx, identities
 from sidediameter.approx import run_method, to_decimal
+from sidediameter.cli import run
 from sidediameter.identities import (
     JUSTIFICATIONS,
     DerivationTrace,
@@ -161,6 +165,45 @@ def test_trace_steps_are_balanced_and_ordered():
         assert tuple(s.justification for s in trace.steps) == JUSTIFICATIONS
         for s in trace.steps:
             assert s.lhs_value == s.rhs_value
+
+
+def _side_value(expr: str) -> int:
+    """The integer that a printed side of a step stands for: digits, + - * ^ ( ) and spaces only."""
+    assert re.fullmatch(r"[0-9+\-*^() ]+", expr), expr
+    return eval(expr.replace("^", "**"), {"__builtins__": {}})
+
+
+def _assert_sides_say_their_values(steps):
+    """Each step (lhs_expr, rhs_expr, lhs_value, rhs_value) prints two sides worth its values."""
+    for lhs_expr, rhs_expr, lhs_value, rhs_value in steps:
+        assert _side_value(lhs_expr) == int(lhs_value) == int(rhs_value) == _side_value(rhs_expr)
+
+
+def test_library_trace_sides_evaluate_to_their_values():
+    for n in range(1, 301):
+        _assert_sides_say_their_values(s[1:] for s in trace_elegant(nth(n)).steps)
+
+
+def _printed_steps(out: str, pretty: bool):
+    """(lhs_expr, rhs_expr, lhs_value, rhs_value) of each step that `trace` printed."""
+    if not pretty:
+        return [(s["lhs_expr"], s["rhs_expr"], s["lhs_value"], s["rhs_value"]) for s in json.loads(out)["steps"]]
+    steps = []
+    for line in out.splitlines()[1:]:
+        sides, values = line.split("] ", 1)[1].strip().rsplit("    (", 1)
+        steps.append((*sides.split(" = "), *values.rstrip(")").split(" = ")))
+    return steps
+
+
+@given(st.integers(1, 3000))
+def test_cli_trace_sides_evaluate_to_their_values(k):
+    p = nth(k)
+    for argv, pretty in itertools.product((["trace", "--n", str(k)], ["trace", str(p.a), str(p.d)]), (False, True)):
+        out = io.StringIO()
+        assert run(argv + ["--pretty"] * pretty, out, io.StringIO()) == 0
+        steps = _printed_steps(out.getvalue(), pretty)
+        assert [len(s) for s in steps] == [4] * len(JUSTIFICATIONS)
+        _assert_sides_say_their_values(steps)
 
 
 def test_trace_conclusion_matches_elegant_core():
