@@ -141,8 +141,8 @@ MUTANTS = [
     ),
     pytest.param(
         "identities.py",
-        "def identity_catalog() -> list[NamedIdentity]:",
-        "_build_catalog()\n\n\ndef identity_catalog() -> list[NamedIdentity]:",
+        "def catalog_by_name() -> dict[str, NamedIdentity]:",
+        "identity_catalog()\n\n\ndef catalog_by_name() -> dict[str, NamedIdentity]:",
         ["tests/test_cli.py::test_each_verb_loads_only_the_modules_it_needs[trace --n 3-identities]",
          "tests/test_cli.py::test_library_trace_loads_no_polynomial_ring"],
         id="catalog-built-at-import",

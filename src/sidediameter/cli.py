@@ -253,11 +253,6 @@ def _check_printed_digits(verb: str, estimate: int) -> None:
         raise ValueError(f"{verb} would print about {shown} digits, over the limit of {_PRINTED_DIGIT_LIMIT}")
 
 
-def _check_oracle_index(n: int) -> None:
-    if n > _ORACLE_INDEX_LIMIT:
-        raise ValueError(f"nth --check-oracle takes indices up to the limit of {_ORACLE_INDEX_LIMIT}")
-
-
 def _nth_line(n: int) -> str:
     """`_pair_line` of `pairs.nth(n)`'s components, computed, checked and printed in exact Decimal.
 
@@ -274,8 +269,8 @@ def _nth_line(n: int) -> str:
 
 def _cmd_nth(args) -> int:
     _check_printed_digits("nth", 2 * _component_digits(args.n))
-    if args.check_oracle:
-        _check_oracle_index(args.n)
+    if args.check_oracle and args.n > _ORACLE_INDEX_LIMIT:
+        raise ValueError(f"nth --check-oracle takes indices up to the limit of {_ORACLE_INDEX_LIMIT}")
     begin = time.perf_counter()
     line = _nth_line(args.n)
     fast_seconds = time.perf_counter() - begin
@@ -299,16 +294,12 @@ def _cmd_nth(args) -> int:
 def _cmd_verify(args) -> int:
     from sidediameter import identities  # only verify builds the symbolic catalog
 
-    if args.all:
-        catalog = identities.identity_catalog()
-    else:
-        by_name = identities.catalog_by_name()
-        if args.identity not in by_name:
-            raise UsageError(f"unknown identity {_echoed(args.identity)!r}; "
-                             f"choose from {', '.join(sorted(by_name))}")
-        catalog = [by_name[args.identity]]
+    by_name = identities.catalog_by_name()
+    if not args.all and args.identity not in by_name:
+        raise UsageError(f"unknown identity {_echoed(args.identity)!r}; "
+                         f"choose from {', '.join(sorted(by_name))}")
     all_ok = True
-    for ident in catalog:
+    for ident in by_name.values() if args.all else [by_name[args.identity]]:
         ok = ident.holds()
         all_ok = all_ok and ok
         print(f"{ident.name}: {'OK' if ok else 'FAIL'}")

@@ -156,12 +156,13 @@ def verify_identity(lhs: "Poly", rhs: "Poly") -> bool:
     return (lhs - rhs).is_zero()
 
 
-def _build_catalog() -> tuple[NamedIdentity, ...]:
+def identity_catalog() -> list[NamedIdentity]:
+    """The built-in identities, every one of which passes `verify_identity`; built on each call."""
     from sidediameter.polynomials import symbols  # loaded only when a catalog is built
 
     a, d = symbols("a", "d")
     c, t = symbols("c", "t")
-    return (
+    return [
         NamedIdentity(
             "euclid_II_10",
             (2 * a + d) ** 2 + d**2,
@@ -194,16 +195,12 @@ def _build_catalog() -> tuple[NamedIdentity, ...]:
             "how d^2 - 2a^2 propagates under the inverse step (a,d) -> (d-a, 2a-d); "
             "drives the descent proof that sqrt(2) is irrational",
         ),
-    )
-
-
-def identity_catalog() -> list[NamedIdentity]:
-    """The built-in identities, every one of which passes `verify_identity`; built on each call."""
-    return list(_build_catalog())
+    ]
 
 
 def catalog_by_name() -> dict[str, NamedIdentity]:
-    return {ident.name: ident for ident in _build_catalog()}
+    """`identity_catalog()` keyed by name, in catalog order."""
+    return {ident.name: ident for ident in identity_catalog()}
 
 
 def proportion_subtract(u: int, v: int, x: int, y: int, r) -> bool:

@@ -357,9 +357,12 @@ def test_check_oracle_refuses_an_index_over_its_limit_before_computing(monkeypat
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"limit of {cli._ORACLE_INDEX_LIMIT}" in err
-    cli._check_oracle_index(cli._ORACLE_INDEX_LIMIT)
-    # Without the oracle, the same index goes on to the fast path.
+    # At the limit itself the oracle runs; without the oracle, the index past it goes on to the fast path.
     monkeypatch.setattr(cli, "_nth_line", lambda n: "computed")
+    monkeypatch.setattr(cli, "_pair_line", lambda *args: "computed")
+    monkeypatch.setattr(pairs, "nth_iterative", lambda n: SideDiameterPair(1, 1))
+    code, out, _ = invoke(["nth", str(cli._ORACLE_INDEX_LIMIT), "--check-oracle"])
+    assert (code, out) == (0, "computed\noracle: match\n")
     assert invoke(["nth", str(cli._ORACLE_INDEX_LIMIT + 1)]) == (0, "computed\n", "")
 
 

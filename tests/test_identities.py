@@ -40,6 +40,17 @@ def test_catalog_contents_and_symbolic_pass():
         assert verify_identity(ident.lhs, ident.rhs)
 
 
+def test_each_catalog_call_builds_a_new_list():
+    first = identity_catalog()
+    first.clear()
+    assert [ident.name for ident in identity_catalog()] == CATALOG_NAMES
+
+
+def test_catalog_by_name_keeps_the_catalog_order():
+    # The order `verify --all` prints.
+    assert list(catalog_by_name()) == [ident.name for ident in identity_catalog()]
+
+
 def test_euclid_II_10_and_encouraging_share_both_sides():
     by_name = catalog_by_name()
     assert by_name["euclid_II_10"].rhs == by_name["encouraging"].rhs
