@@ -86,11 +86,19 @@ MUTANTS = [
     ),
     pytest.param(
         "cli.py",
-        '"-1" if n % 2 else "1",',
-        '"1" if n % 2 else "-1",',
+        '"-1" if side == "under" else "1"',
+        '"1" if side == "under" else "-1"',
         ["tests/test_cli.py::test_gen_rows_agree_with_the_public_digit_functions",
          "tests/test_cli.py::test_gen_prints_the_rows_of_the_public_generate_list"],
         id="gen-parity-sign-swapped",
+    ),
+    pytest.param(
+        "cli.py",
+        "args.count - 1",
+        "args.count",
+        ["tests/test_cli.py::test_gen_prints_the_rows_of_the_public_generate_list",
+         "tests/test_cli.py::test_gen_is_the_side_diameter_report_with_its_columns_permuted"],
+        id="gen-one-row-too-many",
     ),
     pytest.param(
         "cli.py",
@@ -190,6 +198,14 @@ MUTANTS = [
          "tests/test_pairs.py::test_nth_64_matches_frozen_oracle_value",
          "tests/test_pairs.py::test_nth_components_equal_the_iterative_oracle_in_both_number_types"],
         id="nth-sign-term-wrong-at-level-4",
+    ),
+    pytest.param(
+        "approx.py",
+        "k = n.bit_length() * 30103 // 100000",
+        "k = int(n.bit_length() * 0.30103)",
+        # The float estimate gives the same digit counts, so only the source scan sees it.
+        ["tests/test_exactness.py::test_no_float_enters_the_source"],
+        id="digit-count-estimate-in-float",
     ),
 ]
 

@@ -19,11 +19,12 @@ float enters: a number is accepted only as an int or Fraction, by type.
 `run_method` checks its start once and then steps the reduced integer
 state (p, q, N) with N = p**2 - 2*q**2, the residual of a side/diameter
 pair.  The ratio step is the pair step: (p + 2q, p + q, -N), coprime
-because gcd(p + 2q, p + q) = gcd(p, q).  The averaging step is the pair
-doubling a -> 2ad, d -> 2d**2 - e of `pairs._nth_components`, with the
-carried N for e: (2p**2 - N, 2pq, N**2), whose only common factor is 2,
-present exactly when p is even; halving then leaves p odd, so that happens
-on the first step at most.  Each row reads its side from the sign of N and
+because gcd(p + 2q, p + q) = gcd(p, q).  From 1, step n is pair n + 1 as
+d/a with sign N, and the CLI's `gen` prints these rows.  The averaging
+step is the pair doubling a -> 2ad, d -> 2d**2 - e of
+`pairs._nth_components`, with the carried N for e: (2p**2 - N, 2pq, N**2),
+whose only common factor is 2, present exactly when p is even; halving
+then leaves p odd, so that happens on the first step at most.  Each row reads its side from the sign of N and
 its digit count from |N|, and wraps the coprime p/q in a Fraction without a gcd.
 
 Every exact number the package prints is rendered by `to_decimal`,

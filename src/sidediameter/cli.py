@@ -8,6 +8,7 @@ timing information is diagnostic and always goes to stderr.
 import argparse
 import contextlib
 import decimal
+import itertools
 import os
 import re
 import sys
@@ -142,22 +143,6 @@ def _pair_line(n: int, a, d, e: int) -> str:
 _GEN_COLUMNS = ("n", "a", "d", "e", "ratio_decimal", "correct_digits")
 
 
-def _gen_row(n: int, a, d, digits: int) -> tuple[str, ...]:
-    """One `gen` row of pair n = (a, d) as strings, one per column of `_GEN_COLUMNS`.
-
-    The walk from the seed made the pair, so its sign is (-1)**n and d/a goes
-    to the trusted digit helpers with its Pell residual |d**2 - 2*a**2| = 1.
-    """
-    return (
-        str(n),
-        approx.to_decimal(a),
-        approx.to_decimal(d),
-        "-1" if n % 2 else "1",
-        approx._decimal_string(d, a, digits),
-        str(approx._correct_digits(d, a, 1, approx.DEFAULT_DIGIT_CAP)),
-    )
-
-
 def _layout(fmt: str, columns: tuple[str, ...], indent: int = 2) -> tuple:
     """(lead, separator, tail, row): the text before the first row, between rows and after
     the last, ending the line, and the text before each cell of a row and after its last.
@@ -204,9 +189,15 @@ def _cmd_gen(args) -> int:
     # ceil(0.3828 * count * (count + 1)) + 2 * count digits; the other columns
     # of a row add `digits` places and at most ten more digits below 10**6 rows.
     _check_printed_digits("gen", _component_digits(args.count * (args.count + 1)) + args.count * (args.digits + 12))
-    # No list of pairs is held: `_walk` makes each pair as its row is written.
-    _write_table(_layout(args.format, _GEN_COLUMNS),
-                 (_gen_row(n, a, d, args.digits) for n, (a, d) in zip(range(1, args.count + 1), pairs._walk())))
+    # Pair n + 1 is `compare`'s side_diameter row of step n from 1, value d/a, whose carried
+    # residual d**2 - 2*a**2 is -1 exactly where the side is under; pair 1 is a step-0 row.
+    def cells(row):
+        _, num, den, value, correct, side = row.fields(args.digits)
+        return str(row.step + 1), den, num, "-1" if side == "under" else "1", value, correct
+
+    start = approx.ReportRow(0, Fraction(1), 0, "under")
+    steps = approx._rows("side_diameter", start.value, args.count - 1, approx.DEFAULT_DIGIT_CAP)
+    _write_table(_layout(args.format, _GEN_COLUMNS), map(cells, itertools.chain([start], steps)))
     return 0
 
 

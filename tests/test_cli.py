@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import sidediameter
 from sidediameter import approx, cli, generate, pairs, to_decimal, trace_elegant
-from sidediameter.cli import _GEN_COLUMNS, _gen_row, _nth_line, _pair_line, build_parser, run
+from sidediameter.cli import _GEN_COLUMNS, _nth_line, _pair_line, build_parser, run
 from sidediameter.pairs import SideDiameterPair, nth
 
 
@@ -85,9 +85,13 @@ def _within(num: int, den: int, k: int) -> bool:
 @pytest.mark.parametrize("digits", [0, 30, 100])
 def test_gen_rows_agree_with_the_public_digit_functions(digits):
     cap = approx.DEFAULT_DIGIT_CAP
-    for p in generate(300):
+    code, out, err = invoke(["gen", "--count", "300", "--digits", str(digits)])
+    assert (code, err) == (0, "")
+    header, *lines = out.splitlines()
+    assert header.split(",") == list(_GEN_COLUMNS) and len(lines) == 300
+    for p, line in zip(generate(300), lines):
         value = approx.ratio(p)
-        row = _gen_row(p.index, p.a, p.d, digits)
+        row = tuple(line.split(","))
         assert row == (
             str(p.index),
             to_decimal(p.a),
@@ -107,12 +111,18 @@ def test_gen_digits_flag_controls_decimal_precision():
     assert out.splitlines()[2].startswith("2,2,3,1,1.5000,")
 
 
-def _former_gen_stdout(count: int, digits: int, fmt: str) -> str:
-    """What `gen` printed when it built the whole table first: the oracle for the streamed rows."""
-    rows = [_gen_row(p.index, p.a, p.d, digits) for p in generate(count)]
+def _gen_stdout(rows, fmt: str) -> str:
+    """`gen`'s stdout for `rows`, tuples of cells in `_GEN_COLUMNS` order: `json.dumps` or CSV."""
     if fmt == "json":
         return json.dumps([dict(zip(_GEN_COLUMNS, row)) for row in rows], indent=2) + "\n"
     return "\n".join([",".join(_GEN_COLUMNS), *(",".join(row) for row in rows)]) + "\n"
+
+
+def _former_gen_stdout(count: int, digits: int, fmt: str) -> str:
+    """What `gen` printed when it built the whole table first: the oracle for the streamed rows."""
+    return _gen_stdout([(str(p.index), to_decimal(p.a), to_decimal(p.d), str(p.sign),
+                         approx.decimal_string(approx.ratio(p), digits), str(approx.correct_digits(approx.ratio(p))))
+                        for p in generate(count)], fmt)
 
 
 @given(st.integers(1, 80), st.integers(0, 120), st.sampled_from(["csv", "json"]),
@@ -141,6 +151,18 @@ def test_gen_prints_the_rows_of_the_public_generate_list(fmt, digits):
             expected = "".join(line + "\n" for line in [",".join(_GEN_COLUMNS), *map(",".join, rows)])
         argv = ["gen", "--count", str(count), "--digits", str(digits), "--format", fmt]
         assert invoke(argv) == (0, expected, "")
+
+
+@given(st.integers(1, 300), st.integers(0, 120), st.sampled_from(["csv", "json"]))
+def test_gen_is_the_side_diameter_report_with_its_columns_permuted(count, digits, fmt):
+    """Row n + 1 of `gen` is row n of the public side_diameter report from 1, with the
+    denominator as a, the numerator as d, and e = -1 exactly where the side is under."""
+    report = approx.run_method("side_diameter", 1, count - 1).to_json_dict(digits)
+    first = ("1", "1", "1", "-1", approx.decimal_string(1, digits), "0")
+    rows = [(str(int(r["step"]) + 1), r["value_den"], r["value_num"], "-1" if r["side"] == "under" else "1",
+             r["decimal_value"], r["correct_digits"]) for r in report["rows"]]
+    argv = ["gen", "--count", str(count), "--digits", str(digits), "--format", fmt]
+    assert invoke(argv) == (0, _gen_stdout([first, *rows], fmt), "")
 
 
 def test_verify_single_identity():
@@ -332,11 +354,12 @@ def test_index_verbs_refuse_output_over_the_limit_before_computing(argv, monkeyp
     ("compare --steps 0 --digits", 10**9),  # no rows, so no places
 ])
 def test_index_budget_accepts_the_sizes_below_the_limit(verb, n, monkeypatch):
-    # Cheap stand-ins for the cores, so that only the budget decides.
+    # Cheap stand-ins for the cores and the table writer, so that only the budget decides.
+    # `gen` writes pair 1 without a step, so a stand-in for `approx._rows` alone would
+    # still print its 99999987 places.
     monkeypatch.setattr(cli, "_nth_line", lambda n: "computed")
     monkeypatch.setattr(pairs, "nth", lambda n: SideDiameterPair(1, 1))
-    monkeypatch.setattr(pairs, "_walk", lambda: iter(()))
-    monkeypatch.setattr(approx, "_rows", lambda method, start, steps, cap: iter(()))
+    monkeypatch.setattr(cli, "_write_table", lambda layout, rows: None)
     assert invoke([*verb.split(), str(n)])[0::2] == (0, "")
 
 
