@@ -207,6 +207,32 @@ MUTANTS = [
         ["tests/test_exactness.py::test_no_float_enters_the_source"],
         id="digit-count-estimate-in-float",
     ),
+    pytest.param(
+        "cli.py",
+        "pow(1 + s * _ROOT_2, args.n, _ORACLE_PRIME)",
+        "pow(1 + s * _ROOT_2, args.n + 1, _ORACLE_PRIME)",
+        ["tests/test_cli.py::test_nth_check_oracle",
+         "tests/test_cli.py::test_nth_check_oracle_matches_and_prints_the_iterative_line"],
+        id="oracle-exponent-off-by-one",
+    ),
+    pytest.param(
+        "cli.py",
+        "d={approx.to_decimal(d)}",
+        "d={approx.to_decimal(d).replace('7', '8', n > 1000)}",
+        # The Pell check runs before the line is printed, so only the residue oracle sees the digit.
+        ["tests/test_cli.py::test_nth_check_oracle_matches_and_prints_the_iterative_line",
+         "tests/test_cli.py::test_check_oracle_runs_past_the_former_limit_without_the_iterative_path"],
+        id="printed-digit-corrupted-after-check",
+    ),
+    pytest.param(
+        "cli.py",
+        "int(decimal.Decimal(x) % _ORACLE_PRIME)",
+        "decimal.Decimal(x) % _ORACLE_PRIME",
+        # The residues then meet 2**31 outside the exact context: still exact under the default
+        # 28 digits, so only the hostile context sees it.
+        ["tests/test_exactness.py::test_every_verb_prints_the_same_under_a_hostile_decimal_context"],
+        id="oracle-residues-left-decimal",
+    ),
 ]
 
 

@@ -60,7 +60,7 @@ def __getattr__(name: str):
     if name in __all__:
         import importlib
 
-        for module in ("pairs", "approx", "polynomials", "identities"):
+        for module in ("pairs", "approx", "identities", "polynomials"):
             namespace = vars(importlib.import_module(f"{__name__}.{module}"))
             if name in namespace:
                 globals()[name] = value = namespace[name]

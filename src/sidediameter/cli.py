@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     nth = sub.add_parser("nth", help="compute the N-th pair by the fast doubling path")
     nth.add_argument("n", type=positive_int)
     nth.add_argument("--check-oracle", action="store_true",
-                     help="confirm against the iterative path; both wall times go to stderr")
+                     help="check the printed pair against (1 + sqrt(2))**N modulo 2**61 - 1; wall times go to stderr")
     nth.set_defaults(handler=_cmd_nth)
 
     verify = sub.add_parser("verify", help="verify catalog identities symbolically")
@@ -206,10 +206,9 @@ def _cmd_gen(args) -> int:
 # `nth 20000000` printed 15.3 MB in 3.6 s at 69 MB peak RSS, and
 # `trace --n 1000000` 14.5 MB in 2.3 s at 58 MB.
 _PRINTED_DIGIT_LIMIT = 10**8
-# Largest index `nth --check-oracle` takes.  Its linear oracle's time grows
-# about quadratically: in process on that VM, 0.67 s at 10**5, 2.5 s at
-# 2*10**5 and 11 s at 4*10**5.
-_ORACLE_INDEX_LIMIT = 400_000
+# Modulo the prime 2**61 - 1, 2**31 is a square root of 2, so pair n has d +- a*2**31 = (1 +- 2**31)**n.
+# 1 + 2**31 has order (2**61 - 2)/2, so no other index under the digit limit has both residues.
+_ORACLE_PRIME, _ROOT_2 = 2**61 - 1, 2**31
 
 
 def _component_digits(n: int) -> int:
@@ -260,8 +259,6 @@ def _nth_line(n: int) -> str:
 
 def _cmd_nth(args) -> int:
     _check_printed_digits("nth", 2 * _component_digits(args.n))
-    if args.check_oracle and args.n > _ORACLE_INDEX_LIMIT:
-        raise ValueError(f"nth --check-oracle takes indices up to the limit of {_ORACLE_INDEX_LIMIT}")
     begin = time.perf_counter()
     line = _nth_line(args.n)
     fast_seconds = time.perf_counter() - begin
@@ -269,13 +266,16 @@ def _cmd_nth(args) -> int:
     if not args.check_oracle:
         return 0
     begin = time.perf_counter()
-    p = pairs.nth_iterative(args.n)
-    oracle = _pair_line(p.index, p.a, p.d, p.sign)
-    iterative_seconds = time.perf_counter() - begin
+    printed = re.fullmatch(f"n={args.n} a=([1-9][0-9]*) d=([1-9][0-9]*) e={-1 if args.n % 2 else 1}", line)
+    with decimal.localcontext(approx._EXACT):  # linear, where int() of the digits is quadratic
+        a, d = (int(decimal.Decimal(x) % _ORACLE_PRIME) for x in printed.groups()) if printed else (0, 0)
+    agrees = printed and all((d + s * a * _ROOT_2 - pow(1 + s * _ROOT_2, args.n, _ORACLE_PRIME)) % _ORACLE_PRIME == 0
+                             for s in (1, -1))
+    oracle_seconds = time.perf_counter() - begin
     print(f"fast_seconds={fast_seconds:.6f}", file=sys.stderr)
-    print(f"iterative_seconds={iterative_seconds:.6f}", file=sys.stderr)
-    if line != oracle:
-        print(f"oracle mismatch: fast and iterative paths disagree at n={args.n}",
+    print(f"oracle_seconds={oracle_seconds:.6f}", file=sys.stderr)
+    if not agrees:
+        print(f"oracle mismatch: the printed pair and (1 + sqrt(2))**n modulo 2**61 - 1 disagree at n={args.n}",
               file=sys.stderr)
         return 1
     print("oracle: match")

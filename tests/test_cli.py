@@ -243,11 +243,21 @@ def test_nth_check_oracle():
 
 
 def test_nth_check_oracle_reports_a_mismatch(monkeypatch):
-    monkeypatch.setattr(pairs, "nth_iterative", lambda n: nth(n + 1))
-    code, out, err = invoke(["nth", "5", "--check-oracle"])
-    assert code == 1
-    assert out == "n=5 a=29 d=41 e=-1\n"
-    assert "oracle mismatch" in err
+    for wrong in ("n=5 a=70 d=99 e=-1",  # pair 6's digits under index 5 and its sign
+                  "n=5 a=39 d=41 e=-1",  # one digit of a changed
+                  "n=5 a=29 d=47 e=-1",  # one digit of d changed
+                  "n=5 a=29 d=41 e=1"):  # the right digits with the wrong sign
+        monkeypatch.setattr(cli, "_nth_line", lambda n: wrong)
+        code, out, err = invoke(["nth", "5", "--check-oracle"])
+        assert (code, out) == (1, wrong + "\n"), wrong
+        assert "oracle mismatch" in err and "n=5" in err
+
+
+@given(st.integers(1, 5000))
+def test_nth_check_oracle_matches_and_prints_the_iterative_line(n):
+    p = pairs.nth_iterative(n)
+    code, out, _ = invoke(["nth", str(n), "--check-oracle"])
+    assert (code, out) == (0, _pair_line(p.index, p.a, p.d, p.sign) + "\noracle: match\n")
 
 
 # 11010-11012 straddle the 4,215-digit threshold where `to_decimal` leaves str().
@@ -373,20 +383,12 @@ def test_compare_estimate_is_within_a_factor_of_2_of_the_printed_digits(start):
             assert code == 0 and printed <= estimate < 2 * printed, (steps, fmt)
 
 
-def test_check_oracle_refuses_an_index_over_its_limit_before_computing(monkeypatch):
+def test_check_oracle_runs_past_the_former_limit_without_the_iterative_path(monkeypatch):
+    # 400,001 was the first index refused while the oracle re-walked the recurrence.
     monkeypatch.setattr(pairs, "nth_iterative", raise_if_called)
-    monkeypatch.setattr(pairs, "_nth_components", raise_if_called)
-    code, out, err = invoke(["nth", str(cli._ORACLE_INDEX_LIMIT + 1), "--check-oracle"])
-    assert (code, out) == (1, "")
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert f"limit of {cli._ORACLE_INDEX_LIMIT}" in err
-    # At the limit itself the oracle runs; without the oracle, the index past it goes on to the fast path.
-    monkeypatch.setattr(cli, "_nth_line", lambda n: "computed")
-    monkeypatch.setattr(cli, "_pair_line", lambda *args: "computed")
-    monkeypatch.setattr(pairs, "nth_iterative", lambda n: SideDiameterPair(1, 1))
-    code, out, _ = invoke(["nth", str(cli._ORACLE_INDEX_LIMIT), "--check-oracle"])
-    assert (code, out) == (0, "computed\noracle: match\n")
-    assert invoke(["nth", str(cli._ORACLE_INDEX_LIMIT + 1)]) == (0, "computed\n", "")
+    code, out, err = invoke(["nth", "400001", "--check-oracle"])
+    assert (code, out) == (0, _nth_line(400001) + "\noracle: match\n")
+    assert "oracle_seconds=" in err
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
@@ -474,11 +476,11 @@ def test_each_verb_loads_only_the_modules_it_needs(argv, needs):
 
 
 def test_library_trace_loads_no_polynomial_ring():
-    out = fresh_python(
-        "import sys; from sidediameter.identities import trace_elegant; from sidediameter.pairs import nth\n"
-        "trace_elegant(nth(5)); print('sidediameter.polynomials' in sys.modules)"
-    )
-    assert out == "False\n"
+    # From the modules, and through the package's names loaded on first use.
+    for imports in ("from sidediameter.identities import trace_elegant; from sidediameter.pairs import nth",
+                    "from sidediameter import nth, trace_elegant"):
+        out = fresh_python(f"import sys; {imports}\ntrace_elegant(nth(5)); print('sidediameter.polynomials' in sys.modules)")
+        assert out == "False\n", imports
 
 
 def test_no_verb_loads_json():
@@ -516,7 +518,7 @@ def test_package_names_load_on_first_use():
         "",  # `import sidediameter` loads no submodule
         "[]",  # `dir()` lists every public name before any is loaded
         "sidediameter.pairs",
-        "sidediameter.approx sidediameter.pairs sidediameter.polynomials",
+        "sidediameter.approx sidediameter.identities sidediameter.pairs sidediameter.polynomials",
         "[] sidediameter.identities",
         "[]",  # each name is its defining module's object
     ]
@@ -748,8 +750,8 @@ def test_check_oracle_payload_is_deterministic_and_timing_goes_to_stderr():
     code2, out2, _ = invoke(["nth", "500", "--check-oracle"])
     assert code1 == code2 == 0
     assert out1 == out2
-    assert "fast_seconds=" in err1 and "iterative_seconds=" in err1
-    assert "fast_seconds=" not in out1 and "iterative_seconds=" not in out1
+    assert "fast_seconds=" in err1 and "oracle_seconds=" in err1
+    assert "fast_seconds=" not in out1 and "oracle_seconds=" not in out1
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,22 @@
-"""No inexact step enters the package's source: a scan of its syntax trees.
+"""No inexact step enters the package: a scan of its syntax trees, and every verb under a hostile context.
 
 Values alone cannot show this everywhere: a float estimate that happens to land on
 the right integer prints the same digits.  An allowed use that moves is a one-line
-edit of the allow-lists below.
+edit of the allow-lists below.  A Decimal operation left outside `approx._EXACT`
+is exact under the default 28-digit context for small values, so the verbs and the
+library renderers also run under a context that rounds to one digit and traps it.
 """
 
 import ast
+import decimal
+import io
+import re
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from sidediameter import cli, nth, to_decimal, trace_elegant
 
 SOURCE = Path(__file__).parents[1] / "src" / "sidediameter"
 
@@ -55,3 +65,54 @@ def test_true_division_only_in_the_two_fraction_steps():
     dividing = {(module, function) for module, function, node in NODES
                 if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)}
     assert dividing == DIVIDING
+
+
+HOSTILE = decimal.Context(prec=1, traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow,
+                                         decimal.InvalidOperation])
+BIG = nth(12000)  # 4,594 digits each: past the size where `to_decimal` leaves str() for ints
+BIG_ARGS = [to_decimal(BIG.a), to_decimal(BIG.d)]
+
+
+def _run(argv):
+    """cli.run's exit code, stdout and stderr, with the wall times of `nth --check-oracle` masked."""
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(argv, out, err)
+    return code, out.getvalue(), re.sub(r"_seconds=[0-9.]+", "_seconds=", err.getvalue())
+
+
+@pytest.mark.parametrize("argv", [
+    ["nth", "12000"],
+    ["nth", "64", "--check-oracle"],
+    ["nth", "400001", "--check-oracle"],
+    ["trace", "--n", "12000"],
+    ["trace", "--n", "3000", "--pretty"],
+    ["trace", *BIG_ARGS],
+    ["trace", *BIG_ARGS, "--pretty"],
+    ["gen", "--count", "300"],
+    ["gen", "--count", "300", "--format", "json", "--digits", "100"],
+    ["compare", "--start", "7/5", "--steps", "12"],
+    ["compare", "--steps", "14", "--format", "json"],
+    ["approx", "step", f"{BIG_ARGS[1]}/{BIG_ARGS[0]}"],
+    ["approx", "preimage", "17/12"],
+    ["approx", "digits", f"{BIG_ARGS[1]}/{BIG_ARGS[0]}"],
+    ["verify", "--all"],
+    # Refusals and domain errors print their messages under the same context.
+    ["nth", "130616510"],
+    ["trace", BIG_ARGS[0], BIG_ARGS[0]],
+], ids=lambda argv: " ".join({BIG_ARGS[0]: "A", BIG_ARGS[1]: "D", f"{BIG_ARGS[1]}/{BIG_ARGS[0]}": "D/A"}.get(a, a)
+                             for a in argv))
+def test_every_verb_prints_the_same_under_a_hostile_decimal_context(argv):
+    expected = _run(argv)
+    with decimal.localcontext(HOSTILE):
+        assert _run(argv) == expected
+
+
+def test_library_renderers_print_the_same_under_a_hostile_decimal_context():
+    def rendered():
+        trace = trace_elegant(nth(3000))
+        return (to_decimal(BIG.d), to_decimal(Fraction(BIG.d, BIG.a)), to_decimal(decimal.Decimal(BIG_ARGS[0])),
+                trace.pretty(), trace.to_json_dict())
+
+    expected = rendered()
+    with decimal.localcontext(HOSTILE):
+        assert rendered() == expected
