@@ -63,6 +63,7 @@ MUTANTS = [
     ),
     pytest.param(
         "approx.py",
+        # In `run_method`, the one place that builds the reports' Fractions.
         "_coprime_fraction(p, q), digits",
         "Fraction(p, q), digits",
         ["tests/test_approx.py::test_compare_takes_no_gcd"],
@@ -91,6 +92,14 @@ MUTANTS = [
         ["tests/test_cli.py::test_gen_rows_agree_with_the_public_digit_functions",
          "tests/test_cli.py::test_gen_prints_the_rows_of_the_public_generate_list"],
         id="gen-parity-sign-swapped",
+    ),
+    pytest.param(
+        "cli.py",
+        '(0, 1, 1, 0, "under")',
+        '(0, 1, 1, 0, "over")',
+        ["tests/test_cli.py::test_gen_csv_first_four",
+         "tests/test_cli.py::test_golden_stdout_bytes"],
+        id="gen-start-state-over",
     ),
     pytest.param(
         "cli.py",

@@ -25,7 +25,7 @@ step is the pair doubling a -> 2ad, d -> 2d**2 - e of
 `pairs._nth_components`, with the carried N for e: (2p**2 - N, 2pq, N**2),
 whose only common factor is 2, present exactly when p is even; halving
 then leaves p odd, so that happens on the first step at most.  Each row reads its side from the sign of N and
-its digit count from |N|, and wraps the coprime p/q in a Fraction without a gcd.
+its digit count from |N|, `_cells` prints it from p and q, and only `run_method` wraps p/q in a Fraction.
 
 Every exact number the package prints is rendered by `to_decimal`,
 byte-identical to str(): a Decimal by its linear str(), and an int above
@@ -179,14 +179,12 @@ class ReportRow(NamedTuple):
 
     def fields(self, digits: int) -> tuple[str, ...]:
         """The row as strings, one per column of `_REPORT_COLUMNS`; trusts its values and digits."""
-        return (
-            str(self.step),
-            to_decimal(self.value.numerator),
-            to_decimal(self.value.denominator),
-            _decimal_string(self.value.numerator, self.value.denominator, digits),
-            str(self.correct_digits),
-            self.side_of_sqrt2,
-        )
+        return _cells(self.step, self.value.numerator, self.value.denominator, self.correct_digits, self.side_of_sqrt2, digits)
+
+
+def _cells(step: int, num: int, den: int, correct: int, side: str, places: int) -> tuple[str, ...]:
+    """The strings of the row of value num/den, one per column of `_REPORT_COLUMNS`; trusts its arguments."""
+    return (str(step), to_decimal(num), to_decimal(den), _decimal_string(num, den, places), str(correct), side)
 
 
 class ConvergenceReport(NamedTuple):
@@ -243,18 +241,18 @@ def run_method(method: str, start, steps: int, cap: int = DEFAULT_DIGIT_CAP) -> 
     start = _positive_fraction(start, "start")
     _require_int(steps, "steps", 0)
     _require_int(cap, "cap", 1)
-    return ConvergenceReport(method, start, tuple(_rows(method, start, steps, cap)))
+    return ConvergenceReport(method, start, tuple(ReportRow(step, _coprime_fraction(p, q), digits, side)
+                                                  for step, p, q, digits, side in _rows(method, start, steps, cap)))
 
 
 def _rows(method: str, start: Fraction, steps: int, cap: int):
-    """The rows of `run_method` for checked arguments, made one at a time."""
+    """`run_method`'s rows for checked arguments as (step, p, q, correct digits, side), p/q coprime, one at a time."""
     advance = _METHOD_STEPS[method]
     p, q = start.numerator, start.denominator
     n = p * p - 2 * q * q
     for i in range(1, steps + 1):
         p, q, n = advance(p, q, n)
-        digits = _correct_digits(p, q, abs(n), cap)
-        yield ReportRow(i, _coprime_fraction(p, q), digits, "under" if n < 0 else "over")
+        yield i, p, q, _correct_digits(p, q, abs(n), cap), "under" if n < 0 else "over"
 
 
 def compare_methods(start, steps: int, cap: int = DEFAULT_DIGIT_CAP) -> tuple[ConvergenceReport, ConvergenceReport]:

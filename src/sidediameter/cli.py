@@ -74,10 +74,15 @@ def rational(text: str) -> Fraction:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, with each over-long token of its own error messages cut by `_echoed`.
+    """argparse's parser, with each over-long token of its own error messages cut by `_echoed`,
+    and with `-NUM/DEN` read as a value, like `-1`, not as an unknown option.
 
     Subparsers are made of the same class, so `invalid choice` errors of any verb are cut too.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(?:/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
         super().error(re.sub(r"[^\s'\"]{41,}", lambda m: _echoed(m.group()), message))
@@ -190,14 +195,13 @@ def _cmd_gen(args) -> int:
     # of a row add `digits` places and at most ten more digits below 10**6 rows.
     _check_printed_digits("gen", _component_digits(args.count * (args.count + 1)) + args.count * (args.digits + 12))
     # Pair n + 1 is `compare`'s side_diameter row of step n from 1, value d/a, whose carried
-    # residual d**2 - 2*a**2 is -1 exactly where the side is under; pair 1 is a step-0 row.
+    # residual d**2 - 2*a**2 is -1 exactly where the side is under; pair 1 is the start state 1/1 at step 0.
     def cells(row):
-        _, num, den, value, correct, side = row.fields(args.digits)
-        return str(row.step + 1), den, num, "-1" if side == "under" else "1", value, correct
+        _, num, den, value, correct, side = approx._cells(*row, args.digits)
+        return str(row[0] + 1), den, num, "-1" if side == "under" else "1", value, correct
 
-    start = approx.ReportRow(0, Fraction(1), 0, "under")
-    steps = approx._rows("side_diameter", start.value, args.count - 1, approx.DEFAULT_DIGIT_CAP)
-    _write_table(_layout(args.format, _GEN_COLUMNS), map(cells, itertools.chain([start], steps)))
+    steps = approx._rows("side_diameter", Fraction(1), args.count - 1, approx.DEFAULT_DIGIT_CAP)
+    _write_table(_layout(args.format, _GEN_COLUMNS), map(cells, itertools.chain([(0, 1, 1, 0, "under")], steps)))
     return 0
 
 
@@ -350,7 +354,7 @@ def _cmd_compare(args) -> int:
     _check_printed_digits("compare", _compare_digits(start, args.steps, args.digits))
 
     def cells(method):
-        return (row.fields(args.digits) for row in approx._rows(method, start, args.steps, args.cap))
+        return (approx._cells(*row, args.digits) for row in approx._rows(method, start, args.steps, args.cap))
 
     if args.format == "csv":
         _write_table(_layout("csv", ("method", *approx._REPORT_COLUMNS)),

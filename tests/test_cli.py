@@ -745,6 +745,26 @@ def test_compare_default_start_is_one():
     assert out.splitlines()[1].startswith("babylonian,1,3,2,")
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--count", "40"],
+    ["gen", "--count", "40", "--format", "json", "--digits", "100"],
+    ["compare", "--steps", "8"],
+    ["compare", "--steps", "8", "--format", "json"],
+    ["compare", "--steps", "6", "--start", "19/13"],
+    ["compare", "--steps", "6", "--start", "19/13", "--format", "json"],
+])
+def test_gen_and_compare_print_the_integer_state_without_report_rows(argv, monkeypatch):
+    """The print verbs render `approx._rows`' integers: no `ReportRow`, no `Fraction` per row."""
+    expected = invoke(argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a print verb built a report row")
+
+    monkeypatch.setattr(approx, "ReportRow", refuse)
+    monkeypatch.setattr(approx, "_coprime_fraction", refuse)
+    assert invoke(argv) == expected and expected[0] == 0 and expected[1]
+
+
 def test_check_oracle_payload_is_deterministic_and_timing_goes_to_stderr():
     code1, out1, err1 = invoke(["nth", "500", "--check-oracle"])
     code2, out2, _ = invoke(["nth", "500", "--check-oracle"])
@@ -965,6 +985,7 @@ def test_rational_arguments_are_num_den_or_integers(text, shown):
         ["trace", "-3", "5"],
         ["approx", "step", "0/5"],
         ["approx", "digits", "0"],
+        ["approx", "step", "-3/2"],
     ],
 )
 def test_domain_errors_exit_1(argv):
@@ -975,7 +996,7 @@ def test_domain_errors_exit_1(argv):
 
 
 @pytest.mark.parametrize("steps", ["2", "40"])
-@pytest.mark.parametrize("start", ["-1", "0"])
+@pytest.mark.parametrize("start", ["-1", "0", "-3/2"])
 def test_nonpositive_start_error_names_the_argument(start, steps):
     # At 40 steps the output estimate is far over the limit: the start is checked first.
     expected = (1, "", f"error: start must be positive, got {start}\n")
