@@ -111,15 +111,15 @@ MUTANTS = [
     ),
     pytest.param(
         "cli.py",
-        'f"\\n{pad[2:]}]\\n"',
-        'f"\\n{pad[2:]}]"',
+        '    write("\\n")\n',
+        "",
         ["tests/test_cli.py::test_gen_streams_what_the_former_renderers_printed",
          "tests/test_cli.py::test_golden_stdout_bytes"],
         id="gen-json-tail-newline-dropped",
     ),
     pytest.param(
         "cli.py",
-        'end = lead.strip() + tail.strip() + "\\n"',
+        "end = lead.strip() + tail.strip()",
         "end = lead + tail",
         ["tests/test_cli.py::test_compare_prints_the_library_reports_byte_for_byte",
          "tests/test_cli.py::test_golden_stdout_bytes"],
@@ -127,11 +127,19 @@ MUTANTS = [
     ),
     pytest.param(
         "cli.py",
-        "            write(row[-1])\n",
+        "            yield row[-1]\n",
         "",
         ["tests/test_cli.py::test_compare_prints_the_library_reports_byte_for_byte",
          "tests/test_cli.py::test_gen_streams_what_the_former_renderers_printed"],
         id="row-end-dropped-when-written-in-pieces",
+    ),
+    pytest.param(
+        "cli.py",
+        '_json(dict.fromkeys(columns, "%s"), inner)',
+        '_json(dict.fromkeys(columns, "%s"), indent)',
+        ["tests/test_cli.py::test_golden_stdout_bytes",
+         "tests/test_cli.py::test_compare_prints_the_library_reports_byte_for_byte"],
+        id="table-row-template-at-the-table-indent",
     ),
     pytest.param(
         "approx.py",
@@ -149,7 +157,7 @@ MUTANTS = [
         id="compare-estimate-halved",
     ),
     pytest.param(
-        "identities.py",
+        "cli.py",
         '"," if i else ""',
         '""',
         ["tests/test_cli.py::test_decimal_trace_matches_the_library_trace",

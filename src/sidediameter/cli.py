@@ -148,19 +148,26 @@ def _pair_line(n: int, a, d, e: int) -> str:
 _GEN_COLUMNS = ("n", "a", "d", "e", "ratio_decimal", "correct_digits")
 
 
-def _layout(fmt: str, columns: tuple[str, ...], indent: int = 2) -> tuple:
-    """(lead, separator, tail, row): the text before the first row, between rows and after
-    the last, ending the line, and the text before each cell of a row and after its last.
+def _json(value, indent: str = "\n"):
+    """`json.dumps(value, indent=2)` in pieces, laid out on a line that `indent` starts.
 
-    CSV has a header line.  JSON is `json.dumps(rows, indent=2)` byte for byte with the rows
-    at `indent`, since no cell (digits, `-`, `.`, `/`, a method or side name) needs escaping.
+    `value` is a str, an exact tuple of one string's pieces, a non-empty dict or list of
+    these, or any other iterable, taken as text already laid out.  No string (digits, `-`,
+    `.`, `/`, names and expressions) needs escaping.
     """
-    if fmt == "csv":
-        return ",".join(columns) + "\n", "\n", "\n", ("", *[","] * (len(columns) - 1), "")
-    pad = " " * indent
-    keys = [f'{pad}  "{column}": "' for column in columns]
-    return ("[\n", ",\n", f"\n{pad[2:]}]\n",
-            (f"{pad}{{\n{keys[0]}", *(f'",\n{key}' for key in keys[1:]), f'"\n{pad}}}'))
+    if type(value) in (str, tuple):  # exact types: no NamedTuple is read as pieces
+        yield '"'
+        yield from (value,) if type(value) is str else value
+        yield '"'
+    elif type(value) in (dict, list):
+        keyed, inner = type(value) is dict, indent + "  "
+        yield "{" if keyed else "["
+        for i, item in enumerate(value):
+            yield ("," if i else "") + inner + (f'"{item}": ' if keyed else "")
+            yield from _json(value[item] if keyed else item, inner)
+        yield indent + ("}" if keyed else "]")
+    else:
+        yield from value
 
 
 # Rows of fewer characters are joined and written at once.  One write per piece
@@ -169,24 +176,37 @@ def _layout(fmt: str, columns: tuple[str, ...], indent: int = 2) -> tuple:
 _JOINED_ROW_CHARS = 1 << 16
 
 
-def _write_table(layout: tuple, rows) -> None:
-    """Write `rows`, tuples of cells, in a `_layout` as they are made, joining no table and no
-    row of `_JOINED_ROW_CHARS` or more.  An empty table is `[]`, as from `json.dumps`, or the header."""
-    lead, separator, tail, row = layout
-    write = sys.stdout.write
-    template = "%s".join(row)
-    end = lead.strip() + tail.strip() + "\n"
+def _table(fmt: str, columns: tuple[str, ...], rows, indent: str = "\n"):
+    """`rows`, tuples of cells, in pieces as they are made: CSV under a header line, or `_json`
+    of a list of dicts keyed by `columns`, laid out on a line that `indent` starts.  No table
+    and no row of `_JOINED_ROW_CHARS` or more is joined.  An empty table is the header or `[]`."""
+    if fmt == "csv":
+        lead, separator, tail, template = ",".join(columns) + "\n", "\n", "", ",".join(["%s"] * len(columns))
+    else:
+        inner = indent + "  "
+        lead, separator, tail = "[" + inner, "," + inner, indent + "]"
+        template = "".join(_json(dict.fromkeys(columns, "%s"), inner))
+    row = template.split("%s")
+    end = lead.strip() + tail.strip()
     for cells in rows:
         if sum(map(len, cells)) < _JOINED_ROW_CHARS:
-            write(lead + template % cells)
+            yield lead + template % cells
         else:
-            write(lead)
+            yield lead
             for before, cell in zip(row, cells):
-                write(before)
-                write(cell)
-            write(row[-1])
+                yield before
+                yield cell
+            yield row[-1]
         lead, end = separator, tail
-    write(end)
+    yield end
+
+
+def _write(pieces) -> None:
+    """Write each of `pieces` as it is made, then the final line end."""
+    write = sys.stdout.write
+    for piece in pieces:
+        write(piece)
+    write("\n")
 
 
 def _cmd_gen(args) -> int:
@@ -201,7 +221,7 @@ def _cmd_gen(args) -> int:
         return str(row[0] + 1), den, num, "-1" if side == "under" else "1", value, correct
 
     steps = approx._rows("side_diameter", Fraction(1), args.count - 1, approx.DEFAULT_DIGIT_CAP)
-    _write_table(_layout(args.format, _GEN_COLUMNS), map(cells, itertools.chain([(0, 1, 1, 0, "under")], steps)))
+    _write(_table(args.format, _GEN_COLUMNS, map(cells, itertools.chain([(0, 1, 1, 0, "under")], steps))))
     return 0
 
 
@@ -321,12 +341,10 @@ def _cmd_trace(args) -> int:
         else:
             raise UsageError("trace expects either two integers A D or --n K")
         text, steps = identities._derivation(a, d, e)
-    layout = identities._pretty_laid_out if args.pretty else identities._json_laid_out
     # One write per piece: the digits of each value are held once, and no expression, line
     # or document is joined.
-    for piece in layout(text, a, d, e, steps):
-        sys.stdout.write(piece)
-    sys.stdout.write("\n")
+    _write(identities._pretty_laid_out(text, a, d, e, steps) if args.pretty
+           else _json(identities._trace_document(text, a, d, e, steps)))
     return 0
 
 
@@ -357,16 +375,13 @@ def _cmd_compare(args) -> int:
         return (approx._cells(*row, args.digits) for row in approx._rows(method, start, args.steps, args.cap))
 
     if args.format == "csv":
-        _write_table(_layout("csv", ("method", *approx._REPORT_COLUMNS)),
-                     ((method, *row) for method in approx._METHOD_STEPS for row in cells(method)))
+        _write(_table("csv", ("method", *approx._REPORT_COLUMNS),
+                      ((method, *row) for method in approx._METHOD_STEPS for row in cells(method))))
         return 0
     shown = approx.to_decimal(start)
-    sys.stdout.write(f'{{\n  "start": "{shown}",\n  "steps": "{args.steps}"')
-    for method in approx._METHOD_STEPS:
-        sys.stdout.write(f',\n  "{method}": {{\n    "method": "{method}",\n    "start": "{shown}",\n    "rows": ')
-        _write_table(_layout("json", approx._REPORT_COLUMNS, 6), cells(method))
-        sys.stdout.write("  }")
-    sys.stdout.write("\n}\n")
+    _write(_json({"start": shown, "steps": str(args.steps), **{
+        method: {"method": method, "start": shown, "rows": _table("json", approx._REPORT_COLUMNS, cells(method), "\n    ")}
+        for method in approx._METHOD_STEPS}}))
     return 0
 
 

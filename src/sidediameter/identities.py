@@ -10,9 +10,10 @@ reading of that derivation; no claim about the original author's intent is
 encoded.  `_STEPS` states its four steps once, each a justification and two
 sides as printed.  One private core computes and checks the steps' values for
 any exact number type, renders each distinct value once through
-`approx.to_decimal` and fills in the printed sides; one private layout per
-format lays them out.  `trace_elegant` runs them on ints, and the CLI's
-`trace` on Decimals under an exact context.
+`approx.to_decimal` and fills in the printed sides.  One private document,
+`_trace_document`, is both `to_json_dict()` and the CLI's JSON, and one
+private layout gives `pretty()` and `--pretty`.  `trace_elegant` runs them
+on ints, and the CLI's `trace` on Decimals under an exact context.
 """
 
 import re
@@ -77,14 +78,7 @@ class DerivationTrace(_Record):
 
     def to_json_dict(self) -> dict:
         """JSON-ready form; integer values as decimal strings (any size)."""
-        p, text = self.pair, self._texts()
-        return {
-            "pair": {"a": text[p.a], "d": text[p.d], "e": str(p.sign)},
-            "steps": [
-                {**s._asdict(), "lhs_value": text[s.lhs_value], "rhs_value": text[s.lhs_value]}
-                for s in self.steps
-            ],
-        }
+        return _trace_document(self._texts(), self.pair.a, self.pair.d, self.pair.sign, self.steps)
 
     def pretty(self) -> str:
         """The strings of `to_json_dict`, laid out one step per line."""
@@ -112,29 +106,17 @@ def _check_steps(steps: tuple[TraceStep, ...]) -> None:
             )
 
 
-# The two layouts of a trace: each takes the text of `_derivation` and its pair
-# (a, d, e), and steps whose expressions are tuples of pieces, and yields the
-# output in pieces, without its final line end.  No expression or line is joined.
-
-def _json_laid_out(text: dict, a, d, e: int, steps) -> Iterator[str]:
-    """`json.dumps(to_json_dict(), indent=2)` in pieces.
-
-    Every string is ASCII letters, digits, `.()*+-^` and spaces, so none needs escaping.
-    """
-    yield from ('{\n  "pair": {\n    "a": "', text[a], '",\n    "d": "', text[d],
-                f'",\n    "e": "{e}"\n  }},\n  "steps": [')
-    for i, s in enumerate(steps):
-        value = text[s.lhs_value]
-        yield f'{"," if i else ""}\n    {{\n      "justification": "{s.justification}",\n      "lhs_expr": "'
-        yield from s.lhs_expr
-        yield '",\n      "rhs_expr": "'
-        yield from s.rhs_expr
-        yield from ('",\n      "lhs_value": "', value, '",\n      "rhs_value": "', value, '"\n    }')
-    yield "\n  ]\n}"
+def _trace_document(text: dict, a, d, e: int, steps) -> dict:
+    """The trace as a JSON document, from the text of `_derivation` and its pair (a, d, e):
+    `to_json_dict()`, and with expressions that are tuples of pieces, the `trace` verb's."""
+    return {
+        "pair": {"a": text[a], "d": text[d], "e": str(e)},
+        "steps": [{**s._asdict(), "lhs_value": text[s.lhs_value], "rhs_value": text[s.lhs_value]} for s in steps],
+    }
 
 
 def _pretty_laid_out(text: dict, a, d, e: int, steps) -> Iterator[str]:
-    """`DerivationTrace.pretty()` in pieces: the pair's line, then one line per step."""
+    """`DerivationTrace.pretty()` in pieces, without its final line end: the pair's line, then one line per step."""
     yield from ("derivation for pair (a=", text[a], ", d=", text[d], f", e={e:+d})")
     width = max(len(j) for j in JUSTIFICATIONS) + 2
     for s in steps:

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import io
 import json
@@ -131,6 +132,44 @@ def test_gen_streams_what_the_former_renderers_printed(count, digits, fmt, joine
     argv = ["gen", "--count", str(count), "--digits", str(digits), "--format", fmt]
     with mock.patch.object(cli, "_JOINED_ROW_CHARS", joined_row_chars):
         assert invoke(argv) == (0, _former_gen_stdout(count, digits, fmt), "")
+
+
+_SAFE_TEXT = st.text("0123456789abcXYZ-./", max_size=6)
+
+
+def _joined(document):
+    """`document` with each tuple of pieces joined into its string."""
+    if type(document) is tuple:
+        return "".join(document)
+    if type(document) is dict:
+        return {key: _joined(value) for key, value in document.items()}
+    return [_joined(value) for value in document] if type(document) is list else document
+
+
+@given(st.recursive(
+    _SAFE_TEXT | st.lists(_SAFE_TEXT, max_size=3).map(tuple),
+    lambda children: st.lists(children, min_size=1, max_size=4)
+    | st.dictionaries(_SAFE_TEXT, children, min_size=1, max_size=4),
+    max_leaves=20,
+))
+def test_json_lays_out_what_json_dumps_does(document):
+    assert "".join(cli._json(document)) == json.dumps(_joined(document), indent=2)
+
+
+@given(st.lists(_SAFE_TEXT.filter(bool), min_size=1, max_size=5, unique=True).flatmap(
+           lambda columns: st.tuples(st.just(tuple(columns)),
+                                     st.lists(st.tuples(*[_SAFE_TEXT.filter(bool)] * len(columns)), max_size=4))),
+       st.sampled_from([0, cli._JOINED_ROW_CHARS]))  # 0: every row written piece by piece
+def test_table_lays_out_what_json_dumps_and_csv_do(table, joined_row_chars):
+    columns, rows = table
+    dicts = [dict(zip(columns, row)) for row in rows]
+    lines = io.StringIO()
+    csv.writer(lines, lineterminator="\n").writerows([columns, *rows])
+    with mock.patch.object(cli, "_JOINED_ROW_CHARS", joined_row_chars):
+        assert "".join(cli._table("json", columns, rows)) == json.dumps(dicts, indent=2)
+        nested = cli._json({"report": {"rows": cli._table("json", columns, rows, "\n    ")}})
+        assert "".join(nested) == json.dumps({"report": {"rows": dicts}}, indent=2)
+        assert "".join(cli._table("csv", columns, rows)) + "\n" == lines.getvalue()
 
 
 @pytest.mark.parametrize("digits", [0, 30, 100])
@@ -369,7 +408,7 @@ def test_index_budget_accepts_the_sizes_below_the_limit(verb, n, monkeypatch):
     # still print its 99999987 places.
     monkeypatch.setattr(cli, "_nth_line", lambda n: "computed")
     monkeypatch.setattr(pairs, "nth", lambda n: SideDiameterPair(1, 1))
-    monkeypatch.setattr(cli, "_write_table", lambda layout, rows: None)
+    monkeypatch.setattr(cli, "_write", lambda pieces: None)  # consumes no piece, so no core runs
     assert invoke([*verb.split(), str(n)])[0::2] == (0, "")
 
 

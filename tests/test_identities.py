@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sidediameter import approx, identities
+from sidediameter import approx, cli, identities
 from sidediameter.approx import run_method, to_decimal
 from sidediameter.cli import run
 from sidediameter.identities import (
@@ -340,8 +340,8 @@ def test_the_trace_core_and_layouts_convert_each_distinct_value_once(monkeypatch
     with decimal.localcontext(approx._EXACT):
         a, d = number(pair.a), number(pair.d)
         text, steps = identities._derivation(a, d, pair.sign)
-    for layout in (identities._json_laid_out, identities._pretty_laid_out):
-        "".join(layout(text, a, d, pair.sign, steps))
+    "".join(cli._json(identities._trace_document(text, a, d, pair.sign, steps)))
+    "".join(identities._pretty_laid_out(text, a, d, pair.sign, steps))
     assert {type(v) for v in rendered} == {number}
     assert len(rendered) == len(set(rendered)) == calls
 
