@@ -234,8 +234,8 @@ MUTANTS = [
     ),
     pytest.param(
         "cli.py",
-        "d={approx.to_decimal(d)}",
-        "d={approx.to_decimal(d).replace('7', '8', n > 1000)}",
+        '" d=", approx.to_decimal(d),',
+        '" d=", approx.to_decimal(d).replace("7", "8", n > 1000),',
         # The Pell check runs before the line is printed, so only the residue oracle sees the digit.
         ["tests/test_cli.py::test_nth_check_oracle_matches_and_prints_the_iterative_line",
          "tests/test_cli.py::test_check_oracle_runs_past_the_former_limit_without_the_iterative_path"],
@@ -249,6 +249,23 @@ MUTANTS = [
         # 28 digits, so only the hostile context sees it.
         ["tests/test_exactness.py::test_every_verb_prints_the_same_under_a_hostile_decimal_context"],
         id="oracle-residues-left-decimal",
+    ),
+    pytest.param(
+        "cli.py",
+        'pieces[0::2] == (f"n={args.n} a=", " d=", f" e={-1 if args.n % 2 else 1}")',
+        "True",
+        # Only the wrong sign keeps the digits that the residues accept.
+        ["tests/test_cli.py::test_nth_check_oracle_reports_a_mismatch"],
+        id="nth-oracle-format-unchecked",
+    ),
+    pytest.param(
+        "identities.py",
+        "\n    _check_steps(steps)\n",
+        "\n",
+        # The core's check is the only one on the paths of `trace_elegant` and `trace --n`.
+        ["tests/test_identities.py::test_derivation_refuses_an_unbalanced_step_by_itself",
+         "tests/test_cli.py::test_trace_by_index_keeps_the_pell_check_in_decimal"],
+        id="core-step-check-removed",
     ),
 ]
 

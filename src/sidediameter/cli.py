@@ -140,11 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pair_line(n: int, a, d, e: int) -> str:
-    """The `nth` line of pair n with components a and d, ints or Decimals, and sign e."""
-    return f"n={n} a={approx.to_decimal(a)} d={approx.to_decimal(d)} e={e}"
-
-
 _GEN_COLUMNS = ("n", "a", "d", "e", "ratio_decimal", "correct_digits")
 
 
@@ -267,8 +262,8 @@ def _check_printed_digits(verb: str, estimate: int) -> None:
         raise ValueError(f"{verb} would print about {shown} digits, over the limit of {_PRINTED_DIGIT_LIMIT}")
 
 
-def _nth_line(n: int) -> str:
-    """`_pair_line` of `pairs.nth(n)`'s components, computed, checked and printed in exact Decimal.
+def _nth_line(n: int) -> tuple[str, ...]:
+    """The `nth` line of `pairs.nth(n)` as its pieces `n=N a=`, a, ` d=`, d and ` e=E`, in exact Decimal.
 
     libmpdec multiplies huge operands by a number-theoretic transform and
     `to_decimal` prints a Decimal by its linear str(), so this skips
@@ -278,21 +273,22 @@ def _nth_line(n: int) -> str:
     with decimal.localcontext(approx._EXACT):
         a, d = pairs._nth_components(n, decimal.Decimal(1))
         e = pairs._pell_sign(a, d, n)
-    return _pair_line(n, a, d, e)
+    return f"n={n} a=", approx.to_decimal(a), " d=", approx.to_decimal(d), f" e={e}"
 
 
 def _cmd_nth(args) -> int:
     _check_printed_digits("nth", 2 * _component_digits(args.n))
     begin = time.perf_counter()
-    line = _nth_line(args.n)
+    pieces = _nth_line(args.n)
     fast_seconds = time.perf_counter() - begin
-    print(line)
+    _write(pieces)
     if not args.check_oracle:
         return 0
     begin = time.perf_counter()
-    printed = re.fullmatch(f"n={args.n} a=([1-9][0-9]*) d=([1-9][0-9]*) e={-1 if args.n % 2 else 1}", line)
+    printed = (pieces[0::2] == (f"n={args.n} a=", " d=", f" e={-1 if args.n % 2 else 1}")
+               and all(re.fullmatch("[1-9][0-9]*", x) for x in pieces[1::2]))
     with decimal.localcontext(approx._EXACT):  # linear, where int() of the digits is quadratic
-        a, d = (int(decimal.Decimal(x) % _ORACLE_PRIME) for x in printed.groups()) if printed else (0, 0)
+        a, d = (int(decimal.Decimal(x) % _ORACLE_PRIME) for x in pieces[1::2]) if printed else (0, 0)
     agrees = printed and all((d + s * a * _ROOT_2 - pow(1 + s * _ROOT_2, args.n, _ORACLE_PRIME)) % _ORACLE_PRIME == 0
                              for s in (1, -1))
     oracle_seconds = time.perf_counter() - begin

@@ -8,12 +8,12 @@ the next pair's defining equation from the arithmetic form of Euclid II.10
 via the subtraction lemma Euclid V.19.  The trace implements the arithmetic
 reading of that derivation; no claim about the original author's intent is
 encoded.  `_STEPS` states its four steps once, each a justification and two
-sides as printed.  One private core computes and checks the steps' values for
-any exact number type, renders each distinct value once through
-`approx.to_decimal` and fills in the printed sides.  One private document,
-`_trace_document`, is both `to_json_dict()` and the CLI's JSON, and one
-private layout gives `pretty()` and `--pretty`.  `trace_elegant` runs them
-on ints, and the CLI's `trace` on Decimals under an exact context.
+sides as printed.  One private core checks the steps' values for any exact
+number type and renders each distinct value once; `trace_elegant` hands its
+steps and text to the `DerivationTrace` it returns, and the CLI's `trace` runs
+it on Decimals under an exact context.  One private document and one private
+layout give `to_json_dict()` and the CLI's JSON, and `pretty()` and
+`--pretty`, from the text that a `DerivationTrace` holds from construction.
 """
 
 import re
@@ -21,7 +21,7 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from sidediameter import approx
-from sidediameter.pairs import SideDiameterPair, _Record, _require_rational, _shown
+from sidediameter.pairs import SideDiameterPair, _Record, _require_int, _require_rational, _shown
 
 # The derivation, one row per step: its justification and its two sides as printed.  A and D
 # stand for the pair's a and d, +e for its sign e added and -e for e taken away.
@@ -57,8 +57,8 @@ class TraceStep(NamedTuple):
 class DerivationTrace(_Record):
     """An ordered list of justified equalities for one concrete pair.
 
-    Construction checks that both sides of every step evaluate to the same
-    integer and that the justification tags appear in the canonical order.
+    Construction checks the tags' order, each step's balance on positive plain
+    ints and the pair's type, then renders each distinct value once.
     """
 
     __slots__ = ("pair", "steps", "_text")
@@ -68,30 +68,28 @@ class DerivationTrace(_Record):
 
     def __init__(self, pair: SideDiameterPair, steps: tuple[TraceStep, ...]):
         _check_steps(steps)
+        if not isinstance(pair, SideDiameterPair):
+            raise ValueError(f"pair must be a SideDiameterPair, got {_shown(pair)}")
+        for s in steps:
+            _require_int(s.lhs_value, f"lhs_value of step {s.justification}", 1)
+            _require_int(s.rhs_value, f"rhs_value of step {s.justification}", 1)
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "steps", steps)
-        # Not a field: the decimal text of a, d and each step value, when `trace_elegant` has it.
-        object.__setattr__(self, "_text", None)
+        values = {pair.a, pair.d, *(s.lhs_value for s in steps)}
+        object.__setattr__(self, "_text", {v: approx.to_decimal(v) for v in values})
 
     def conclusion(self) -> TraceStep:
         return self.steps[-1]
 
     def to_json_dict(self) -> dict:
         """JSON-ready form; integer values as decimal strings (any size)."""
-        return _trace_document(self._texts(), self.pair.a, self.pair.d, self.pair.sign, self.steps)
+        return _trace_document(self._text, self.pair.a, self.pair.d, self.pair.sign, self.steps)
 
     def pretty(self) -> str:
         """The strings of `to_json_dict`, laid out one step per line."""
         p = self.pair
         steps = [s._replace(lhs_expr=(s.lhs_expr,), rhs_expr=(s.rhs_expr,)) for s in self.steps]
-        return "".join(_pretty_laid_out(self._texts(), p.a, p.d, p.sign, steps))
-
-    def _texts(self) -> dict:
-        """Each of a, d and the step values to its decimal text; both sides of a checked step are equal."""
-        if self._text is None:
-            values = {self.pair.a, self.pair.d, *(s.lhs_value for s in self.steps)}
-            return {v: approx.to_decimal(v) for v in values}
-        return self._text
+        return "".join(_pretty_laid_out(self._text, p.a, p.d, p.sign, steps))
 
 
 def _check_steps(steps: tuple[TraceStep, ...]) -> None:
@@ -218,9 +216,10 @@ def trace_elegant(p: SideDiameterPair) -> DerivationTrace:
     opposite sign.
     """
     text, steps = _derivation(p.a, p.d, p.sign)
-    trace = DerivationTrace(p, tuple(
-        s._replace(lhs_expr="".join(s.lhs_expr), rhs_expr="".join(s.rhs_expr)) for s in steps
-    ))
+    trace = object.__new__(DerivationTrace)  # as `pairs._stepped`: `_derivation` checked and rendered the steps
+    object.__setattr__(trace, "pair", p)
+    object.__setattr__(trace, "steps", tuple(
+        s._replace(lhs_expr="".join(s.lhs_expr), rhs_expr="".join(s.rhs_expr)) for s in steps))
     object.__setattr__(trace, "_text", text)
     return trace
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import sidediameter
 from sidediameter import approx, cli, generate, pairs, to_decimal, trace_elegant
-from sidediameter.cli import _GEN_COLUMNS, _nth_line, _pair_line, build_parser, run
+from sidediameter.cli import _GEN_COLUMNS, _nth_line, build_parser, run
 from sidediameter.pairs import SideDiameterPair, nth
 
 
@@ -282,34 +282,37 @@ def test_nth_check_oracle():
 
 
 def test_nth_check_oracle_reports_a_mismatch(monkeypatch):
-    for wrong in ("n=5 a=70 d=99 e=-1",  # pair 6's digits under index 5 and its sign
-                  "n=5 a=39 d=41 e=-1",  # one digit of a changed
-                  "n=5 a=29 d=47 e=-1",  # one digit of d changed
-                  "n=5 a=29 d=41 e=1"):  # the right digits with the wrong sign
+    for wrong in (("n=5 a=", "70", " d=", "99", " e=-1"),  # pair 6's digits under index 5 and its sign
+                  ("n=5 a=", "39", " d=", "41", " e=-1"),  # one digit of a changed
+                  ("n=5 a=", "29", " d=", "47", " e=-1"),  # one digit of d changed
+                  ("n=5 a=", "29", " d=", "41", " e=1")):  # the right digits with the wrong sign
         monkeypatch.setattr(cli, "_nth_line", lambda n: wrong)
         code, out, err = invoke(["nth", "5", "--check-oracle"])
-        assert (code, out) == (1, wrong + "\n"), wrong
+        assert (code, out) == (1, "".join(wrong) + "\n"), wrong
         assert "oracle mismatch" in err and "n=5" in err
+
+
+def int_line(p: SideDiameterPair) -> str:
+    """The `nth` line of pair p, rendered from its ints."""
+    return f"n={p.index} a={to_decimal(p.a)} d={to_decimal(p.d)} e={p.sign}"
 
 
 @given(st.integers(1, 5000))
 def test_nth_check_oracle_matches_and_prints_the_iterative_line(n):
     p = pairs.nth_iterative(n)
     code, out, _ = invoke(["nth", str(n), "--check-oracle"])
-    assert (code, out) == (0, _pair_line(p.index, p.a, p.d, p.sign) + "\noracle: match\n")
+    assert (code, out) == (0, int_line(p) + "\noracle: match\n")
 
 
 # 11010-11012 straddle the 4,215-digit threshold where `to_decimal` leaves str().
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 11010, 11011, 11012, 100000])
 def test_nth_decimal_line_matches_the_int_line(n):
-    p = nth(n)
-    assert _nth_line(n) == _pair_line(p.index, p.a, p.d, p.sign)
+    assert "".join(_nth_line(n)) == int_line(nth(n))
 
 
 @given(st.integers(1, 30000))
 def test_nth_decimal_line_matches_the_int_line_in_range(n):
-    p = nth(n)
-    assert _nth_line(n) == _pair_line(p.index, p.a, p.d, p.sign)
+    assert "".join(_nth_line(n)) == int_line(nth(n))
 
 
 def test_nth_keeps_the_pell_check_in_decimal(monkeypatch):
@@ -426,7 +429,8 @@ def test_check_oracle_runs_past_the_former_limit_without_the_iterative_path(monk
     # 400,001 was the first index refused while the oracle re-walked the recurrence.
     monkeypatch.setattr(pairs, "nth_iterative", raise_if_called)
     code, out, err = invoke(["nth", "400001", "--check-oracle"])
-    assert (code, out) == (0, _nth_line(400001) + "\noracle: match\n")
+    assert (code, out) == (0, "".join(_nth_line(400001)) + "\noracle: match\n")
+    assert out == int_line(nth(400001)) + "\noracle: match\n"
     assert "oracle_seconds=" in err
 
 

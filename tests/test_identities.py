@@ -315,13 +315,15 @@ RENDER_CASES = pytest.mark.parametrize("pair,calls", [(nth(2000), 5), (SideDiame
 
 @RENDER_CASES
 def test_each_render_converts_every_distinct_integer_once(monkeypatch, pair, calls):
-    # Built by the constructor, a trace holds no text, so each render converts its values.
-    trace = DerivationTrace(pair, trace_elegant(pair).steps)
+    # The constructor converts each distinct value once, so the renders convert nothing.
+    steps = trace_elegant(pair).steps
     rendered = _recorded_to_decimal(monkeypatch)
+    trace = DerivationTrace(pair, steps)
+    assert len(rendered) == len(set(rendered)) == calls
     for render in (trace.to_json_dict, trace.pretty):
         rendered.clear()
         render()
-        assert len(rendered) == len(set(rendered)) == calls
+        assert rendered == []
 
 
 @RENDER_CASES
@@ -355,6 +357,40 @@ def test_trace_refuses_a_subtraction_step_off_by_one(number):
         steps[2] = steps[2]._replace(lhs_value=steps[2].lhs_value + 1)
         with pytest.raises(ValueError, match="^unbalanced step V.19-subtraction"):
             DerivationTrace(p, tuple(steps))
+
+
+def test_trace_elegant_checks_its_steps_once(monkeypatch):
+    calls = []
+
+    def counted(steps):
+        calls.append(steps)
+        return check(steps)
+
+    check = identities._check_steps
+    monkeypatch.setattr(identities, "_check_steps", counted)
+    trace_elegant(nth(50))
+    assert len(calls) == 1
+
+
+def test_trace_refuses_a_pair_that_is_not_a_side_diameter_pair():
+    steps = trace_elegant(nth(50)).steps
+    for pair in (None, (nth(50).a, nth(50).d)):
+        with pytest.raises(ValueError, match="^pair must be a SideDiameterPair, got "):
+            DerivationTrace(pair, steps)
+
+
+# Each pair of equal values balances the II.10 step of (5, 7), 338 = 338, so only the type check refuses it.
+@pytest.mark.parametrize("lhs,rhs,field", [
+    (None, None, "lhs_value"), (338.0, 338.0, "lhs_value"), (True, True, "lhs_value"),
+    (decimal.Decimal(338), decimal.Decimal(338), "lhs_value"),
+    (338, 338.0, "rhs_value"), (338, decimal.Decimal(338), "rhs_value"),
+], ids=["None", "float", "bool", "Decimal", "float-rhs", "Decimal-rhs"])
+def test_trace_refuses_step_values_that_are_not_plain_ints(lhs, rhs, field):
+    trace = trace_elegant(nth(3))
+    steps = (trace.steps[0]._replace(lhs_value=lhs, rhs_value=rhs), *trace.steps[1:])
+    shown = repr(lhs if field == "lhs_value" else rhs)
+    with pytest.raises(ValueError, match=f"^{field} of step II.10 must be an integer, got {re.escape(shown)}$"):
+        DerivationTrace(trace.pair, steps)
 
 
 def test_trace_rejects_wrong_step_order():
