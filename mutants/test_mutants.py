@@ -31,11 +31,36 @@ MUTANTS = [
     ),
     pytest.param(
         "cli.py",
-        "e = pairs._pell_sign(a, d, n)",
-        "e = -1 if n % 2 else 1",
+        "pairs._nth_checked(n, decimal.Decimal(1))",
+        "pairs._nth_components(n, decimal.Decimal(1))",
         ["tests/test_cli.py::test_nth_keeps_the_pell_check_in_decimal",
          "tests/test_cli.py::test_nth_refuses_a_wrong_value_at_one_doubling_level"],
         id="nth-check-replaced-by-parity",
+    ),
+    pytest.param(
+        "pairs.py",
+        "exact and min(a, d) >= 1",
+        "min(a, d) >= 1",
+        # d + 2**61 - 1 one level below the last doubling keeps every residue.
+        ["tests/test_cli.py::test_nth_refuses_a_wrong_value_at_one_doubling_level[half-12000]",
+         "tests/test_pairs.py::test_library_nth_refuses_a_wrong_value_at_one_doubling_level[half-50]"],
+        id="nth-half-level-check-removed",
+    ),
+    pytest.param(
+        "pairs.py",
+        " and (s * s - 2 * r * r - (-1 if n & 1 else 1)) % _PRIME == 0",
+        "",
+        # d + 1 after the last doubling leaves the level below it a checked pair.
+        ["tests/test_cli.py::test_nth_refuses_a_wrong_value_at_one_doubling_level[top-50]",
+         "tests/test_pairs.py::test_library_nth_refuses_a_wrong_value_at_one_doubling_level[top-12000]"],
+        id="nth-top-residue-check-removed",
+    ),
+    pytest.param(
+        "pairs.py",
+        "min(a, d) >= 1 and (s",
+        "(s",
+        ["tests/test_pairs.py::test_library_nth_refuses_a_side_negated_below_the_last_doubling"],
+        id="nth-side-bound-removed",
     ),
     pytest.param(
         "pairs.py",
@@ -226,8 +251,8 @@ MUTANTS = [
     ),
     pytest.param(
         "cli.py",
-        "pow(1 + s * _ROOT_2, args.n, _ORACLE_PRIME)",
-        "pow(1 + s * _ROOT_2, args.n + 1, _ORACLE_PRIME)",
+        "pow(1 + s * _ROOT_2, args.n, _PRIME)",
+        "pow(1 + s * _ROOT_2, args.n + 1, _PRIME)",
         ["tests/test_cli.py::test_nth_check_oracle",
          "tests/test_cli.py::test_nth_check_oracle_matches_and_prints_the_iterative_line"],
         id="oracle-exponent-off-by-one",
@@ -243,8 +268,8 @@ MUTANTS = [
     ),
     pytest.param(
         "cli.py",
-        "int(decimal.Decimal(x) % _ORACLE_PRIME)",
-        "decimal.Decimal(x) % _ORACLE_PRIME",
+        "int(decimal.Decimal(x) % _PRIME)",
+        "decimal.Decimal(x) % _PRIME",
         # The residues then meet 2**31 outside the exact context: still exact under the default
         # 28 digits, so only the hostile context sees it.
         ["tests/test_exactness.py::test_every_verb_prints_the_same_under_a_hostile_decimal_context"],
@@ -266,6 +291,20 @@ MUTANTS = [
         ["tests/test_identities.py::test_derivation_refuses_an_unbalanced_step_by_itself",
          "tests/test_cli.py::test_trace_by_index_keeps_the_pell_check_in_decimal"],
         id="core-step-check-removed",
+    ),
+    pytest.param(
+        "approx.py",
+        '"-" if num < 0 else ""',
+        '"-" if num <= 0 else ""',
+        ["tests/test_approx.py::test_decimal_string_rendering"],
+        id="decimal-string-zero-signed",
+    ),
+    pytest.param(
+        "cli.py",
+        "shown[1:3]",
+        "shown[1:4]",
+        ["tests/test_cli.py::test_a_refused_estimate_over_20_digits_is_shown_in_scientific_form"],
+        id="refused-estimate-mantissa-misprinted",
     ),
 ]
 

@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 from sidediameter import approx, pairs
+from sidediameter.pairs import _PRIME
 
 
 class UsageError(Exception):
@@ -227,7 +228,7 @@ def _cmd_gen(args) -> int:
 _PRINTED_DIGIT_LIMIT = 10**8
 # Modulo the prime 2**61 - 1, 2**31 is a square root of 2, so pair n has d +- a*2**31 = (1 +- 2**31)**n.
 # 1 + 2**31 has order (2**61 - 2)/2, so no other index under the digit limit has both residues.
-_ORACLE_PRIME, _ROOT_2 = 2**61 - 1, 2**31
+_ROOT_2 = 2**31
 
 
 def _component_digits(n: int) -> int:
@@ -267,13 +268,12 @@ def _nth_line(n: int) -> tuple[str, ...]:
 
     libmpdec multiplies huge operands by a number-theoretic transform and
     `to_decimal` prints a Decimal by its linear str(), so this skips
-    CPython's int squaring and int->decimal conversion.  `pairs._pell_sign`
-    checks the pair and its index n in Decimal.
+    CPython's int squaring and int->decimal conversion.  `pairs._nth_checked`
+    checks the pair at half size in Decimal, so e is (-1)**n.
     """
     with decimal.localcontext(approx._EXACT):
-        a, d = pairs._nth_components(n, decimal.Decimal(1))
-        e = pairs._pell_sign(a, d, n)
-    return f"n={n} a=", approx.to_decimal(a), " d=", approx.to_decimal(d), f" e={e}"
+        a, d = pairs._nth_checked(n, decimal.Decimal(1))
+    return f"n={n} a=", approx.to_decimal(a), " d=", approx.to_decimal(d), f" e={-1 if n % 2 else 1}"
 
 
 def _cmd_nth(args) -> int:
@@ -288,8 +288,8 @@ def _cmd_nth(args) -> int:
     printed = (pieces[0::2] == (f"n={args.n} a=", " d=", f" e={-1 if args.n % 2 else 1}")
                and all(re.fullmatch("[1-9][0-9]*", x) for x in pieces[1::2]))
     with decimal.localcontext(approx._EXACT):  # linear, where int() of the digits is quadratic
-        a, d = (int(decimal.Decimal(x) % _ORACLE_PRIME) for x in pieces[1::2]) if printed else (0, 0)
-    agrees = printed and all((d + s * a * _ROOT_2 - pow(1 + s * _ROOT_2, args.n, _ORACLE_PRIME)) % _ORACLE_PRIME == 0
+        a, d = (int(decimal.Decimal(x) % _PRIME) for x in pieces[1::2]) if printed else (0, 0)
+    agrees = printed and all((d + s * a * _ROOT_2 - pow(1 + s * _ROOT_2, args.n, _PRIME)) % _PRIME == 0
                              for s in (1, -1))
     oracle_seconds = time.perf_counter() - begin
     print(f"fast_seconds={fast_seconds:.6f}", file=sys.stderr)

@@ -21,6 +21,7 @@ from itertools import islice
 from typing import Iterator, NamedTuple
 
 _STR_MAX_BITS = 14_000  # at most 4,215 digits: str() below CPython's default 4,300-digit limit
+_PRIME = 2**61 - 1  # a Mersenne prime: a residue modulo it checks a huge value in one linear pass
 
 
 class InvalidPairError(ValueError):
@@ -130,13 +131,33 @@ def _pell_sign(a, d, index=None) -> int:
     return int(e)
 
 
+def _nth_checked(n: int, one=1):
+    """`_nth_components(n, one)`, checked with no square of full size; else InvalidPairError.
+
+    The last doubling reuses d*d of level m = n >> 1, so one more square a*a
+    checks d**2 - 2*a**2 = (-1)**m there exactly; (d**2 + 2a**2)**2 - 2*(2ad)**2
+    = (d**2 - 2a**2)**2 makes level 2m a pair, and the odd step keeps it one.
+    A residue modulo `_PRIME` guards the code of the last doubling.  On a
+    mismatch, `_pell_sign` checks level n in full and names index n.
+    """
+    a, d = _nth_components(n >> 1, one)
+    dd = d * d
+    exact = dd - 2 * (a * a) == (-1 if n >> 1 & 1 else 1)
+    a, d = _doubled(a, d, dd, n)
+    r, s = int(a % _PRIME), int(d % _PRIME)
+    if not (exact and min(a, d) >= 1 and (s * s - 2 * r * r - (-1 if n & 1 else 1)) % _PRIME == 0):
+        _pell_sign(a, d, n)
+    return a, d
+
+
 def _stepped(a: int, d: int, index: int | None, sign: int) -> SideDiameterPair:
     """A pair made by the recurrence, built without the squaring check.
 
     Only for (a, d) reached by `step` or `descend` from a checked pair, with
     that pair's sign negated, or by `_walk` from the seed, with sign
     (-1)**index: the `elegant_core` and `descent_core` identities, which
-    `verify --all` proves, give d**2 - 2*a**2 = sign exactly.
+    `verify --all` proves, give d**2 - 2*a**2 = sign exactly.  Or for the
+    result of `_nth_checked(index)`, with sign (-1)**index.
     """
     p = object.__new__(SideDiameterPair)
     object.__setattr__(p, "a", a)
@@ -213,28 +234,32 @@ def nth(n: int) -> SideDiameterPair:
 
     which are the n = m case of the addition law a(m+n) = a(m)d(n) + d(m)a(n),
     d(m+n) = d(m)d(n) + 2 a(m)a(n); the last form uses d(m)**2 - 2*a(m)**2 =
-    (-1)**m.  Agrees with `nth_iterative` everywhere.
+    (-1)**m.  `_nth_checked` checks the pair at half size.  Agrees with
+    `nth_iterative` everywhere.
     """
     _require_int(n, "n", 1)
-    a, d = _nth_components(n)
-    return SideDiameterPair(a, d, index=n)
+    a, d = _nth_checked(n)
+    return _stepped(a, d, n, -1 if n % 2 else 1)
 
 
 def _nth_components(n: int, one=1):
-    """(a, d) of the n-th pair, built from the seed (one, one).
+    """(a, d) of the n-th pair, built from level 0, (0, one).
 
     `one` fixes the number type: 1 gives ints, decimal.Decimal(1) gives
     Decimals, which are exact only under a context that traps Inexact
-    (approx._EXACT).  Each level doubles m = n >> 1 with one product and one
-    square: a(2m) = 2*a(m)*d(m) and d(2m) = 2*d(m)**2 - (-1)**m.  The sign is
-    not checked here, but a wrong level stays wrong: d**2 - 2*a**2 = f != e
-    at level m gives 4*d**2*(f - e) + 1 at level 2m, never -1 or +1, so the
-    caller's final check catches it.
+    (approx._EXACT).  Each level n doubles m = n >> 1 with one product and
+    one square (`_doubled`).  Nothing is checked here: `_nth_checked` checks
+    the level below the last.
     """
-    if n == 1:
-        return one, one
+    if n < 2:
+        return n * one, one
     a, d = _nth_components(n >> 1, one)
-    a, d = 2 * (a * d), 2 * (d * d) - (-1 if n & 2 else 1)
+    return _doubled(a, d, d * d, n)
+
+
+def _doubled(a, d, dd, n: int):
+    """Level n from (a, d) at m = n >> 1 and dd = d*d: a(2m) = 2*a*d, d(2m) = 2*dd - (-1)**m, then a step if n is odd."""
+    a, d = 2 * (a * d), 2 * dd - (-1 if n & 2 else 1)
     if n & 1:
         a, d = a + d, 2 * a + d
     return a, d

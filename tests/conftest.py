@@ -15,5 +15,38 @@ def int_str_limit():
     sys.set_int_max_str_digits(before)
 
 
+@pytest.fixture
+def one_wrong_level(monkeypatch):
+    """`inject(n, level)` makes one value on the way to pair n wrong, in either number type.
+
+    "middle": d + 1 at a level far below n.  "half": d + 2**61 - 1 at level n >> 1, where only
+    the exact check sees it, since every residue modulo that prime is kept.  "top": d + 1 at n,
+    after its last doubling, where only the residue check sees it.
+    """
+    from sidediameter import pairs
+
+    def inject(n, level):
+        if level == "top":
+            doubled = pairs._doubled
+
+            def wrong_doubling(a, d, dd, m):
+                a, d = doubled(a, d, dd, m)
+                return (a, d + 1) if m == n else (a, d)
+
+            monkeypatch.setattr(pairs, "_doubled", wrong_doubling)
+            return
+        components = pairs._nth_components
+        wrong, fault = (n >> 1, pairs._PRIME) if level == "half" else (n >> (n.bit_length() // 2), 1)
+
+        # The recursion calls the patched name, so exactly one level's value is made wrong.
+        def wrong_level(m, one=1):
+            a, d = components(m, one)
+            return (a, d + fault) if m == wrong else (a, d)
+
+        monkeypatch.setattr(pairs, "_nth_components", wrong_level)
+
+    return inject
+
+
 # Stops at the first failing example instead of shrinking it; `mutants/` only needs to see a test fail.
 settings.register_profile("no-shrink", phases=[Phase.explicit, Phase.reuse, Phase.generate])

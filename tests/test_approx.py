@@ -504,6 +504,8 @@ def test_decimal_string_rendering():
     assert decimal_string(Fraction(7), 0) == "7"
     assert decimal_string(Fraction(1, 2), 1) == "0.5"
     assert decimal_string(Fraction(201, 100), 4) == "2.0100"
+    assert decimal_string(Fraction(0), 0) == "0"
+    assert decimal_string(Fraction(0), 3) == "0.000"
     # A fractional part above the str() threshold, with 4,499 leading zeros.
     assert decimal_string(Fraction(10**4500 + 1, 10**9000), 9000) == (
         "0." + "0" * 4499 + "1" + "0" * 4499 + "1"

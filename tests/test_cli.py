@@ -330,17 +330,9 @@ def test_nth_keeps_the_pell_check_in_decimal(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [50, 12000])
-@pytest.mark.parametrize("level", ["top", "middle"])
-def test_nth_refuses_a_wrong_value_at_one_doubling_level(monkeypatch, n, level):
-    components = pairs._nth_components
-    # The recursion calls the patched name, so exactly one level's value is made wrong.
-    wrong = n if level == "top" else n >> (n.bit_length() // 2)
-
-    def one_wrong_level(m, one=1):
-        a, d = components(m, one)
-        return (a, d + 1) if m == wrong else (a, d)
-
-    monkeypatch.setattr(pairs, "_nth_components", one_wrong_level)
+@pytest.mark.parametrize("level", ["top", "middle", "half"])
+def test_nth_refuses_a_wrong_value_at_one_doubling_level(one_wrong_level, n, level):
+    one_wrong_level(n, level)
     code, out, err = invoke(["nth", str(n)])
     assert (code, out) == (1, "")
     assert err.startswith("error:") and f"index {n}" in err
@@ -385,6 +377,11 @@ def test_index_verbs_refuse_output_over_the_limit_before_computing(argv, monkeyp
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
     assert f"limit of {cli._PRINTED_DIGIT_LIMIT}" in err
+
+
+def test_a_refused_estimate_over_20_digits_is_shown_in_scientific_form():
+    assert invoke(["nth", str(2**1100)]) == (
+        1, "", "error: nth would print about 1.03e331 digits, over the limit of 100000000\n")
 
 
 @pytest.mark.parametrize("verb,n", [

@@ -151,30 +151,41 @@ def _counting(base):
 @pytest.mark.parametrize("base", [int, decimal.Decimal])
 @pytest.mark.parametrize("n", [2, 3, 7, 64, 1000, 20001])
 def test_nth_doubling_takes_two_products_per_level(base, n):
-    """One product a*d and one square d*d per halving of n; the other factors are 2 and signs."""
+    """One product a*d and one square d*d per halving of n; the other factors are 2 and signs.
+
+    The checked builder adds one square a*a of half size, and no square of full size.
+    """
     Counting = _counting(base)
     with decimal.localcontext(approx._EXACT):
         a, d = pairs._nth_components(n, Counting(1))
-    assert type(a) is type(d) is Counting
-    assert Counting.products == 2 * (n.bit_length() - 1)
+        assert type(a) is type(d) is Counting
+        assert Counting.products == 2 * (n.bit_length() - 1)
+        Counting.products = 0
+        assert pairs._nth_checked(n, Counting(1)) == (a, d)
+    assert Counting.products == 2 * (n.bit_length() - 1) + 1
     assert (a, d) == (nth(n).a, nth(n).d)
 
 
 @pytest.mark.parametrize("n", [50, 12000])
-@pytest.mark.parametrize("level", ["top", "middle"])
-def test_library_nth_refuses_a_wrong_value_at_one_doubling_level(monkeypatch, n, level):
-    """The library's runtime guard: the final pair check refuses a fault at any one level."""
-    components = pairs._nth_components
-    # The recursion calls the patched name, so exactly one level's value is made wrong.
-    wrong = n if level == "top" else n >> (n.bit_length() // 2)
-
-    def one_wrong_level(m, one=1):
-        a, d = components(m, one)
-        return (a, d + 1) if m == wrong else (a, d)
-
-    monkeypatch.setattr(pairs, "_nth_components", one_wrong_level)
+@pytest.mark.parametrize("level", ["top", "middle", "half"])
+def test_library_nth_refuses_a_wrong_value_at_one_doubling_level(one_wrong_level, n, level):
+    """The library's runtime guard: the half-size check refuses a fault at any one level."""
+    one_wrong_level(n, level)
     with pytest.raises(InvalidPairError, match=f"at index {n}:"):
         nth(n)
+
+
+def test_library_nth_refuses_a_side_negated_below_the_last_doubling(monkeypatch):
+    """(-a, d) at level n >> 1 keeps d**2 - 2*a**2 there and every residue at n; only the side bound sees it."""
+    components = pairs._nth_components
+
+    def negated(m, one=1):
+        a, d = components(m, one)
+        return (-a if m == 25 else a), d
+
+    monkeypatch.setattr(pairs, "_nth_components", negated)
+    with pytest.raises(InvalidPairError, match="side and diameter must be >= 1"):
+        nth(50)
 
 
 def test_nth_components_equal_the_iterative_oracle_in_both_number_types():
