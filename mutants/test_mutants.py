@@ -167,7 +167,7 @@ MUTANTS = [
         id="table-row-template-at-the-table-indent",
     ),
     pytest.param(
-        "approx.py",
+        "pairs.py",
         "return _EXACT.add(convert(lo, half), _EXACT.multiply(convert(hi, width - half), power(half)))",
         "return _EXACT.multiply(convert(hi, width - half), power(half))",
         ["tests/test_approx.py::test_to_decimal_matches_str",
@@ -224,7 +224,7 @@ MUTANTS = [
         id="trace-plus-e-word-flipped",
     ),
     pytest.param(
-        "approx.py",
+        "pairs.py",
         "decimal.Decimal(1 << w)",
         "decimal.Decimal(1 << (w - 1))",
         ["tests/test_approx.py::test_to_decimal_matches_str",
@@ -259,8 +259,8 @@ MUTANTS = [
     ),
     pytest.param(
         "cli.py",
-        '" d=", approx.to_decimal(d),',
-        '" d=", approx.to_decimal(d).replace("7", "8", n > 1000),',
+        '" d=", pairs.to_decimal(d),',
+        '" d=", pairs.to_decimal(d).replace("7", "8", n > 1000),',
         # The Pell check runs before the line is printed, so only the residue oracle sees the digit.
         ["tests/test_cli.py::test_nth_check_oracle_matches_and_prints_the_iterative_line",
          "tests/test_cli.py::test_check_oracle_runs_past_the_former_limit_without_the_iterative_path"],
@@ -305,6 +305,28 @@ MUTANTS = [
         "shown[1:4]",
         ["tests/test_cli.py::test_a_refused_estimate_over_20_digits_is_shown_in_scientific_form"],
         id="refused-estimate-mantissa-misprinted",
+    ),
+    pytest.param(
+        "cli.py",
+        "if len(shown) > 20:",
+        "if len(shown) >= 20:",
+        ["tests/test_cli.py::test_a_refused_estimate_over_20_digits_is_shown_in_scientific_form"],
+        id="refused-estimate-of-20-digits-shortened",
+    ),
+    pytest.param(
+        "pairs.py",
+        "v.denominator.bit_length()) > _STR_MAX_BITS",
+        "v.denominator.bit_length()) >= _STR_MAX_BITS",
+        ["tests/test_pairs.py::test_shown_gives_the_size_from_2_to_the_14000_on[Fraction]"],
+        id="shown-fraction-size-one-bit-early",
+    ),
+    pytest.param(
+        "cli.py",
+        "from sidediameter import pairs\n",
+        "from sidediameter import approx, pairs\n",
+        ["tests/test_cli.py::test_each_verb_loads_only_the_modules_it_needs[nth 5-]",
+         "tests/test_cli.py::test_each_verb_loads_only_the_modules_it_needs[trace --n 3-identities]"],
+        id="cli-loads-approx-at-import",
     ),
 ]
 

@@ -26,23 +26,15 @@ step is the pair doubling a -> 2ad, d -> 2d**2 - e of
 whose only common factor is 2, present exactly when p is even; halving
 then leaves p odd, so that happens on the first step at most.  Each row reads its side from the sign of N and
 its digit count from |N|, `_cells` prints it from p and q, and only `run_method` wraps p/q in a Fraction.
-
-Every exact number the package prints is rendered by `to_decimal`,
-byte-identical to str(): a Decimal by its linear str(), and an int above
-about 4,200 digits by divide and conquer through the standard library's
-`decimal` module, in subquadratic time and without the interpreter's
-int-to-str digit limit.
+Every number is printed by `pairs.to_decimal`, which this module re-exports with its exact context `_EXACT`.
 """
 
-import decimal
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from sidediameter.pairs import _STR_MAX_BITS, SideDiameterPair, _require_int, _require_rational, _shown
-
-DEFAULT_DIGIT_CAP = 50
-DEFAULT_DECIMAL_DIGITS = 30
+from sidediameter.pairs import (_EXACT, DEFAULT_DECIMAL_DIGITS, DEFAULT_DIGIT_CAP, SideDiameterPair, _require_int,
+                                 _require_rational, _shown, to_decimal)
 
 
 def ratio(p: SideDiameterPair) -> Fraction:
@@ -278,55 +270,6 @@ def _decimal_string(num: int, den: int, digits: int) -> str:
         return sign + to_decimal(whole)
     frac = rem * 10**digits // den
     return f"{sign}{to_decimal(whole)}.{to_decimal(frac).zfill(digits)}"
-
-
-# Split parts this small become Decimal(int) directly; measured fastest
-# among 1,024-4,096 bits on 10**4- to 2*10**5-digit integers.
-_LEAF_BITS = 2_048
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-_EXACT.traps[decimal.Inexact] = True
-
-
-def to_decimal(n: int | Fraction | decimal.Decimal) -> str:
-    """Exactly str(n), in subquadratic time and for ints of any size.
-
-    A Fraction renders as num/den, or num when den is 1, as str() does.
-    A Decimal and a small int go to str(), which is linear on a Decimal.
-    Larger ints are split recursively at powers of two, m = hi * 2**w + lo,
-    and rebuilt as a `decimal.Decimal`, whose big products run in libmpdec's
-    number-theoretic transform (Brent and Zimmermann, Modern Computer
-    Arithmetic, section 1.7; CPython 3.12's _pylong).  The context keeps
-    every digit and traps Inexact, so a rounding would raise instead of
-    printing a wrong digit.  Unlike str(), this never depends on
-    sys.set_int_max_str_digits.
-    """
-    if isinstance(n, Fraction):
-        num = to_decimal(n.numerator)
-        return num if n.denominator == 1 else f"{num}/{to_decimal(n.denominator)}"
-    if isinstance(n, decimal.Decimal) or n.bit_length() <= _STR_MAX_BITS:
-        return str(n)
-    powers = {}
-
-    def power(w: int) -> decimal.Decimal:
-        # 2**w, each w computed once.
-        if w not in powers:
-            if w <= _LEAF_BITS:
-                powers[w] = decimal.Decimal(1 << w)
-            else:
-                half = w >> 1
-                powers[w] = _EXACT.multiply(power(half), power(w - half))
-        return powers[w]
-
-    def convert(m: int, width: int) -> decimal.Decimal:
-        if width <= _LEAF_BITS:
-            return decimal.Decimal(m)
-        half = width >> 1
-        hi = m >> half
-        lo = m - (hi << half)
-        return _EXACT.add(convert(lo, half), _EXACT.multiply(convert(hi, width - half), power(half)))
-
-    text = str(convert(abs(n), n.bit_length()))
-    return "-" + text if n < 0 else text
 
 
 def _positive_fraction(t, name: str) -> Fraction:

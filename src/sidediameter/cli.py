@@ -13,10 +13,9 @@ import os
 import re
 import sys
 import time
-from fractions import Fraction
 
-from sidediameter import approx, pairs
-from sidediameter.pairs import _PRIME
+from sidediameter import pairs
+from sidediameter.pairs import _PRIME, DEFAULT_DECIMAL_DIGITS, DEFAULT_DIGIT_CAP
 
 
 class UsageError(Exception):
@@ -63,11 +62,13 @@ _INTEGER = r"[^\S\x1c-\x1f]*[-+]?\d+(?:_\d+)*[^\S\x1c-\x1f]*"
 def decimal_integer(text: str) -> decimal.Decimal:
     """An argparse type: the integer that int(text) gives, as an exact Decimal; plus() makes -0 into 0."""
     if re.fullmatch(_INTEGER, text):
-        return approx._EXACT.plus(decimal.Decimal(text))
+        return pairs._EXACT.plus(decimal.Decimal(text))
     raise argparse.ArgumentTypeError(f"not an integer: {_echoed(text)!r}")
 
 
-def rational(text: str) -> Fraction:
+def rational(text: str) -> "Fraction":
+    from fractions import Fraction  # loaded only by the verbs that take a rational
+
     if re.fullmatch(_RATIONAL, text):
         with contextlib.suppress(ZeroDivisionError):
             return Fraction(text)
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="emit the first N pairs as CSV or JSON")
     gen.add_argument("--count", type=positive_int, required=True)
     gen.add_argument("--format", choices=("csv", "json"), default="csv")
-    gen.add_argument("--digits", type=nonnegative_int, default=approx.DEFAULT_DECIMAL_DIGITS)
+    gen.add_argument("--digits", type=nonnegative_int, default=DEFAULT_DECIMAL_DIGITS)
     gen.set_defaults(handler=_cmd_gen)
 
     nth = sub.add_parser("nth", help="compute the N-th pair by the fast doubling path")
@@ -127,15 +128,15 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--method", choices=("babylonian", "sd"),
                     help="step and preimage only (default: babylonian)")
     ap.add_argument("--cap", type=positive_int,
-                    help=f"digits only (default: {approx.DEFAULT_DIGIT_CAP})")
+                    help=f"digits only (default: {DEFAULT_DIGIT_CAP})")
     ap.set_defaults(handler=_cmd_approx)
 
     compare = sub.add_parser("compare", help="run both methods and tabulate convergence")
-    compare.add_argument("--start", type=rational, default=Fraction(1))
+    compare.add_argument("--start", type=rational, default="1")
     compare.add_argument("--steps", type=nonnegative_int, required=True)
     compare.add_argument("--format", choices=("csv", "json"), default="csv")
-    compare.add_argument("--digits", type=nonnegative_int, default=approx.DEFAULT_DECIMAL_DIGITS)
-    compare.add_argument("--cap", type=positive_int, default=approx.DEFAULT_DIGIT_CAP)
+    compare.add_argument("--digits", type=nonnegative_int, default=DEFAULT_DECIMAL_DIGITS)
+    compare.add_argument("--cap", type=positive_int, default=DEFAULT_DIGIT_CAP)
     compare.set_defaults(handler=_cmd_compare)
 
     return parser
@@ -206,6 +207,8 @@ def _write(pieces) -> None:
 
 
 def _cmd_gen(args) -> int:
+    from sidediameter import approx  # only gen, compare and approx load it, and `fractions` with it
+
     # The a and d columns hold at most 2 * sum of ceil(0.3828 * i) <=
     # ceil(0.3828 * count * (count + 1)) + 2 * count digits; the other columns
     # of a row add `digits` places and at most ten more digits below 10**6 rows.
@@ -216,7 +219,7 @@ def _cmd_gen(args) -> int:
         _, num, den, value, correct, side = approx._cells(*row, args.digits)
         return str(row[0] + 1), den, num, "-1" if side == "under" else "1", value, correct
 
-    steps = approx._rows("side_diameter", Fraction(1), args.count - 1, approx.DEFAULT_DIGIT_CAP)
+    steps = approx._rows("side_diameter", 1, args.count - 1, DEFAULT_DIGIT_CAP)
     _write(_table(args.format, _GEN_COLUMNS, map(cells, itertools.chain([(0, 1, 1, 0, "under")], steps))))
     return 0
 
@@ -236,7 +239,7 @@ def _component_digits(n: int) -> int:
     return -(-3828 * n // 10000)
 
 
-def _compare_digits(start: Fraction, steps: int, places: int) -> int:
+def _compare_digits(start: "Fraction", steps: int, places: int) -> int:
     """About the digits `compare` prints: each row's numerator, denominator and places.
 
     For start p/q, p + q*sqrt(2) < 2**L with L = bitlen(p + 2q).  The Babylonian
@@ -271,9 +274,9 @@ def _nth_line(n: int) -> tuple[str, ...]:
     CPython's int squaring and int->decimal conversion.  `pairs._nth_checked`
     checks the pair at half size in Decimal, so e is (-1)**n.
     """
-    with decimal.localcontext(approx._EXACT):
+    with decimal.localcontext(pairs._EXACT):
         a, d = pairs._nth_checked(n, decimal.Decimal(1))
-    return f"n={n} a=", approx.to_decimal(a), " d=", approx.to_decimal(d), f" e={-1 if n % 2 else 1}"
+    return f"n={n} a=", pairs.to_decimal(a), " d=", pairs.to_decimal(d), f" e={-1 if n % 2 else 1}"
 
 
 def _cmd_nth(args) -> int:
@@ -287,7 +290,7 @@ def _cmd_nth(args) -> int:
     begin = time.perf_counter()
     printed = (pieces[0::2] == (f"n={args.n} a=", " d=", f" e={-1 if args.n % 2 else 1}")
                and all(re.fullmatch("[1-9][0-9]*", x) for x in pieces[1::2]))
-    with decimal.localcontext(approx._EXACT):  # linear, where int() of the digits is quadratic
+    with decimal.localcontext(pairs._EXACT):  # linear, where int() of the digits is quadratic
         a, d = (int(decimal.Decimal(x) % _PRIME) for x in pieces[1::2]) if printed else (0, 0)
     agrees = printed and all((d + s * a * _ROOT_2 - pow(1 + s * _ROOT_2, args.n, _PRIME)) % _PRIME == 0
                              for s in (1, -1))
@@ -320,12 +323,12 @@ def _cmd_verify(args) -> int:
 def _cmd_trace(args) -> int:
     """`trace_elegant`'s trace, computed, checked and printed in exact Decimal (see `_nth_line`).
 
-    `pairs._pell_sign` checks a pair A D in Decimal.  `--n K` needs no check: the
-    hypothesis-substitution step balances only when d^2 - 2a^2 = (-1)^K.
+    `pairs._pell_sign` checks a pair A D in Decimal, on the squares that the steps use.  `--n K`
+    needs no check: the hypothesis-substitution step balances only when d^2 - 2a^2 = (-1)^K.
     """
     from sidediameter import identities
 
-    with decimal.localcontext(approx._EXACT):
+    with decimal.localcontext(pairs._EXACT):
         if args.n is not None and not args.pair:
             # The trace prints a and d with their squares and step values: about 38 components.
             _check_printed_digits("trace --n", 38 * _component_digits(args.n))
@@ -333,10 +336,13 @@ def _cmd_trace(args) -> int:
             e = -1 if args.n % 2 else 1
         elif len(args.pair) == 2 and args.n is None:
             a, d = args.pair
-            e = pairs._pell_sign(a, d)
+            e = None
         else:
             raise UsageError("trace expects either two integers A D or --n K")
         text, steps = identities._derivation(a, d, e)
+        if e is None:
+            # A checked pair has d odd, so e = d^2 - 2a^2 = 1 - 2a^2 modulo 8: -1 exactly when a is odd.
+            e = -1 if a % 2 else 1
     # One write per piece: the digits of each value are held once, and no expression, line
     # or document is joined.
     _write(identities._pretty_laid_out(text, a, d, e, steps) if args.pretty
@@ -345,6 +351,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    from sidediameter import approx
+
     unread = "method" if args.action == "digits" else "cap"
     if getattr(args, unread) is not None:
         raise UsageError(f"--{unread} does not apply to approx {args.action}")
@@ -357,13 +365,15 @@ def _cmd_approx(args) -> int:
         roots = sorted(approx.babylonian_preimage(args.value))
         print("preimages: " + (", ".join(approx.to_decimal(r) for r in roots) if roots else "none"))
     else:
-        print(approx.correct_digits(args.value, args.cap or approx.DEFAULT_DIGIT_CAP))
+        print(approx.correct_digits(args.value, args.cap or DEFAULT_DIGIT_CAP))
     return 0
 
 
 def _cmd_compare(args) -> int:
     """Both methods' rows, written as `approx._rows` makes them.  The JSON is, byte for byte,
     `json.dumps(..., indent=2)` of the reports' `to_json_dict`s under `start` and `steps`."""
+    from sidediameter import approx
+
     start = approx._positive_fraction(args.start, "start")  # before the estimate and the first write
     _check_printed_digits("compare", _compare_digits(start, args.steps, args.digits))
 

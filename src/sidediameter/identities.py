@@ -20,8 +20,8 @@ import re
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from sidediameter import approx
-from sidediameter.pairs import SideDiameterPair, _Record, _require_int, _require_rational, _shown
+from sidediameter.pairs import (SideDiameterPair, _pell_sign, _Record, _require_int, _require_rational, _shown,
+                                to_decimal)
 
 # The derivation, one row per step: its justification and its two sides as printed.  A and D
 # stand for the pair's a and d, +e for its sign e added and -e for e taken away.
@@ -76,7 +76,7 @@ class DerivationTrace(_Record):
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "steps", steps)
         values = {pair.a, pair.d, *(s.lhs_value for s in steps)}
-        object.__setattr__(self, "_text", {v: approx.to_decimal(v) for v in values})
+        object.__setattr__(self, "_text", {v: to_decimal(v) for v in values})
 
     def conclusion(self) -> TraceStep:
         return self.steps[-1]
@@ -224,30 +224,34 @@ def trace_elegant(p: SideDiameterPair) -> DerivationTrace:
     return trace
 
 
-def _derivation(a, d, e: int) -> tuple[dict, tuple[TraceStep, ...]]:
+def _derivation(a, d, e: int | None) -> tuple[dict, tuple[TraceStep, ...]]:
     """The text and the four checked steps of `trace_elegant` for a pair of any exact number type.
 
-    A Decimal pair needs an exact context (approx._EXACT).  Each expression
+    A Decimal pair needs an exact context (pairs._EXACT).  With e None, the
+    pair comes from outside and `pairs._pell_sign` checks it.  Each expression
     is a tuple of pieces that refer to one string for a and one for d.  The
     dict maps a, d and each step value to its decimal text: each distinct
-    value is rendered once by `approx.to_decimal`, the step values after the
+    value is rendered once by `to_decimal`, the step values after the
     check, when only the three distinct ones are still held.
     """
-    text = {v: approx.to_decimal(v) for v in {a, d}}
+    text = {v: to_decimal(v) for v in {a, d}}
     steps = _checked_steps(a, d, e, text[a], text[d])
-    text.update({v: approx.to_decimal(v) for v in {s.lhs_value for s in steps} if v not in text})
+    text.update({v: to_decimal(v) for v in {s.lhs_value for s in steps} if v not in text})
     return text, steps
 
 
-def _checked_steps(a, d, e: int, text_a: str, text_d: str) -> tuple[TraceStep, ...]:
+def _checked_steps(a, d, e: int | None, text_a: str, text_d: str) -> tuple[TraceStep, ...]:
     """The steps of `_derivation`, checked by `_check_steps`, with one value object per step.
 
     The hypothesis-substitution step balances only when the pair's equation
     d**2 = 2*a**2 + e holds, and the V.19-subtraction step only when the
     remainder u equals 2*(a+d)**2.  Each side of `_STEPS` becomes a tuple of
-    pieces in which A and D are the strings text_a and text_d.
+    pieces in which A and D are the strings text_a and text_d.  With e None,
+    `_pell_sign` reads e from the squares that the steps use.
     """
     a2, d2 = a * a, d * d
+    if e is None:
+        e = _pell_sign(a, d, squares=(a2, d2))
     side, diam = a + d, 2 * a + d
     next_a2, next_d2 = side * side, diam * diam
     double = 2 * (a2 + next_a2)

@@ -530,7 +530,7 @@ def _widths_near(*cuts):
 
 # Bit widths and decimal lengths on both sides of the str() threshold and
 # of the leaf size, where the split first recurses.
-_BIT_CUTS = (approx._STR_MAX_BITS, 2 * approx._STR_MAX_BITS, 8 * approx._LEAF_BITS)
+_BIT_CUTS = (pairs._STR_MAX_BITS, 2 * pairs._STR_MAX_BITS, 8 * pairs._LEAF_BITS)
 _DIGIT_CUTS = tuple(cut * 30103 // 100000 for cut in _BIT_CUTS)
 
 threshold_ints = st.one_of(
@@ -578,7 +578,7 @@ def test_to_decimal_of_an_integral_decimal_is_its_str(n):
 def test_to_decimal_raises_rather_than_rounds(monkeypatch):
     narrow = approx._EXACT.copy()
     narrow.prec = 100
-    monkeypatch.setattr(approx, "_EXACT", narrow)
+    monkeypatch.setattr(pairs, "_EXACT", narrow)
     with pytest.raises(decimal.Inexact):
         to_decimal(3**20000)
 

@@ -19,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sidediameter
-from sidediameter import approx, cli, generate, pairs, to_decimal, trace_elegant
+from sidediameter import approx, cli, generate, identities, pairs, to_decimal, trace_elegant
 from sidediameter.cli import _GEN_COLUMNS, _nth_line, build_parser, run
 from sidediameter.pairs import SideDiameterPair, nth
 
@@ -382,6 +382,9 @@ def test_index_verbs_refuse_output_over_the_limit_before_computing(argv, monkeyp
 def test_a_refused_estimate_over_20_digits_is_shown_in_scientific_form():
     assert invoke(["nth", str(2**1100)]) == (
         1, "", "error: nth would print about 1.03e331 digits, over the limit of 100000000\n")
+    for estimate, shown in [(12345678901234567890, "12345678901234567890"), (123456789012345678901, "1.23e20")]:
+        with pytest.raises(ValueError, match=f"^gen would print about {re.escape(shown)} digits, over"):
+            cli._check_printed_digits("gen", estimate)
 
 
 @pytest.mark.parametrize("verb,n", [
@@ -509,10 +512,13 @@ def test_each_verb_loads_only_the_modules_it_needs(argv, needs):
     out = fresh_python(
         "import io, sys; from sidediameter import cli\n"
         f"assert cli.run({argv.split()!r}, io.StringIO()) == 0\n"
-        "print(*sorted(m for m in sys.modules if m.startswith('sidediameter.')))"
+        "print(*sorted(m for m in sys.modules if m.startswith('sidediameter.') or m == 'fractions'))"
     )
-    # Only `verify` builds the symbolic catalog and so loads the polynomial ring.
-    assert set(out.split()) == {f"sidediameter.{m}" for m in ["cli", "pairs", "approx", *needs.split()]}
+    # Only `verify` builds the symbolic catalog and so loads the polynomial ring.  Only the verbs
+    # that read or print rationals load `approx`, and `fractions` with it.
+    rational = argv.split()[0] in ("gen", "approx", "compare")
+    needs = ["cli", "pairs", *needs.split(), *(["approx"] if rational else [])]
+    assert set(out.split()) == {f"sidediameter.{m}" for m in needs} | ({"fractions"} if rational else set())
 
 
 def test_library_trace_loads_no_polynomial_ring():
@@ -675,7 +681,7 @@ def test_trace_renders_every_value_through_to_decimal_in_decimal(monkeypatch):
         recorded.append(value)
         return to_decimal(value)
 
-    monkeypatch.setattr(approx, "to_decimal", recording)
+    monkeypatch.setattr(identities, "to_decimal", recording)
     for argv in (["trace", "--n", "2000"], ["trace", str(trace.pair.a), str(trace.pair.d)]):
         recorded.clear()
         assert invoke(argv)[0] == 0

@@ -297,14 +297,14 @@ def test_trace_renders_equal_the_two_renderer_oracles(pair):
 
 
 def _recorded_to_decimal(monkeypatch) -> list:
-    """The list to which every later `approx.to_decimal` call appends its argument."""
+    """The list to which every later `to_decimal` call of `identities` appends its argument."""
     rendered = []
 
     def recording(value):
         rendered.append(value)
         return to_decimal(value)
 
-    monkeypatch.setattr(approx, "to_decimal", recording)
+    monkeypatch.setattr(identities, "to_decimal", recording)
     return rendered
 
 

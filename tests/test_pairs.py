@@ -335,6 +335,20 @@ def _sign_or_message(check, a, d, index):
         return re.sub(r"<(int of \d+ bits|Decimal of \d+ digits)>", "<size>", str(exc))
 
 
+@pytest.mark.parametrize("number", [int, decimal.Decimal, Fraction])
+def test_shown_gives_the_size_from_2_to_the_14000_on(number):
+    # Both 2**14000 - 1 and 2**14000 have 4,215 digits; only the second is shown by its size.
+    below, at = number(2**14000 - 1), number(2**14000)
+    for form in (repr, str):
+        assert pairs._shown(below, form) == form(below)
+    size = {int: "<int of 14001 bits>", decimal.Decimal: "<Decimal of 4215 digits>",
+            Fraction: "<int of 14001 bits>/1"}[number]
+    assert pairs._shown(at) == pairs._shown(at, str) == size
+    assert pairs._shown(number(-(2**14000))) == "-" + size
+    if number is Fraction:
+        assert pairs._shown(1 / at) == "1/<int of 14001 bits>"
+
+
 @pytest.mark.parametrize("a,d,index", _check_cases())
 def test_int_and_decimal_pair_checks_agree(a, d, index):
     as_decimal = decimal.Decimal(approx.to_decimal(a)), decimal.Decimal(approx.to_decimal(d))
