@@ -80,7 +80,7 @@ MUTANTS = [
     ),
     pytest.param(
         "approx.py",
-        "return p >> 1, q >> 1, n >> 2",
+        "return p // 2, q // 2, n // 4",
         "return p, q, n",
         ["tests/test_approx.py::test_run_method_rows_equal_the_public_fraction_steps",
          "tests/test_cli.py::test_golden_stdout_bytes"],
@@ -101,6 +101,30 @@ MUTANTS = [
         ["tests/test_approx.py::test_run_method_rows_equal_the_public_fraction_steps",
          "tests/test_cli.py::test_golden_stdout_bytes"],
         id="side-from-minus-n",
+    ),
+    pytest.param(
+        "approx.py",
+        "(10**cap).bit_length() < den.bit_length()",
+        "(10**cap).bit_length() <= den.bit_length()",
+        ["tests/test_approx.py::test_correct_digits_matches_linear_scan",
+         "tests/test_approx.py::test_digit_kernel_agrees_on_ints_and_integral_decimals"],
+        id="correct-digits-size-test-one-bit-loose",
+    ),
+    pytest.param(
+        "approx.py",
+        "n.adjusted() + cap < den.adjusted()",
+        "n.adjusted() + cap <= den.adjusted()",
+        ["tests/test_approx.py::test_digit_kernel_agrees_on_ints_and_integral_decimals"],
+        id="correct-digits-size-test-one-digit-loose",
+    ),
+    pytest.param(
+        "approx.py",
+        "_shifted(rem, digits) // den",
+        "_shifted(rem, digits) / den",
+        ["tests/test_approx.py::test_digit_kernel_agrees_on_ints_and_integral_decimals",
+         "tests/test_cli.py::test_compare_prints_the_library_reports_byte_for_byte",
+         "tests/test_cli.py::test_golden_stdout_bytes"],
+        id="decimal-string-quotient-not-integral",
     ),
     pytest.param(
         "approx.py",

@@ -219,7 +219,7 @@ def _cmd_gen(args) -> int:
         _, num, den, value, correct, side = approx._cells(*row, args.digits)
         return str(row[0] + 1), den, num, "-1" if side == "under" else "1", value, correct
 
-    steps = approx._rows("side_diameter", 1, args.count - 1, DEFAULT_DIGIT_CAP)
+    steps = approx._rows("side_diameter", 1, 1, args.count - 1, DEFAULT_DIGIT_CAP)
     _write(_table(args.format, _GEN_COLUMNS, map(cells, itertools.chain([(0, 1, 1, 0, "under")], steps))))
     return 0
 
@@ -371,23 +371,30 @@ def _cmd_approx(args) -> int:
 
 def _cmd_compare(args) -> int:
     """Both methods' rows, written as `approx._rows` makes them.  The JSON is, byte for byte,
-    `json.dumps(..., indent=2)` of the reports' `to_json_dict`s under `start` and `steps`."""
+    `json.dumps(..., indent=2)` of the reports' `to_json_dict`s under `start` and `steps`.
+
+    The rows are stepped and printed in exact Decimal (see `_nth_line`): the table is written
+    under `pairs._EXACT`, where the generators run.  The seed is read from the start's digits,
+    which `to_decimal` makes in subquadratic time.
+    """
     from sidediameter import approx
 
     start = approx._positive_fraction(args.start, "start")  # before the estimate and the first write
     _check_printed_digits("compare", _compare_digits(start, args.steps, args.digits))
+    p, q = (decimal.Decimal(approx.to_decimal(x)) for x in (start.numerator, start.denominator))
 
     def cells(method):
-        return (approx._cells(*row, args.digits) for row in approx._rows(method, start, args.steps, args.cap))
+        return (approx._cells(*row, args.digits) for row in approx._rows(method, p, q, args.steps, args.cap))
 
-    if args.format == "csv":
-        _write(_table("csv", ("method", *approx._REPORT_COLUMNS),
-                      ((method, *row) for method in approx._METHOD_STEPS for row in cells(method))))
-        return 0
-    shown = approx.to_decimal(start)
-    _write(_json({"start": shown, "steps": str(args.steps), **{
-        method: {"method": method, "start": shown, "rows": _table("json", approx._REPORT_COLUMNS, cells(method), "\n    ")}
-        for method in approx._METHOD_STEPS}}))
+    with decimal.localcontext(pairs._EXACT):
+        if args.format == "csv":
+            _write(_table("csv", ("method", *approx._REPORT_COLUMNS),
+                          ((method, *row) for method in approx._METHOD_STEPS for row in cells(method))))
+            return 0
+        shown = approx.to_decimal(start)
+        _write(_json({"start": shown, "steps": str(args.steps), **{
+            method: {"method": method, "start": shown, "rows": _table("json", approx._REPORT_COLUMNS, cells(method), "\n    ")}
+            for method in approx._METHOD_STEPS}}))
     return 0
 
 

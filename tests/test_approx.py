@@ -5,6 +5,7 @@ import pickle
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -221,8 +222,23 @@ digit_test_values = st.one_of(
 
 @settings(max_examples=400, deadline=None)
 @given(digit_test_values, st.sampled_from([1, 2, 3, 7, 50, 200, 300, 1500]))
+# Answer 1 at cap 2, where bitlen(n) + bitlen(10**cap) = bitlen(den) + bitlen(num):
+# one bit above what settles a row from sizes.
+@example(Fraction(47, 33), 2)
 def test_correct_digits_matches_linear_scan(t, cap):
     assert correct_digits(t, cap) == _correct_digits_scan(t, cap)
+
+
+@settings(max_examples=400, deadline=None)
+@given(digit_test_values, st.sampled_from([1, 2, 3, 7, 50, 200, 300, 1500]), st.booleans())
+def test_correct_digits_walks_at_most_two_levels_below_its_start(t, cap, as_decimals):
+    """The walk tests its start level and at most two below it, in both number types; a row
+    settled from sizes tests none."""
+    num, den = t.numerator, t.denominator
+    state = (num, den, abs(num * num - 2 * den * den))
+    with decimal.localcontext(pairs._EXACT), mock.patch.object(approx, "_shifted", wraps=approx._shifted) as shifted:
+        answer = approx._correct_digits(*map(decimal.Decimal, state) if as_decimals else state, cap)
+    assert shifted.call_count <= (3 if answer else 2)
 
 
 @pytest.mark.parametrize("n", [1000, 2000])
@@ -246,31 +262,42 @@ def test_correct_digits_takes_no_isqrt(monkeypatch):
     assert calls == []
 
 
-class _SquareCountingInt(int):
-    """An int that counts products with itself and powers of itself."""
+def _square_counting(base):
+    """A subclass of `base`, int or Decimal, whose values count their products with values of
+    the class, themselves included, and their powers."""
 
-    def __new__(cls, value):
-        self = super().__new__(cls, value)
-        self.squarings = 0
-        return self
+    class SquareCounting(base):
+        def __new__(cls, value):
+            self = super().__new__(cls, value)
+            self.squarings = 0
+            return self
 
-    def __mul__(self, other):
-        self.squarings += other is self
-        return int(self) * other
+        def __mul__(self, other):
+            self.squarings += isinstance(other, SquareCounting)
+            return base(self) * other
 
-    __rmul__ = __mul__
+        __rmul__ = __mul__
 
-    def __pow__(self, exponent, modulo=None):
-        self.squarings += 1
-        return pow(int(self), exponent, modulo)
+        def __pow__(self, exponent, modulo=None):
+            self.squarings += 1
+            return pow(base(self), exponent, modulo)
+
+    return SquareCounting
+
+
+_SquareCountingInt = _square_counting(int)
+_SquareCountingDecimal = _square_counting(decimal.Decimal)
 
 
 @pytest.mark.parametrize("index,cap", [(3000, 50), (3000, 1), (400, 50), (1000, 200)])
 def test_correct_digits_squares_no_den_at_a_cap_below_the_answer(index, cap):
+    """A cap-bound row is settled from sizes, of ints or of Decimals: no den * num, no den**4."""
     p = nth(index)
-    den = _SquareCountingInt(p.a)
-    assert approx._correct_digits(p.d, den, 1, cap) == cap
-    assert den.squarings == 0
+    for counting, one in [(_SquareCountingInt, 1), (_SquareCountingDecimal, decimal.Decimal(1))]:
+        num, den = counting(p.d), counting(p.a)
+        with decimal.localcontext(pairs._EXACT):
+            assert approx._correct_digits(num, den, one, cap) == cap
+        assert den.squarings == num.squarings == 0
 
 
 def test_correct_digits_squares_den_only_for_the_exact_test():
@@ -278,6 +305,40 @@ def test_correct_digits_squares_den_only_for_the_exact_test():
     den = _SquareCountingInt(408)
     assert approx._correct_digits(577, den, 1, 50) == 5
     assert den.squarings == 1
+
+
+def _integral_decimal(x) -> bool:
+    return type(x) is decimal.Decimal and x.as_tuple().exponent == 0
+
+
+# General p/q mostly have |N| > 1; 47/33 at cap 2 and 13/10 at cap 1 answer one level below
+# the cap, where the size tests of ints and of Decimals have no slack.
+kernel_values = st.one_of(
+    st.integers(1, 400).map(cf_convergent_sqrt2),
+    st.builds(Fraction, st.integers(1, 10**40), st.integers(1, 10**40)),
+    st.builds(_near_sqrt2, st.integers(1, 10**60), st.integers(-3, 3)),
+    st.builds(_babylonian_iterate, st.sampled_from([Fraction(19, 13), Fraction(4, 3)]), st.integers(0, 8)),
+    st.builds(Fraction, st.integers(1, 10**6), st.sampled_from([8, 100, 625, 1024])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_values, st.integers(1, 400), st.integers(0, 120), st.booleans())
+@example(Fraction(47, 33), 2, 0, False)
+@example(Fraction(13, 10), 1, 0, False)
+def test_digit_kernel_agrees_on_ints_and_integral_decimals(t, cap, places, below_cap):
+    """`_correct_digits` and `_decimal_string` give the same count and string on both number types,
+    also on rows whose answer is one level below the cap."""
+    num, den = t.numerator, t.denominator
+    n = abs(num * num - 2 * den * den)
+    if below_cap:
+        cap = correct_digits(t, 10**4) + 1
+    with decimal.localcontext(pairs._EXACT):
+        d_num, d_den, d_n = map(decimal.Decimal, (num, den, n))
+        count, text = approx._correct_digits(d_num, d_den, d_n, cap), approx._decimal_string(d_num, d_den, places)
+        whole, rem = divmod(d_num, d_den)
+        assert all(map(_integral_decimal, (whole, rem, approx._shifted(rem, places) // d_den)))
+    assert (count, text) == (approx._correct_digits(num, den, n, cap), approx._decimal_string(num, den, places))
 
 
 @given(positive_fractions)
@@ -378,12 +439,18 @@ class _CountingInt(int):
     def __sub__(self, other):
         return _CountingInt(int(self) - int(other))
 
-    def __rshift__(self, other):
-        return _CountingInt(int(self) >> other)
+    def __mod__(self, other):
+        return _CountingInt(int(self) % other)
+
+    def __floordiv__(self, other):
+        return _CountingInt(int(self) // other)
+
+
+BABYLONIAN_STARTS = [Fraction(1), Fraction(3, 2), Fraction(19, 13), Fraction(4, 3)]
 
 
 # 4/3 has an even numerator, so its first step is halved.
-@pytest.mark.parametrize("start", [Fraction(1), Fraction(3, 2), Fraction(19, 13), Fraction(4, 3)])
+@pytest.mark.parametrize("start", BABYLONIAN_STARTS)
 def test_babylonian_state_takes_three_products_per_step(start):
     """Two squares, p*p and N*N, and one product p*q: p**2 + 2q**2 is formed as 2p**2 - N."""
     steps = 9
@@ -397,6 +464,18 @@ def test_babylonian_state_takes_three_products_per_step(start):
         assert type(p) is type(q) is type(n) is _CountingInt
         assert (p, q, n) == (value.numerator, value.denominator, int(p) ** 2 - 2 * int(q) ** 2)
     assert _CountingInt.products == 3 * steps
+
+
+@pytest.mark.parametrize("start", BABYLONIAN_STARTS)
+def test_babylonian_state_steps_integral_decimals_to_the_same_states(start):
+    p, q = start.numerator, start.denominator
+    n = p * p - 2 * q * q
+    state = tuple(map(decimal.Decimal, (p, q, n)))
+    for _ in range(9):
+        p, q, n = approx._babylonian_state(p, q, n)
+        with decimal.localcontext(pairs._EXACT):
+            state = approx._babylonian_state(*state)
+        assert all(map(_integral_decimal, state)) and state == (p, q, n)
 
 
 def test_compare_takes_no_gcd(monkeypatch):

@@ -92,6 +92,8 @@ def _run(argv):
     ["gen", "--count", "300", "--format", "json", "--digits", "100"],
     ["compare", "--start", "7/5", "--steps", "12"],
     ["compare", "--steps", "14", "--format", "json"],
+    # Rows of Decimals whose counts walk below the cap, and 120 places from a Decimal division.
+    ["compare", "--start", "19/13", "--steps", "12", "--cap", "400", "--digits", "120", "--format", "json"],
     ["approx", "step", f"{BIG_ARGS[1]}/{BIG_ARGS[0]}"],
     ["approx", "preimage", "17/12"],
     ["approx", "digits", f"{BIG_ARGS[1]}/{BIG_ARGS[0]}"],
