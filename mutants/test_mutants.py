@@ -7,12 +7,16 @@ tests read README.md), applies one exact text substitution, which must match
 exactly once so that a refactor moving the code fails the case loudly, and
 runs the named tests of the copy in a subprocess, without shrinking a failing
 hypothesis example.  Every named test must report a FAILED line.
+
+A session fixture starts the collected cases' subprocesses at once, through a
+pool of at most `os.cpu_count()` workers; each case's test waits for its own.
 """
 
 import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -22,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # (module under src/sidediameter, text, its replacement, tests that must catch it)
 MUTANTS = [
     pytest.param(
-        "pairs.py",
+        "_exact.py",
         "        if e != (-1 if index % 2 else 1):\n"
         '            raise InvalidPairError(f"index {_shown(index, str)} inconsistent with sign {int(e):+d}")\n',
         "",
@@ -31,14 +35,14 @@ MUTANTS = [
     ),
     pytest.param(
         "cli.py",
-        "pairs._nth_checked(n, decimal.Decimal(1))",
-        "pairs._nth_components(n, decimal.Decimal(1))",
+        "_exact._nth_checked(n, decimal.Decimal(1))",
+        "_exact._nth_components(n, decimal.Decimal(1))",
         ["tests/test_cli.py::test_nth_keeps_the_pell_check_in_decimal",
          "tests/test_cli.py::test_nth_refuses_a_wrong_value_at_one_doubling_level"],
         id="nth-check-replaced-by-parity",
     ),
     pytest.param(
-        "pairs.py",
+        "_exact.py",
         "exact and min(a, d) >= 1",
         "min(a, d) >= 1",
         # d + 2**61 - 1 one level below the last doubling keeps every residue.
@@ -47,7 +51,7 @@ MUTANTS = [
         id="nth-half-level-check-removed",
     ),
     pytest.param(
-        "pairs.py",
+        "_exact.py",
         " and (s * s - 2 * r * r - (-1 if n & 1 else 1)) % _PRIME == 0",
         "",
         # d + 1 after the last doubling leaves the level below it a checked pair.
@@ -56,14 +60,14 @@ MUTANTS = [
         id="nth-top-residue-check-removed",
     ),
     pytest.param(
-        "pairs.py",
+        "_exact.py",
         "min(a, d) >= 1 and (s",
         "(s",
         ["tests/test_pairs.py::test_library_nth_refuses_a_side_negated_below_the_last_doubling"],
         id="nth-side-bound-removed",
     ),
     pytest.param(
-        "pairs.py",
+        "_exact.py",
         "if a < 1 or d < 1:",
         "if a < 0 or d < 1:",
         ["tests/test_pairs.py::test_pair_rejects_invalid_constructions",
@@ -135,7 +139,7 @@ MUTANTS = [
         id="correct-digits-walk-stops-at-1",
     ),
     pytest.param(
-        "cli.py",
+        "_tables.py",
         '"-1" if side == "under" else "1"',
         '"1" if side == "under" else "-1"',
         ["tests/test_cli.py::test_gen_rows_agree_with_the_public_digit_functions",
@@ -143,15 +147,15 @@ MUTANTS = [
         id="gen-parity-sign-swapped",
     ),
     pytest.param(
-        "cli.py",
-        '(0, 1, 1, 0, "under")',
-        '(0, 1, 1, 0, "over")',
+        "_tables.py",
+        '(0, one, one, 0, "under")',
+        '(0, one, one, 0, "over")',
         ["tests/test_cli.py::test_gen_csv_first_four",
          "tests/test_cli.py::test_golden_stdout_bytes"],
         id="gen-start-state-over",
     ),
     pytest.param(
-        "cli.py",
+        "_tables.py",
         "args.count - 1",
         "args.count",
         ["tests/test_cli.py::test_gen_prints_the_rows_of_the_public_generate_list",
@@ -167,7 +171,7 @@ MUTANTS = [
         id="gen-json-tail-newline-dropped",
     ),
     pytest.param(
-        "cli.py",
+        "_tables.py",
         "end = lead.strip() + tail.strip()",
         "end = lead + tail",
         ["tests/test_cli.py::test_compare_prints_the_library_reports_byte_for_byte",
@@ -175,7 +179,7 @@ MUTANTS = [
         id="empty-table-not-as-json-dumps",
     ),
     pytest.param(
-        "cli.py",
+        "_tables.py",
         "            yield row[-1]\n",
         "",
         ["tests/test_cli.py::test_compare_prints_the_library_reports_byte_for_byte",
@@ -183,7 +187,7 @@ MUTANTS = [
         id="row-end-dropped-when-written-in-pieces",
     ),
     pytest.param(
-        "cli.py",
+        "_tables.py",
         '_json(dict.fromkeys(columns, "%s"), inner)',
         '_json(dict.fromkeys(columns, "%s"), indent)',
         ["tests/test_cli.py::test_golden_stdout_bytes",
@@ -191,7 +195,7 @@ MUTANTS = [
         id="table-row-template-at-the-table-indent",
     ),
     pytest.param(
-        "pairs.py",
+        "_exact.py",
         "return _EXACT.add(convert(lo, half), _EXACT.multiply(convert(hi, width - half), power(half)))",
         "return _EXACT.multiply(convert(hi, width - half), power(half))",
         ["tests/test_approx.py::test_to_decimal_matches_str",
@@ -199,7 +203,7 @@ MUTANTS = [
         id="to-decimal-split-drops-lo",
     ),
     pytest.param(
-        "cli.py",
+        "_tables.py",
         "doubled = 2 ** (min(steps, 64) + 1) - 2",
         "doubled = 2 ** min(steps, 64) - 2",
         ["tests/test_cli.py::test_index_verbs_refuse_output_over_the_limit_before_computing[compare-first-over]"],
@@ -248,7 +252,7 @@ MUTANTS = [
         id="trace-plus-e-word-flipped",
     ),
     pytest.param(
-        "pairs.py",
+        "_exact.py",
         "decimal.Decimal(1 << w)",
         "decimal.Decimal(1 << (w - 1))",
         ["tests/test_approx.py::test_to_decimal_matches_str",
@@ -256,7 +260,7 @@ MUTANTS = [
         id="to-decimal-leaf-power-halved",
     ),
     pytest.param(
-        "pairs.py",
+        "_exact.py",
         "(-1 if n & 2 else 1)",
         "(-1 if n & 2 or n == 4 else 1)",
         # Level 4 lies on no index that a test module computes at collection (6, 7, 2000, 12000, 60000).
@@ -283,8 +287,8 @@ MUTANTS = [
     ),
     pytest.param(
         "cli.py",
-        '" d=", pairs.to_decimal(d),',
-        '" d=", pairs.to_decimal(d).replace("7", "8", n > 1000),',
+        '" d=", _exact.to_decimal(d),',
+        '" d=", _exact.to_decimal(d).replace("7", "8", n > 1000),',
         # The Pell check runs before the line is printed, so only the residue oracle sees the digit.
         ["tests/test_cli.py::test_nth_check_oracle_matches_and_prints_the_iterative_line",
          "tests/test_cli.py::test_check_oracle_runs_past_the_former_limit_without_the_iterative_path"],
@@ -338,7 +342,7 @@ MUTANTS = [
         id="refused-estimate-of-20-digits-shortened",
     ),
     pytest.param(
-        "pairs.py",
+        "_exact.py",
         "v.denominator.bit_length()) > _STR_MAX_BITS",
         "v.denominator.bit_length()) >= _STR_MAX_BITS",
         ["tests/test_pairs.py::test_shown_gives_the_size_from_2_to_the_14000_on[Fraction]"],
@@ -346,31 +350,73 @@ MUTANTS = [
     ),
     pytest.param(
         "cli.py",
-        "from sidediameter import pairs\n",
-        "from sidediameter import approx, pairs\n",
+        "from sidediameter import _exact\n",
+        "from sidediameter import _exact, approx\n",
         ["tests/test_cli.py::test_each_verb_loads_only_the_modules_it_needs[nth 5-]",
          "tests/test_cli.py::test_each_verb_loads_only_the_modules_it_needs[trace --n 3-identities]"],
         id="cli-loads-approx-at-import",
     ),
+    pytest.param(
+        "cli.py",
+        "from sidediameter import _exact\n",
+        "from sidediameter import _exact, pairs\n",
+        ["tests/test_cli.py::test_each_verb_loads_only_the_modules_it_needs[nth 5-]"],
+        id="cli-loads-pairs-at-import",
+    ),
+    pytest.param(
+        "_tables.py",
+        '(0, one, one, 0, "under")',
+        '(0, 1, 1, 0, "under")',
+        # Row 1 alone in ints prints the same bytes, only slower: its places come from an int division.
+        ["tests/test_cli.py::test_gen_steps_and_prints_every_row_in_exact_decimal"],
+        id="gen-row-one-in-int",
+    ),
+    pytest.param(
+        "cli.py",
+        "argv and argv[0] in _VERBS",
+        "argv",
+        ["tests/test_cli.py::test_outputs_that_name_no_verb_first_come_from_the_full_parser[help]",
+         "tests/test_cli.py::test_outputs_that_name_no_verb_first_come_from_the_full_parser[h-nth]",
+         "tests/test_cli.py::test_outputs_that_name_no_verb_first_come_from_the_full_parser[unknown]"],
+        id="parser-built-for-any-first-argument",
+    ),
 ]
 
 
-@pytest.mark.parametrize("module,text,replacement,tests", MUTANTS)
-def test_mutant_is_caught(tmp_path, module, text, replacement, tests):
+def _run_case(root: Path, module: str, text: str, replacement: str, tests: list[str]) -> list[str]:
+    """The FAILED lines of the named tests, run on a copy of the package under `root` with one substitution."""
     for name in ("src", "tests"):
-        shutil.copytree(ROOT / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / name, root / name, ignore=shutil.ignore_patterns("__pycache__"))
     for name in ("README.md", "pyproject.toml"):
-        shutil.copy(ROOT / name, tmp_path / name)
-    path = tmp_path / "src" / "sidediameter" / module
+        shutil.copy(ROOT / name, root / name)
+    path = root / "src" / "sidediameter" / module
     source = path.read_text()
     assert source.count(text) == 1, f"{text!r} must occur exactly once in {module}"
     path.write_text(source.replace(text, replacement))
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", "--hypothesis-seed=0",
          "--hypothesis-profile=no-shrink", *tests],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path / "src")),
+        cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True, text=True, timeout=120,
     )
-    failed = [line for line in result.stdout.splitlines() if line.startswith("FAILED ")]
+    return result.stdout
+
+
+@pytest.fixture(scope="session")
+def outcomes(request, tmp_path_factory):
+    """The stdout of each collected case's run, by case id, as futures of a pool started once."""
+    collected = {item.callspec.id for item in request.session.items if item.originalname == "test_mutant_is_caught"}
+    with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
+        futures = {case.id: pool.submit(_run_case, tmp_path_factory.mktemp(case.id), *case.values)
+                   for case in MUTANTS if case.id in collected}
+        yield futures
+        for future in futures.values():
+            future.cancel()
+
+
+@pytest.mark.parametrize("module,text,replacement,tests", MUTANTS)
+def test_mutant_is_caught(request, outcomes, module, text, replacement, tests):
+    stdout = outcomes[request.node.callspec.id].result()
+    failed = [line for line in stdout.splitlines() if line.startswith("FAILED ")]
     for test in tests:
-        assert any(line.startswith(f"FAILED {test}") for line in failed), result.stdout[-3000:]
+        assert any(line.startswith(f"FAILED {test}") for line in failed), stdout[-3000:]

@@ -22,25 +22,26 @@ pair.  The ratio step is the pair step: (p + 2q, p + q, -N), coprime
 because gcd(p + 2q, p + q) = gcd(p, q).  From 1, step n is pair n + 1 as
 d/a with sign N, and the CLI's `gen` prints these rows.  The averaging
 step is the pair doubling a -> 2ad, d -> 2d**2 - e of
-`pairs._nth_components`, with the carried N for e: (2p**2 - N, 2pq, N**2),
+`_exact._nth_components`, with the carried N for e: (2p**2 - N, 2pq, N**2),
 whose only common factor is 2, present exactly when p is even; halving
 then leaves p odd, so that happens on the first step at most.  Each row reads its side from the sign of N and
 its digit count from |N|, `_cells` prints it from p and q, and only `run_method` wraps p/q in a Fraction.
 The stepper and the digit kernel are generic over the number type: they take
-ints, as `run_method` and `gen` do, or integral Decimals under `_EXACT`, as
-`compare` does, and every value they make stays integral.
-Every number is printed by `pairs.to_decimal`, which this module re-exports with its exact context `_EXACT`.
+ints, as `run_method` does, or integral Decimals under `_EXACT`, as the
+CLI's `gen` and `compare` do, and every value they make stays integral.
+Their int branches serve the library and the tests' oracle alone.
+Every number is printed by `_exact.to_decimal`, which this module re-exports with its exact context `_EXACT`.
 """
 
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from sidediameter.pairs import (_EXACT, DEFAULT_DECIMAL_DIGITS, DEFAULT_DIGIT_CAP, SideDiameterPair, _require_int,
-                                 _require_rational, _shown, to_decimal)
+from sidediameter._exact import (_EXACT, DEFAULT_DECIMAL_DIGITS, DEFAULT_DIGIT_CAP, _require_int, _require_rational,
+                                  _shown, to_decimal)
 
 
-def ratio(p: SideDiameterPair) -> Fraction:
+def ratio(p: "SideDiameterPair") -> Fraction:
     """The diameter-to-side ratio d/a, already in lowest terms."""
     return Fraction(p.d, p.a)
 

@@ -20,8 +20,8 @@ import re
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from sidediameter.pairs import (SideDiameterPair, _pell_sign, _Record, _require_int, _require_rational, _shown,
-                                to_decimal)
+from sidediameter._exact import _pell_sign, _require_int, _require_rational, _shown, to_decimal
+from sidediameter.pairs import SideDiameterPair, _Record
 
 # The derivation, one row per step: its justification and its two sides as printed.  A and D
 # stand for the pair's a and d, +e for its sign e added and -e for e taken away.
@@ -227,8 +227,8 @@ def trace_elegant(p: SideDiameterPair) -> DerivationTrace:
 def _derivation(a, d, e: int | None) -> tuple[dict, tuple[TraceStep, ...]]:
     """The text and the four checked steps of `trace_elegant` for a pair of any exact number type.
 
-    A Decimal pair needs an exact context (pairs._EXACT).  With e None, the
-    pair comes from outside and `pairs._pell_sign` checks it.  Each expression
+    A Decimal pair needs an exact context (`_exact._EXACT`).  With e None, the
+    pair comes from outside and `_exact._pell_sign` checks it.  Each expression
     is a tuple of pieces that refer to one string for a and one for d.  The
     dict maps a, d and each step value to its decimal text: each distinct
     value is rendered once by `to_decimal`, the step values after the

@@ -14,28 +14,16 @@ The degenerate pair (0, 1) also satisfies 1 = 2*0**2 + 1 but is excluded
 here: sides are at least 1, which keeps the inverse (descent) step
 well-founded and matches the classical presentation that starts at (1, 1).
 
-Every exact number the package prints is rendered by `to_decimal`,
-byte-identical to str(): a Decimal by its linear str(), and an int above
-about 4,200 digits by divide and conquer through the standard library's
-`decimal` module, in subquadratic time and without the interpreter's
-int-to-str digit limit.  This module loads no `fractions`, so the verbs that
-print only pairs never load it.
+The exact-number kernel, with `to_decimal`, the pair check and the doubling
+core, lives in `_exact`; this module re-exports its names.
 """
 
-import decimal
-import sys
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-# `approx`'s default digit cap and decimal places, stated here so that the CLI's parser needs no `approx`.
-DEFAULT_DIGIT_CAP = 50
-DEFAULT_DECIMAL_DIGITS = 30
-_STR_MAX_BITS = 14_000  # at most 4,215 digits: str() below CPython's default 4,300-digit limit
-_PRIME = 2**61 - 1  # a Mersenne prime: a residue modulo it checks a huge value in one linear pass
-
-
-class InvalidPairError(ValueError):
-    """Raised when integers (a, d) do not form a valid side/diameter pair."""
+from sidediameter._exact import (_EXACT, _LEAF_BITS, _PRIME, _STR_MAX_BITS, DEFAULT_DECIMAL_DIGITS,  # noqa: F401
+                                 DEFAULT_DIGIT_CAP, InvalidPairError, _doubled, _nth_checked, _nth_components,
+                                 _pell_sign, _require_int, _require_rational, _shown, to_decimal)
 
 
 class DescentBelowSeedError(ValueError):
@@ -116,50 +104,6 @@ class SideDiameterPair(_Record):
     def sign(self) -> int:
         """The value d**2 - 2*a**2, always -1 or +1, kept from construction."""
         return self._sign
-
-
-def _pell_sign(a, d, index=None, squares=None) -> int:
-    """d**2 - 2*a**2 of the side/diameter pair (a, d), -1 or +1; else InvalidPairError.
-
-    Takes ints, or integral Decimals under `_EXACT`.  Sides must be >= 1,
-    and a given index must be >= 1 with sign (-1)**index.  `squares`, when
-    given, is (a*a, d*d), already formed by the caller.
-    """
-    if a < 1 or d < 1:
-        raise InvalidPairError(f"side and diameter must be >= 1, got ({_shown(a, str)}, {_shown(d, str)})")
-    aa, dd = squares or (a * a, d * d)
-    e = dd - 2 * aa
-    if e not in (-1, 1):
-        at = "" if index is None else f" at index {_shown(index, str)}"
-        raise InvalidPairError(
-            f"({_shown(a, str)}, {_shown(d, str)}) is not a side/diameter pair{at}: "
-            f"d^2 - 2a^2 = {_shown(e, str)}, expected -1 or +1"
-        )
-    if index is not None:
-        if index < 1:
-            raise InvalidPairError(f"index must be >= 1, got {_shown(index, str)}")
-        if e != (-1 if index % 2 else 1):
-            raise InvalidPairError(f"index {_shown(index, str)} inconsistent with sign {int(e):+d}")
-    return int(e)
-
-
-def _nth_checked(n: int, one=1):
-    """`_nth_components(n, one)`, checked with no square of full size; else InvalidPairError.
-
-    The last doubling reuses d*d of level m = n >> 1, so one more square a*a
-    checks d**2 - 2*a**2 = (-1)**m there exactly; (d**2 + 2a**2)**2 - 2*(2ad)**2
-    = (d**2 - 2a**2)**2 makes level 2m a pair, and the odd step keeps it one.
-    A residue modulo `_PRIME` guards the code of the last doubling.  On a
-    mismatch, `_pell_sign` checks level n in full and names index n.
-    """
-    a, d = _nth_components(n >> 1, one)
-    dd = d * d
-    exact = dd - 2 * (a * a) == (-1 if n >> 1 & 1 else 1)
-    a, d = _doubled(a, d, dd, n)
-    r, s = int(a % _PRIME), int(d % _PRIME)
-    if not (exact and min(a, d) >= 1 and (s * s - 2 * r * r - (-1 if n & 1 else 1)) % _PRIME == 0):
-        _pell_sign(a, d, n)
-    return a, d
 
 
 def _stepped(a: int, d: int, index: int | None, sign: int) -> SideDiameterPair:
@@ -254,29 +198,6 @@ def nth(n: int) -> SideDiameterPair:
     return _stepped(a, d, n, -1 if n % 2 else 1)
 
 
-def _nth_components(n: int, one=1):
-    """(a, d) of the n-th pair, built from level 0, (0, one).
-
-    `one` fixes the number type: 1 gives ints, decimal.Decimal(1) gives
-    Decimals, which are exact only under a context that traps Inexact
-    (`_EXACT`).  Each level n doubles m = n >> 1 with one product and
-    one square (`_doubled`).  Nothing is checked here: `_nth_checked` checks
-    the level below the last.
-    """
-    if n < 2:
-        return n * one, one
-    a, d = _nth_components(n >> 1, one)
-    return _doubled(a, d, d * d, n)
-
-
-def _doubled(a, d, dd, n: int):
-    """Level n from (a, d) at m = n >> 1 and dd = d*d: a(2m) = 2*a*d, d(2m) = 2*dd - (-1)**m, then a step if n is odd."""
-    a, d = 2 * (a * d), 2 * dd - (-1 if n & 2 else 1)
-    if n & 1:
-        a, d = a + d, 2 * a + d
-    return a, d
-
-
 def generate(count: int) -> list[SideDiameterPair]:
     """The first `count` pairs, each carrying its index."""
     _require_int(count, "count", 1)
@@ -329,88 +250,3 @@ def encouraging_identity_check(p: SideDiameterPair) -> IdentityCheck:
     lhs = p.d * p.d + nxt.d * nxt.d
     rhs = 2 * (p.a * p.a + nxt.a * nxt.a)
     return IdentityCheck(lhs, rhs, lhs == rhs)
-
-
-def _require_int(n, name: str, minimum: int) -> None:
-    """Refuse anything but a plain int >= minimum (bools and int subclasses too)."""
-    if type(n) is not int:
-        raise ValueError(f"{name} must be an integer, got {_shown(n)}")
-    if n < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {_shown(n)}")
-
-
-def _require_rational(t, name: str) -> "Fraction":
-    """t as a Fraction; only a plain int or Fraction is accepted, never a float."""
-    from fractions import Fraction
-
-    if type(t) is not Fraction and type(t) is not int:
-        raise ValueError(f"{name} must be an int or Fraction, got {_shown(t)}")
-    return t if type(t) is Fraction else Fraction(t)
-
-
-def _shown(v, form=repr) -> str:
-    """form(v) for a message; an int or Decimal of at least 2**_STR_MAX_BITS in size, or such ints in a Fraction, show their size.
-
-    One rule for both types, so an int and the equal Decimal are shown alike.
-    """
-    # A Fraction exists only once `fractions` is loaded, so its type is looked up, not imported.
-    fraction = getattr(sys.modules.get("fractions"), "Fraction", None)
-    if type(v) is fraction and max(v.numerator.bit_length(), v.denominator.bit_length()) > _STR_MAX_BITS:
-        return f"{_shown(v.numerator)}/{_shown(v.denominator)}"
-    if isinstance(v, int) and v.bit_length() > _STR_MAX_BITS:
-        return f"{'-' if v < 0 else ''}<int of {v.bit_length()} bits>"
-    if isinstance(v, decimal.Decimal) and v.is_finite() and v.copy_abs() >= 2**_STR_MAX_BITS:
-        return f"{'-' if v < 0 else ''}<Decimal of {v.adjusted() + 1} digits>"
-    return form(v)
-
-
-# Split parts this small become Decimal(int) directly; measured fastest
-# among 1,024-4,096 bits on 10**4- to 2*10**5-digit integers.
-_LEAF_BITS = 2_048
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-_EXACT.traps[decimal.Inexact] = True
-
-
-def to_decimal(n: "int | Fraction | decimal.Decimal") -> str:
-    """Exactly str(n), in subquadratic time and for ints of any size.
-
-    A Fraction renders as num/den, or num when den is 1, as str() does.
-    A Decimal and a small int go to str(), which is linear on a Decimal.
-    Larger ints are split recursively at powers of two, m = hi * 2**w + lo,
-    and rebuilt as a `decimal.Decimal`, whose big products run in libmpdec's
-    number-theoretic transform (Brent and Zimmermann, Modern Computer
-    Arithmetic, section 1.7; CPython 3.12's _pylong).  The context keeps
-    every digit and traps Inexact, so a rounding would raise instead of
-    printing a wrong digit.  Unlike str(), this never depends on
-    sys.set_int_max_str_digits.
-    """
-    if isinstance(n, int):
-        if n.bit_length() <= _STR_MAX_BITS:
-            return str(n)
-    elif isinstance(n, decimal.Decimal):
-        return str(n)
-    else:
-        num = to_decimal(n.numerator)
-        return num if n.denominator == 1 else f"{num}/{to_decimal(n.denominator)}"
-    powers = {}
-
-    def power(w: int) -> decimal.Decimal:
-        # 2**w, each w computed once.
-        if w not in powers:
-            if w <= _LEAF_BITS:
-                powers[w] = decimal.Decimal(1 << w)
-            else:
-                half = w >> 1
-                powers[w] = _EXACT.multiply(power(half), power(w - half))
-        return powers[w]
-
-    def convert(m: int, width: int) -> decimal.Decimal:
-        if width <= _LEAF_BITS:
-            return decimal.Decimal(m)
-        half = width >> 1
-        hi = m >> half
-        lo = m - (hi << half)
-        return _EXACT.add(convert(lo, half), _EXACT.multiply(convert(hi, width - half), power(half)))
-
-    text = str(convert(abs(n), n.bit_length()))
-    return "-" + text if n < 0 else text

@@ -23,27 +23,27 @@ def one_wrong_level(monkeypatch):
     the exact check sees it, since every residue modulo that prime is kept.  "top": d + 1 at n,
     after its last doubling, where only the residue check sees it.
     """
-    from sidediameter import pairs
+    from sidediameter import _exact
 
     def inject(n, level):
         if level == "top":
-            doubled = pairs._doubled
+            doubled = _exact._doubled
 
             def wrong_doubling(a, d, dd, m):
                 a, d = doubled(a, d, dd, m)
                 return (a, d + 1) if m == n else (a, d)
 
-            monkeypatch.setattr(pairs, "_doubled", wrong_doubling)
+            monkeypatch.setattr(_exact, "_doubled", wrong_doubling)
             return
-        components = pairs._nth_components
-        wrong, fault = (n >> 1, pairs._PRIME) if level == "half" else (n >> (n.bit_length() // 2), 1)
+        components = _exact._nth_components
+        wrong, fault = (n >> 1, _exact._PRIME) if level == "half" else (n >> (n.bit_length() // 2), 1)
 
         # The recursion calls the patched name, so exactly one level's value is made wrong.
         def wrong_level(m, one=1):
             a, d = components(m, one)
             return (a, d + fault) if m == wrong else (a, d)
 
-        monkeypatch.setattr(pairs, "_nth_components", wrong_level)
+        monkeypatch.setattr(_exact, "_nth_components", wrong_level)
 
     return inject
 

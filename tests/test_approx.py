@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sidediameter import approx, cli, pairs
+from sidediameter import _exact, approx, cli, pairs
 from sidediameter.approx import (
     ConvergenceReport,
     ReportRow,
@@ -657,7 +657,7 @@ def test_to_decimal_of_an_integral_decimal_is_its_str(n):
 def test_to_decimal_raises_rather_than_rounds(monkeypatch):
     narrow = approx._EXACT.copy()
     narrow.prec = 100
-    monkeypatch.setattr(pairs, "_EXACT", narrow)
+    monkeypatch.setattr(_exact, "_EXACT", narrow)
     with pytest.raises(decimal.Inexact):
         to_decimal(3**20000)
 

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -19,8 +20,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sidediameter
-from sidediameter import approx, cli, generate, identities, pairs, to_decimal, trace_elegant
-from sidediameter.cli import _GEN_COLUMNS, _nth_line, build_parser, run
+from sidediameter import _exact, _tables, approx, cli, generate, identities, pairs, to_decimal, trace_elegant
+from sidediameter._tables import _GEN_COLUMNS
+from sidediameter.cli import _nth_line, build_parser, run
 from sidediameter.pairs import SideDiameterPair, nth
 
 
@@ -46,6 +48,21 @@ def test_gen_csv_first_four():
         "3,5,7,-1,1.400000000000000000000000000000,1",
         "4,12,17,1,1.416666666666666666666666666666,2",
     ]
+
+
+def test_gen_steps_and_prints_every_row_in_exact_decimal(monkeypatch):
+    received = []
+    cells = approx._cells
+
+    def spy(*row):
+        received.append(row)
+        return cells(*row)
+
+    monkeypatch.setattr(approx, "_cells", spy)
+    assert invoke(["gen", "--count", "5", "--format", "json"])[0] == 0
+    # (step, num, den, correct digits, side, places), row 1 at step 0 included.
+    assert [row[0] for row in received] == [0, 1, 2, 3, 4]
+    assert all(type(row[1]) is type(row[2]) is Decimal for row in received)
 
 
 def test_gen_csv_rows_carry_the_pairs_and_signs():
@@ -127,10 +144,10 @@ def _former_gen_stdout(count: int, digits: int, fmt: str) -> str:
 
 
 @given(st.integers(1, 80), st.integers(0, 120), st.sampled_from(["csv", "json"]),
-       st.sampled_from([0, cli._JOINED_ROW_CHARS]))  # 0: every row written piece by piece
+       st.sampled_from([0, _tables._JOINED_ROW_CHARS]))  # 0: every row written piece by piece
 def test_gen_streams_what_the_former_renderers_printed(count, digits, fmt, joined_row_chars):
     argv = ["gen", "--count", str(count), "--digits", str(digits), "--format", fmt]
-    with mock.patch.object(cli, "_JOINED_ROW_CHARS", joined_row_chars):
+    with mock.patch.object(_tables, "_JOINED_ROW_CHARS", joined_row_chars):
         assert invoke(argv) == (0, _former_gen_stdout(count, digits, fmt), "")
 
 
@@ -159,17 +176,17 @@ def test_json_lays_out_what_json_dumps_does(document):
 @given(st.lists(_SAFE_TEXT.filter(bool), min_size=1, max_size=5, unique=True).flatmap(
            lambda columns: st.tuples(st.just(tuple(columns)),
                                      st.lists(st.tuples(*[_SAFE_TEXT.filter(bool)] * len(columns)), max_size=4))),
-       st.sampled_from([0, cli._JOINED_ROW_CHARS]))  # 0: every row written piece by piece
+       st.sampled_from([0, _tables._JOINED_ROW_CHARS]))  # 0: every row written piece by piece
 def test_table_lays_out_what_json_dumps_and_csv_do(table, joined_row_chars):
     columns, rows = table
     dicts = [dict(zip(columns, row)) for row in rows]
     lines = io.StringIO()
     csv.writer(lines, lineterminator="\n").writerows([columns, *rows])
-    with mock.patch.object(cli, "_JOINED_ROW_CHARS", joined_row_chars):
-        assert "".join(cli._table("json", columns, rows)) == json.dumps(dicts, indent=2)
-        nested = cli._json({"report": {"rows": cli._table("json", columns, rows, "\n    ")}})
+    with mock.patch.object(_tables, "_JOINED_ROW_CHARS", joined_row_chars):
+        assert "".join(_tables._table("json", columns, rows)) == json.dumps(dicts, indent=2)
+        nested = cli._json({"report": {"rows": _tables._table("json", columns, rows, "\n    ")}})
         assert "".join(nested) == json.dumps({"report": {"rows": dicts}}, indent=2)
-        assert "".join(cli._table("csv", columns, rows)) + "\n" == lines.getvalue()
+        assert "".join(_tables._table("csv", columns, rows)) + "\n" == lines.getvalue()
 
 
 @pytest.mark.parametrize("digits", [0, 30, 100])
@@ -316,13 +333,13 @@ def test_nth_decimal_line_matches_the_int_line_in_range(n):
 
 
 def test_nth_keeps_the_pell_check_in_decimal(monkeypatch):
-    components = pairs._nth_components
+    components = _exact._nth_components
 
     def off_by_one(n, one=1):
         a, d = components(n, one)
         return (a, d + 1) if isinstance(one, Decimal) else (a, d)
 
-    monkeypatch.setattr(pairs, "_nth_components", off_by_one)
+    monkeypatch.setattr(_exact, "_nth_components", off_by_one)
     code, out, err = invoke(["nth", "50"])
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "50" in err
@@ -370,7 +387,7 @@ def raise_if_called(*args):
         "compare-first-over", "compare-digits-first-over", "compare-digits-ci", "compare-ci",
         "compare-1666666", "compare-big-start"])
 def test_index_verbs_refuse_output_over_the_limit_before_computing(argv, monkeypatch):
-    monkeypatch.setattr(pairs, "_nth_components", raise_if_called)
+    monkeypatch.setattr(_exact, "_nth_components", raise_if_called)
     monkeypatch.setattr(pairs, "_walk", raise_if_called)
     monkeypatch.setattr(approx, "_rows", raise_if_called)
     code, out, err = invoke(argv)
@@ -411,14 +428,15 @@ def test_index_budget_accepts_the_sizes_below_the_limit(verb, n, monkeypatch):
     # still print its 99999987 places.
     monkeypatch.setattr(cli, "_nth_line", lambda n: "computed")
     monkeypatch.setattr(pairs, "nth", lambda n: SideDiameterPair(1, 1))
-    monkeypatch.setattr(cli, "_write", lambda pieces: None)  # consumes no piece, so no core runs
+    for writer in (cli, _tables):  # consumes no piece, so no core runs
+        monkeypatch.setattr(writer, "_write", lambda pieces: None)
     assert invoke([*verb.split(), str(n)])[0::2] == (0, "")
 
 
 @pytest.mark.parametrize("start", ["1", "3/2", "7/5", "19/13"])
 def test_compare_estimate_is_within_a_factor_of_2_of_the_printed_digits(start):
     for steps in (10, 14, 18):
-        estimate = cli._compare_digits(Fraction(start), steps, approx.DEFAULT_DECIMAL_DIGITS)
+        estimate = _tables._compare_digits(Fraction(start), steps, approx.DEFAULT_DECIMAL_DIGITS)
         for fmt in ("csv", "json"):
             code, out, _ = invoke(["compare", "--start", start, "--steps", str(steps), "--format", fmt])
             printed = sum(out.count(digit) for digit in "0123456789")
@@ -515,9 +533,11 @@ def test_each_verb_loads_only_the_modules_it_needs(argv, needs):
         "print(*sorted(m for m in sys.modules if m.startswith('sidediameter.') or m == 'fractions'))"
     )
     # Only `verify` builds the symbolic catalog and so loads the polynomial ring.  Only the verbs
-    # that read or print rationals load `approx`, and `fractions` with it.
+    # that read or print rationals load `_tables` and `approx`, and `fractions` with them.  Only
+    # `identities` needs the pair records of `pairs`; every verb runs on `_exact`.
     rational = argv.split()[0] in ("gen", "approx", "compare")
-    needs = ["cli", "pairs", *needs.split(), *(["approx"] if rational else [])]
+    records = ["pairs"] if "identities" in needs.split() else []
+    needs = ["cli", "_exact", *records, *needs.split(), *(["_tables", "approx"] if rational else [])]
     assert set(out.split()) == {f"sidediameter.{m}" for m in needs} | ({"fractions"} if rational else set())
 
 
@@ -563,8 +583,8 @@ def test_package_names_load_on_first_use():
     assert out.splitlines() == [
         "",  # `import sidediameter` loads no submodule
         "[]",  # `dir()` lists every public name before any is loaded
-        "sidediameter.pairs",
-        "sidediameter.approx sidediameter.identities sidediameter.pairs sidediameter.polynomials",
+        "sidediameter._exact sidediameter.pairs",
+        "sidediameter._exact sidediameter.approx sidediameter.identities sidediameter.pairs sidediameter.polynomials",
         "[] sidediameter.identities",
         "[]",  # each name is its defining module's object
     ]
@@ -692,13 +712,13 @@ def test_trace_renders_every_value_through_to_decimal_in_decimal(monkeypatch):
 
 @pytest.mark.parametrize("n", [50, 12000])
 def test_trace_by_index_keeps_the_pell_check_in_decimal(monkeypatch, n):
-    components = pairs._nth_components
+    components = _exact._nth_components
 
     def off_by_one(n, one=1):
         a, d = components(n, one)
         return a, d + 1
 
-    monkeypatch.setattr(pairs, "_nth_components", off_by_one)
+    monkeypatch.setattr(_exact, "_nth_components", off_by_one)
     code, out, err = invoke(["trace", "--n", str(n)])
     assert (code, out) == (1, "")
     assert err.startswith("error: unbalanced step") and len(err.encode()) < 1024
@@ -767,12 +787,12 @@ def _compare_oracle(start: Fraction, steps: int, fmt: str, digits: int, cap: int
     st.sampled_from(["csv", "json"]),
     st.integers(0, 40),
     st.sampled_from([1, 50, 200]),
-    st.sampled_from([0, cli._JOINED_ROW_CHARS]),  # 0: every row written piece by piece
+    st.sampled_from([0, _tables._JOINED_ROW_CHARS]),  # 0: every row written piece by piece
 )
 def test_compare_prints_the_library_reports_byte_for_byte(start, steps, fmt, digits, cap, joined_row_chars):
     argv = ["compare", "--start", str(start), "--steps", str(steps), "--format", fmt,
             "--digits", str(digits), "--cap", str(cap)]
-    with mock.patch.object(cli, "_JOINED_ROW_CHARS", joined_row_chars):
+    with mock.patch.object(_tables, "_JOINED_ROW_CHARS", joined_row_chars):
         assert invoke(argv) == (0, _compare_oracle(start, steps, fmt, digits, cap), "")
 
 
@@ -1105,3 +1125,35 @@ def test_help_exits_zero():
     code, out, _ = invoke(["--help"])
     assert code == 0
     assert "verb" in out
+
+
+VERBS = ("gen", "nth", "verify", "trace", "approx", "compare")
+
+
+def _full_parser_output(argv):
+    """The exit code, stdout and stderr of the parser of every verb on `argv`, which must stop it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as stop:
+        build_parser().parse_args(argv)
+    return stop.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["-h", "nth"], ["bogus"]], ids=["help", "empty", "h-nth", "unknown"])
+def test_outputs_that_name_no_verb_first_come_from_the_full_parser(argv):
+    assert invoke(argv) == _full_parser_output(argv)
+    if argv:
+        # An empty argv prints the usage line and the missing `verb`, which lists no verb in any parser.
+        listed = "".join(invoke(argv)[1:])
+        assert [verb for verb in VERBS if not re.search(rf"\b{verb}\b", listed)] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--count", "3", "--format", "json", "--digits", "5"], ["nth", "5", "--check-oracle"],
+    ["verify", "--identity", "euclid_II_10"], ["trace", "2", "3", "--pretty"], ["trace", "--n", "4"],
+    ["approx", "digits", "-3/2", "--cap", "4"], ["compare", "--start", "7/5", "--steps", "2", "--cap", "9"],
+], ids=lambda argv: argv[0])
+def test_each_verb_alone_parses_and_helps_as_the_full_parser(argv):
+    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+    assert invoke([argv[0], "-h"]) == _full_parser_output([argv[0], "-h"])
+    choices = next(a for a in build_parser(argv[0])._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(choices) == [argv[0]]  # the parser of one verb knows no other

@@ -90,6 +90,8 @@ def _run(argv):
     ["trace", *BIG_ARGS, "--pretty"],
     ["gen", "--count", "300"],
     ["gen", "--count", "300", "--format", "json", "--digits", "100"],
+    # Every digit count walks below the cap, and 20,000 places come from a Decimal division.
+    ["gen", "--count", "60", "--digits", "20000"],
     ["compare", "--start", "7/5", "--steps", "12"],
     ["compare", "--steps", "14", "--format", "json"],
     # Rows of Decimals whose counts walk below the cap, and 120 places from a Decimal division.

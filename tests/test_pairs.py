@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sidediameter import approx, pairs
+from sidediameter import _exact, approx, pairs
 from sidediameter.pairs import (
     DescentBelowSeedError,
     InvalidPairError,
@@ -177,13 +177,13 @@ def test_library_nth_refuses_a_wrong_value_at_one_doubling_level(one_wrong_level
 
 def test_library_nth_refuses_a_side_negated_below_the_last_doubling(monkeypatch):
     """(-a, d) at level n >> 1 keeps d**2 - 2*a**2 there and every residue at n; only the side bound sees it."""
-    components = pairs._nth_components
+    components = _exact._nth_components
 
     def negated(m, one=1):
         a, d = components(m, one)
         return (-a if m == 25 else a), d
 
-    monkeypatch.setattr(pairs, "_nth_components", negated)
+    monkeypatch.setattr(_exact, "_nth_components", negated)
     with pytest.raises(InvalidPairError, match="side and diameter must be >= 1"):
         nth(50)
 
