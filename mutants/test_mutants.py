@@ -75,7 +75,7 @@ MUTANTS = [
         id="side-bound-zero",
     ),
     pytest.param(
-        "approx.py",
+        "_steps.py",
         "- n.bit_length() + 1) * 30103",
         "- n.bit_length() - 2) * 30103",
         ["tests/test_approx.py::test_correct_digits_matches_linear_scan",
@@ -83,7 +83,7 @@ MUTANTS = [
         id="correct-digits-three-bits-low",
     ),
     pytest.param(
-        "approx.py",
+        "_steps.py",
         "return p // 2, q // 2, n // 4",
         "return p, q, n",
         ["tests/test_approx.py::test_run_method_rows_equal_the_public_fraction_steps",
@@ -99,7 +99,7 @@ MUTANTS = [
         id="fraction-with-gcd",
     ),
     pytest.param(
-        "approx.py",
+        "_steps.py",
         '"under" if n < 0 else "over"',
         '"under" if -n < 0 else "over"',
         ["tests/test_approx.py::test_run_method_rows_equal_the_public_fraction_steps",
@@ -107,7 +107,7 @@ MUTANTS = [
         id="side-from-minus-n",
     ),
     pytest.param(
-        "approx.py",
+        "_steps.py",
         "(10**cap).bit_length() < den.bit_length()",
         "(10**cap).bit_length() <= den.bit_length()",
         ["tests/test_approx.py::test_correct_digits_matches_linear_scan",
@@ -115,14 +115,14 @@ MUTANTS = [
         id="correct-digits-size-test-one-bit-loose",
     ),
     pytest.param(
-        "approx.py",
+        "_steps.py",
         "n.adjusted() + cap < den.adjusted()",
         "n.adjusted() + cap <= den.adjusted()",
         ["tests/test_approx.py::test_digit_kernel_agrees_on_ints_and_integral_decimals"],
         id="correct-digits-size-test-one-digit-loose",
     ),
     pytest.param(
-        "approx.py",
+        "_steps.py",
         "_shifted(rem, digits) // den",
         "_shifted(rem, digits) / den",
         ["tests/test_approx.py::test_digit_kernel_agrees_on_ints_and_integral_decimals",
@@ -131,7 +131,7 @@ MUTANTS = [
         id="decimal-string-quotient-not-integral",
     ),
     pytest.param(
-        "approx.py",
+        "_steps.py",
         "while j > 0:",
         "while j > 1:",
         ["tests/test_approx.py::test_correct_digits_matches_linear_scan",
@@ -321,7 +321,7 @@ MUTANTS = [
         id="core-step-check-removed",
     ),
     pytest.param(
-        "approx.py",
+        "_steps.py",
         '"-" if num < 0 else ""',
         '"-" if num <= 0 else ""',
         ["tests/test_approx.py::test_decimal_string_rendering"],
@@ -379,6 +379,46 @@ MUTANTS = [
          "tests/test_cli.py::test_outputs_that_name_no_verb_first_come_from_the_full_parser[h-nth]",
          "tests/test_cli.py::test_outputs_that_name_no_verb_first_come_from_the_full_parser[unknown]"],
         id="parser-built-for-any-first-argument",
+    ),
+    pytest.param(
+        "_exact.py",
+        "half = width >> 1",
+        "half = min(width >> 1, _LEAF_BITS)",
+        # Peeling one leaf a level prints the same digits, only in linearly many levels.
+        ["tests/test_approx.py::test_to_decimal_splits_at_most_log2_of_bits_over_the_leaf_plus_one_levels_deep"],
+        id="to-decimal-split-peels-one-leaf",
+    ),
+    pytest.param(
+        "approx.py",
+        "k = n.bit_length() * 30103 // 100000",
+        "k = n.bit_length() * 30103 // 100000 + 3",
+        # The walk down still finds every count, three comparisons later.
+        ["tests/test_approx.py::test_decimal_digit_count_corrects_its_estimate_at_most_twice"],
+        id="digit-count-estimate-three-high",
+    ),
+    pytest.param(
+        "cli.py",
+        '    sys.modules["sidediameter.cli"] = sys.modules[__name__]\n',
+        "",
+        ["tests/test_cli.py::test_usage_errors_under_the_cli_module_exit_2[table-verb]",
+         "tests/test_cli.py::test_usage_errors_under_the_cli_module_exit_2[trace]"],
+        id="cli-module-runs-a-second-copy",
+    ),
+    pytest.param(
+        "_tables.py",
+        "from sidediameter import _steps\n",
+        "from sidediameter import _steps, approx\n",
+        ["tests/test_cli.py::test_each_verb_loads_only_the_modules_it_needs[gen --count 3-]",
+         "tests/test_cli.py::test_each_verb_loads_only_the_modules_it_needs[compare --steps 2-]"],
+        id="tables-load-approx-at-import",
+    ),
+    pytest.param(
+        "_proofs.py",
+        "38 * _component_digits(args.n)",
+        "37 * _component_digits(args.n)",
+        ["tests/test_cli.py::test_index_verbs_refuse_output_over_the_limit_before_computing[trace-first-over]",
+         "tests/test_cli.py::test_index_verbs_refuse_output_over_the_limit_before_computing[trace-pretty-first-over]"],
+        id="trace-estimate-one-component-short",
     ),
 ]
 

@@ -1,9 +1,9 @@
 """The exact-number kernel: the pair check, the doubling core, the argument checks and the renderer.
 
-`pairs` re-exports every name here with its public pair API.  The CLI and
-`approx` import this module, not `pairs`, so `nth`, `gen`, `compare` and
-`approx` never compile the pair records or the oracles: with no bytecode
-cache, every command compiles the modules it loads.
+`pairs` re-exports every name here with its public pair API.  The CLI,
+`approx` and `_steps` import this module, not `pairs`, so `nth`, `gen`,
+`compare` and `approx` never compile the pair records or the oracles: with
+no bytecode cache, every command compiles the modules it loads.
 
 Every exact number the package prints is rendered by `to_decimal`,
 byte-identical to str(): a Decimal by its linear str(), and an int above
@@ -109,6 +109,13 @@ def _require_rational(t, name: str) -> "Fraction":
     if type(t) is not Fraction and type(t) is not int:
         raise ValueError(f"{name} must be an int or Fraction, got {_shown(t)}")
     return t if type(t) is Fraction else Fraction(t)
+
+
+def _positive_fraction(t, name: str) -> "Fraction":
+    t = _require_rational(t, name)
+    if t <= 0:
+        raise ValueError(f"{name} must be positive, got {_shown(t, str)}")
+    return t
 
 
 def _shown(v, form=repr) -> str:

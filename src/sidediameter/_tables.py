@@ -1,17 +1,20 @@
 """The table verbs of the command line: `gen`, `compare` and `approx`.
 
-Only these verbs read or print rationals, so only they load this module, and
-`approx` and `fractions` with it.  `gen` and `compare` step and write their
-tables in exact Decimal under `_EXACT`: libmpdec multiplies huge operands by
-a number-theoretic transform and `to_decimal` prints a Decimal by its linear
-str(), so no CPython int squaring or int->decimal conversion is paid.
+Only these verbs read or print rationals, so only they load this module.
+`gen` and `compare` run on the stepper, digit kernel and row serializer of
+`_steps`, which loads neither `approx` nor `fractions`; `compare` loads
+`fractions` for its `--start` alone, and only the `approx` verb loads
+`approx`.  `gen` and `compare` step and write their tables in exact Decimal
+under `_EXACT`: libmpdec multiplies huge operands by a number-theoretic
+transform and `to_decimal` prints a Decimal by its linear str(), so no
+CPython int squaring or int->decimal conversion is paid.
 """
 
 import decimal
 import itertools
 
-from sidediameter import approx
-from sidediameter._exact import _EXACT, DEFAULT_DIGIT_CAP
+from sidediameter import _steps
+from sidediameter._exact import _EXACT, DEFAULT_DIGIT_CAP, _positive_fraction, to_decimal
 from sidediameter.cli import UsageError, _check_printed_digits, _component_digits, _json, _write
 
 _GEN_COLUMNS = ("n", "a", "d", "e", "ratio_decimal", "correct_digits")
@@ -57,11 +60,11 @@ def _cmd_gen(args) -> int:
     # Pair n + 1 is `compare`'s side_diameter row of step n from 1, value d/a, whose carried
     # residual d**2 - 2*a**2 is -1 exactly where the side is under; pair 1 is the start state 1/1 at step 0.
     def cells(row):
-        _, num, den, value, correct, side = approx._cells(*row, args.digits)
+        _, num, den, value, correct, side = _steps._cells(*row, args.digits)
         return str(row[0] + 1), den, num, "-1" if side == "under" else "1", value, correct
 
     one = decimal.Decimal(1)
-    steps = approx._rows("side_diameter", one, one, args.count - 1, DEFAULT_DIGIT_CAP)
+    steps = _steps._rows("side_diameter", one, one, args.count - 1, DEFAULT_DIGIT_CAP)
     with decimal.localcontext(_EXACT):
         _write(_table(args.format, _GEN_COLUMNS, map(cells, itertools.chain([(0, one, one, 0, "under")], steps))))
     return 0
@@ -86,44 +89,46 @@ def _compare_digits(start: "Fraction", steps: int, places: int) -> int:
 
 
 def _cmd_approx(args) -> int:
+    from sidediameter import approx  # the `approx` verb alone loads the Fraction API
+
     unread = "method" if args.action == "digits" else "cap"
     if getattr(args, unread) is not None:
         raise UsageError(f"--{unread} does not apply to approx {args.action}")
     if args.action == "step":
         advance = approx.sd_ratio_step if args.method == "sd" else approx.babylonian_step
-        print(approx.to_decimal(advance(args.value)))
+        print(to_decimal(advance(args.value)))
     elif args.action == "preimage":
         if args.method == "sd":
             raise UsageError("preimage is defined for the babylonian method only")
         roots = sorted(approx.babylonian_preimage(args.value))
-        print("preimages: " + (", ".join(approx.to_decimal(r) for r in roots) if roots else "none"))
+        print("preimages: " + (", ".join(to_decimal(r) for r in roots) if roots else "none"))
     else:
         print(approx.correct_digits(args.value, args.cap or DEFAULT_DIGIT_CAP))
     return 0
 
 
 def _cmd_compare(args) -> int:
-    """Both methods' rows, written as `approx._rows` makes them.  The JSON is, byte for byte,
+    """Both methods' rows, written as `_steps._rows` makes them.  The JSON is, byte for byte,
     `json.dumps(..., indent=2)` of the reports' `to_json_dict`s under `start` and `steps`.
 
     The rows are stepped and printed in exact Decimal: the table is written under `_EXACT`,
     where the generators run.  The seed is read from the start's digits, which `to_decimal`
     makes in subquadratic time.
     """
-    start = approx._positive_fraction(args.start, "start")  # before the estimate and the first write
+    start = _positive_fraction(args.start, "start")  # before the estimate and the first write
     _check_printed_digits("compare", _compare_digits(start, args.steps, args.digits))
-    p, q = (decimal.Decimal(approx.to_decimal(x)) for x in (start.numerator, start.denominator))
+    p, q = (decimal.Decimal(to_decimal(x)) for x in (start.numerator, start.denominator))
 
     def cells(method):
-        return (approx._cells(*row, args.digits) for row in approx._rows(method, p, q, args.steps, args.cap))
+        return (_steps._cells(*row, args.digits) for row in _steps._rows(method, p, q, args.steps, args.cap))
 
     with decimal.localcontext(_EXACT):
         if args.format == "csv":
-            _write(_table("csv", ("method", *approx._REPORT_COLUMNS),
-                          ((method, *row) for method in approx._METHOD_STEPS for row in cells(method))))
+            _write(_table("csv", ("method", *_steps._REPORT_COLUMNS),
+                          ((method, *row) for method in _steps._METHOD_STEPS for row in cells(method))))
             return 0
-        shown = approx.to_decimal(start)
+        shown = to_decimal(start)
         _write(_json({"start": shown, "steps": str(args.steps), **{
-            method: {"method": method, "start": shown, "rows": _table("json", approx._REPORT_COLUMNS, cells(method), "\n    ")}
-            for method in approx._METHOD_STEPS}}))
+            method: {"method": method, "start": shown, "rows": _table("json", _steps._REPORT_COLUMNS, cells(method), "\n    ")}
+            for method in _steps._METHOD_STEPS}}))
     return 0

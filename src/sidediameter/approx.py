@@ -17,28 +17,21 @@ den**4 is formed only for the exact test.  No square root is taken.  No
 float enters: a number is accepted only as an int or Fraction, by type.
 
 `run_method` checks its start once and then steps the reduced integer
-state (p, q, N) with N = p**2 - 2*q**2, the residual of a side/diameter
-pair.  The ratio step is the pair step: (p + 2q, p + q, -N), coprime
-because gcd(p + 2q, p + q) = gcd(p, q).  From 1, step n is pair n + 1 as
-d/a with sign N, and the CLI's `gen` prints these rows.  The averaging
-step is the pair doubling a -> 2ad, d -> 2d**2 - e of
-`_exact._nth_components`, with the carried N for e: (2p**2 - N, 2pq, N**2),
-whose only common factor is 2, present exactly when p is even; halving
-then leaves p odd, so that happens on the first step at most.  Each row reads its side from the sign of N and
-its digit count from |N|, `_cells` prints it from p and q, and only `run_method` wraps p/q in a Fraction.
-The stepper and the digit kernel are generic over the number type: they take
-ints, as `run_method` does, or integral Decimals under `_EXACT`, as the
-CLI's `gen` and `compare` do, and every value they make stays integral.
-Their int branches serve the library and the tests' oracle alone.
-Every number is printed by `_exact.to_decimal`, which this module re-exports with its exact context `_EXACT`.
+state (p, q, N) with N = p**2 - 2*q**2 by `_steps._rows`, the stepper, digit
+kernel and row serializer that the CLI's `gen` and `compare` run on without
+this module; only `run_method` wraps p/q in a Fraction.  This module
+re-exports those private names, and `_exact.to_decimal`, which prints every
+number, with its exact context `_EXACT`.
 """
 
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from sidediameter._exact import (_EXACT, DEFAULT_DECIMAL_DIGITS, DEFAULT_DIGIT_CAP, _require_int, _require_rational,
-                                  _shown, to_decimal)
+from sidediameter._exact import (_EXACT, DEFAULT_DECIMAL_DIGITS, DEFAULT_DIGIT_CAP, _positive_fraction,  # noqa: F401
+                                  _require_int, _require_rational, to_decimal)
+from sidediameter._steps import (_METHOD_STEPS, _REPORT_COLUMNS, _babylonian_state, _cells,  # noqa: F401
+                                 _correct_digits, _decimal_string, _ratio_state, _rows, _shifted)
 
 
 def ratio(p: "SideDiameterPair") -> Fraction:
@@ -131,48 +124,6 @@ def correct_digits(t, cap: int = DEFAULT_DIGIT_CAP) -> int:
     return _correct_digits(num, den, abs(num * num - 2 * den * den), cap)
 
 
-def _correct_digits(num, den, n, cap: int) -> int:
-    """`correct_digits(num/den, cap)` for trusted ints, or integral Decimals under `_EXACT`,
-    with the Pell residual n = |num**2 - 2*den**2| already known.
-
-    A row whose answer is at least cap is settled from sizes alone, with no
-    den * num and no den**4.  On ints, level cap holds when bitlen(n) +
-    bitlen(10**cap) < bitlen(den) + bitlen(num): then n * 10**cap <
-    2**(bitlen(den) + bitlen(num) - 1) <= 2 * den * num, and a failing level
-    would need num/den within 2 * 10**-cap above sqrt(2) with den and num
-    both within 7% above a power of two, whose ratio is near a power of two.
-    On Decimals, it holds when adj(n) + cap < adj(den) + adj(num), which
-    gives n * 10**cap < den * num.  Otherwise the walk starts at the bound
-    of the same kind: bit lengths as in `correct_digits`, at most two levels
-    above the answer, or adj(den) + adj(num + 2*den) + 1 - adj(n).  That one
-    rounds three sizes to powers of ten, so it is at most three above the
-    answer; measured on 778,401 ratios (every num < 1200 over den < 400, and
-    large ones near and far from sqrt(2)), it is never more than two above.
-    """
-    if isinstance(n, int):
-        j = (den.bit_length() + (num + 2 * den).bit_length() - n.bit_length() + 1) * 30103 // 100000
-        # `cap <= j` first, so that a huge cap builds no 10**cap; the size test implies it.
-        if cap <= j and n.bit_length() + (10**cap).bit_length() < den.bit_length() + num.bit_length():
-            return cap
-    else:
-        j = den.adjusted() + (num + 2 * den).adjusted() + 1 - n.adjusted()
-        if n.adjusted() + cap < den.adjusted() + num.adjusted():
-            return cap
-    j = min(cap, j)
-    den_num = den * num
-    while j > 0:
-        excess = _shifted(n, j) - den_num
-        if excess <= 0 or excess * excess < 2 * den**4:
-            return j
-        j -= 1
-    return 0
-
-
-def _shifted(x, places: int):
-    """x * 10**places, exactly: an int product, or an integral Decimal's exponent raised under `_EXACT`."""
-    return x * 10**places if isinstance(x, int) else x.scaleb(places)
-
-
 def side_of_sqrt2(t) -> str:
     """'under' or 'over', by the exact sign of num**2 - 2*den**2."""
     t = _positive_fraction(t, "t")
@@ -194,9 +145,6 @@ def cf_convergent_sqrt2(n: int) -> Fraction:
     return Fraction(num, den)
 
 
-_REPORT_COLUMNS = ("step", "value_num", "value_den", "decimal_value", "correct_digits", "side")
-
-
 class ReportRow(NamedTuple):
     step: int
     value: Fraction
@@ -206,11 +154,6 @@ class ReportRow(NamedTuple):
     def fields(self, digits: int) -> tuple[str, ...]:
         """The row as strings, one per column of `_REPORT_COLUMNS`; trusts its values and digits."""
         return _cells(self.step, self.value.numerator, self.value.denominator, self.correct_digits, self.side_of_sqrt2, digits)
-
-
-def _cells(step: int, num: int, den: int, correct: int, side: str, places: int) -> tuple[str, ...]:
-    """The strings of the row of value num/den, one per column of `_REPORT_COLUMNS`; trusts its arguments."""
-    return (str(step), to_decimal(num), to_decimal(den), _decimal_string(num, den, places), str(correct), side)
 
 
 class ConvergenceReport(NamedTuple):
@@ -227,27 +170,6 @@ class ConvergenceReport(NamedTuple):
             "start": to_decimal(self.start),
             "rows": [dict(zip(_REPORT_COLUMNS, row.fields(digits))) for row in self.rows],
         }
-
-
-def _babylonian_state(p, q, n):
-    """`babylonian_step` on the reduced state (p, q, p**2 - 2*q**2), of ints or integral Decimals."""
-    p, q, n = 2 * (p * p) - n, 2 * (p * q), n * n
-    # The two share only a 2, and only when the old p was even.  `% 2` reads a
-    # 10**6-digit Decimal in about 0.3 ms, 1% of one of the step's products.
-    if p % 2:
-        return p, q, n
-    return p // 2, q // 2, n // 4
-
-
-def _ratio_state(p, q, n):
-    """`sd_ratio_step` on the reduced state (p, q, p**2 - 2*q**2)."""
-    return p + 2 * q, p + q, -n
-
-
-_METHOD_STEPS = {
-    "babylonian": _babylonian_state,
-    "side_diameter": _ratio_state,
-}
 
 
 def _coprime_fraction(num: int, den: int) -> Fraction:
@@ -273,16 +195,6 @@ def run_method(method: str, start, steps: int, cap: int = DEFAULT_DIGIT_CAP) -> 
         for step, p, q, digits, side in _rows(method, start.numerator, start.denominator, steps, cap)))
 
 
-def _rows(method: str, p, q, steps: int, cap: int):
-    """`run_method`'s rows from the checked start p/q, of ints or of integral Decimals under `_EXACT`,
-    as (step, p, q, correct digits, side), p/q coprime, one at a time."""
-    advance = _METHOD_STEPS[method]
-    n = p * p - 2 * q * q
-    for i in range(1, steps + 1):
-        p, q, n = advance(p, q, n)
-        yield i, p, q, _correct_digits(p, q, abs(n), cap), "under" if n < 0 else "over"
-
-
 def compare_methods(start, steps: int, cap: int = DEFAULT_DIGIT_CAP) -> tuple[ConvergenceReport, ConvergenceReport]:
     """Run both iterations from the same start; (babylonian, side_diameter)."""
     return (
@@ -296,24 +208,3 @@ def decimal_string(t, digits: int = DEFAULT_DECIMAL_DIGITS) -> str:
     t = _require_rational(t, "t")
     _require_int(digits, "digits", 0)
     return _decimal_string(t.numerator, t.denominator, digits)
-
-
-def _decimal_string(num, den, digits: int) -> str:
-    """`decimal_string(Fraction(num, den), digits)` for trusted ints, or integral Decimals under `_EXACT`, den > 0.
-
-    On Decimals the remainder is shifted by its exponent, and the integer
-    division gives a quotient of exponent 0, which linear str() prints.
-    """
-    sign = "-" if num < 0 else ""
-    whole, rem = divmod(abs(num), den)
-    if digits == 0:
-        return sign + to_decimal(whole)
-    frac = _shifted(rem, digits) // den
-    return f"{sign}{to_decimal(whole)}.{to_decimal(frac).zfill(digits)}"
-
-
-def _positive_fraction(t, name: str) -> Fraction:
-    t = _require_rational(t, name)
-    if t <= 0:
-        raise ValueError(f"{name} must be positive, got {_shown(t, str)}")
-    return t

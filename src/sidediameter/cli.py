@@ -1,9 +1,11 @@
 """Command-line front end: pair tables, identity checks, traces, approximations.
 
 `run` builds the parser of the running verb alone and first imports the
-module its handler needs: with no bytecode cache, each command compiles
-only the modules its verb runs.  `nth` loads `_exact` alone; the table
-verbs `gen`, `compare` and `approx` run in `_tables`.
+modules its handler needs: with no bytecode cache, each command compiles
+only the modules its verb runs.  This module holds the parser, `run`,
+`main`, the `nth` handler and the helpers that several verbs share.  `nth`
+loads `_exact` alone; the table verbs `gen`, `compare` and `approx` run in
+`_tables`, and the proof verbs `trace` and `verify` in `_proofs`.
 
 Exit codes: 0 success, 1 domain error (reported on stderr), 2 usage error.
 Data payloads go to stdout and are deterministic for a fixed argument list;
@@ -13,6 +15,7 @@ timing information is diagnostic and always goes to stderr.
 import argparse
 import contextlib
 import decimal
+import importlib
 import os
 import re
 import sys
@@ -112,7 +115,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
             command.set_defaults(handler=handler)
             return command
 
-    if gen := verb("gen", "emit the first N pairs as CSV or JSON", _in_tables):
+    if gen := verb("gen", "emit the first N pairs as CSV or JSON", _handled):
         gen.add_argument("--count", type=positive_int, required=True)
         gen.add_argument("--format", choices=("csv", "json"), default="csv")
         gen.add_argument("--digits", type=nonnegative_int, default=DEFAULT_DECIMAL_DIGITS)
@@ -122,18 +125,18 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         nth.add_argument("--check-oracle", action="store_true",
                          help="check the printed pair against (1 + sqrt(2))**N modulo 2**61 - 1; wall times go to stderr")
 
-    if verify := verb("verify", "verify catalog identities symbolically", _cmd_verify):
+    if verify := verb("verify", "verify catalog identities symbolically", _handled):
         group = verify.add_mutually_exclusive_group(required=True)
         group.add_argument("--identity", metavar="NAME", help="one catalog identity; an unknown name lists them")
         group.add_argument("--all", action="store_true")
 
-    if trace := verb("trace", "derivation trace for a pair (JSON or --pretty)", _cmd_trace):
+    if trace := verb("trace", "derivation trace for a pair (JSON or --pretty)", _handled):
         trace.add_argument("pair", nargs="*", type=decimal_integer, metavar="INT",
                            help="the pair as two integers: A D")
         trace.add_argument("--n", type=positive_int, help="use the N-th pair instead of A D")
         trace.add_argument("--pretty", action="store_true")
 
-    if ap := verb("approx", "one approximation step, preimages, or digit count", _in_tables):
+    if ap := verb("approx", "one approximation step, preimages, or digit count", _handled):
         ap.add_argument("action", choices=("step", "preimage", "digits"))
         ap.add_argument("value", type=rational)
         ap.add_argument("--method", choices=("babylonian", "sd"),
@@ -141,7 +144,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         ap.add_argument("--cap", type=positive_int,
                         help=f"digits only (default: {DEFAULT_DIGIT_CAP})")
 
-    if compare := verb("compare", "run both methods and tabulate convergence", _in_tables):
+    if compare := verb("compare", "run both methods and tabulate convergence", _handled):
         compare.add_argument("--start", type=rational, default="1")
         compare.add_argument("--steps", type=nonnegative_int, required=True)
         compare.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -181,11 +184,14 @@ def _write(pieces) -> None:
     write("\n")
 
 
-def _in_tables(args) -> int:
-    """Run `gen`, `compare` or `approx` by its handler in `_tables`, which loads `approx` and `fractions`."""
-    from sidediameter import _tables
+# The module of each verb's handler `_cmd_<verb>` but `nth`'s, which is here.
+_HANDLERS = {"gen": "_tables", "compare": "_tables", "approx": "_tables", "trace": "_proofs", "verify": "_proofs"}
 
-    return getattr(_tables, f"_cmd_{args.verb}")(args)
+
+def _handled(args) -> int:
+    """Run the verb by its handler in `_tables` or `_proofs`."""
+    module = importlib.import_module(f"sidediameter.{_HANDLERS[args.verb]}")
+    return getattr(module, f"_cmd_{args.verb}")(args)
 
 
 # Digits above which `nth`, `trace --n`, `gen` and `compare` refuse their
@@ -251,51 +257,6 @@ def _cmd_nth(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    from sidediameter import identities  # only verify builds the symbolic catalog
-
-    by_name = identities.catalog_by_name()
-    if not args.all and args.identity not in by_name:
-        raise UsageError(f"unknown identity {_echoed(args.identity)!r}; "
-                         f"choose from {', '.join(sorted(by_name))}")
-    all_ok = True
-    for ident in by_name.values() if args.all else [by_name[args.identity]]:
-        ok = ident.holds()
-        all_ok = all_ok and ok
-        print(f"{ident.name}: {'OK' if ok else 'FAIL'}")
-    return 0 if all_ok else 1
-
-
-def _cmd_trace(args) -> int:
-    """`trace_elegant`'s trace, computed, checked and printed in exact Decimal (see `_nth_line`).
-
-    `_exact._pell_sign` checks a pair A D in Decimal, on the squares that the steps use.  `--n K`
-    needs no check: the hypothesis-substitution step balances only when d^2 - 2a^2 = (-1)^K.
-    """
-    from sidediameter import identities
-
-    with decimal.localcontext(_exact._EXACT):
-        if args.n is not None and not args.pair:
-            # The trace prints a and d with their squares and step values: about 38 components.
-            _check_printed_digits("trace --n", 38 * _component_digits(args.n))
-            a, d = _exact._nth_components(args.n, decimal.Decimal(1))
-            e = -1 if args.n % 2 else 1
-        elif len(args.pair) == 2 and args.n is None:
-            a, d = args.pair
-            e = None
-        else:
-            raise UsageError("trace expects either two integers A D or --n K")
-        text, steps = identities._derivation(a, d, e)
-        if e is None:
-            # A checked pair has d odd, so e = d^2 - 2a^2 = 1 - 2a^2 modulo 8: -1 exactly when a is odd.
-            e = -1 if a % 2 else 1
-    # One write per piece: the digits of each value are held once, and no expression, line
-    # or document is joined.
-    _write(identities._pretty_laid_out(text, a, d, e, steps) if args.pretty
-           else _json(identities._trace_document(text, a, d, e, steps)))
-    return 0
-
-
 def run(argv, stdout=None, stderr=None) -> int:
     """Parse argv and execute; returns the process exit code.
 
@@ -313,11 +274,11 @@ def run(argv, stdout=None, stderr=None) -> int:
         if stderr is not None:
             stack.enter_context(contextlib.redirect_stderr(stderr))
         verb = argv[0] if argv and argv[0] in _VERBS else None
-        # The handler's module is compiled before the parser's objects are live.
-        if verb in ("gen", "compare", "approx"):
-            from sidediameter import _tables  # noqa: F401
-        elif verb in ("trace", "verify"):
-            from sidediameter import identities  # noqa: F401
+        # The handler's modules are compiled before the parser's objects are live.
+        if verb in _HANDLERS:
+            importlib.import_module(f"sidediameter.{_HANDLERS[verb]}")
+        if verb == "approx":
+            from sidediameter import approx  # noqa: F401
         parser = build_parser(verb)
         try:
             args = parser.parse_args(argv)
@@ -358,4 +319,7 @@ def __getattr__(name: str):
 
 
 if __name__ == "__main__":
+    # Under `python -m sidediameter.cli`, this copy is the one that `_tables` and `_proofs`
+    # import, so the `UsageError` they raise is the one `run` catches, and no second copy compiles.
+    sys.modules["sidediameter.cli"] = sys.modules[__name__]
     main()

@@ -23,7 +23,8 @@ from typing import Iterator, NamedTuple
 
 from sidediameter._exact import (_EXACT, _LEAF_BITS, _PRIME, _STR_MAX_BITS, DEFAULT_DECIMAL_DIGITS,  # noqa: F401
                                  DEFAULT_DIGIT_CAP, InvalidPairError, _doubled, _nth_checked, _nth_components,
-                                 _pell_sign, _require_int, _require_rational, _shown, to_decimal)
+                                 _pell_sign, _positive_fraction, _require_int, _require_rational, _shown,
+                                 to_decimal)
 
 
 class DescentBelowSeedError(ValueError):

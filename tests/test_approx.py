@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sidediameter import _exact, approx, cli, pairs
+from sidediameter import _exact, _steps, approx, cli, pairs
 from sidediameter.approx import (
     ConvergenceReport,
     ReportRow,
@@ -151,6 +151,33 @@ def test_decimal_digit_count(int_str_limit):
         assert decimal_digit_count(2**k) == len(str(2**k))
 
 
+class _CorrectionCountingInt(int):
+    """An int that `abs` keeps, counting the comparisons `10**k > n` that hold, each one correction."""
+
+    corrections = 0
+
+    def __abs__(self):
+        return self
+
+    def __lt__(self, other):
+        # `10**k > n` calls this reflected `<` first, since this type overrides it.
+        held = int(self) < other
+        type(self).corrections += held
+        return held
+
+
+def test_decimal_digit_count_corrects_its_estimate_at_most_twice():
+    worst = 0
+    edges = [m for k in (*range(1, 5001, 7), 30103, 100000) for m in (10**k - 1, 10**k, 10**k + 1)]
+    edges += [m for k in (*range(4, 16700, 11), 332193, 1000000) for m in (2**k - 1, 2**k)]
+    for m in edges:
+        _CorrectionCountingInt.corrections = 0
+        count = decimal_digit_count(_CorrectionCountingInt(m))
+        assert 10 ** (count - 1) <= m < 10**count
+        worst = max(worst, _CorrectionCountingInt.corrections)
+    assert 1 <= worst <= 2
+
+
 @given(st.integers(-10**30, 10**30))
 def test_decimal_digit_count_matches_str(n):
     expected = len(str(abs(n))) if n else 1
@@ -236,8 +263,8 @@ def test_correct_digits_walks_at_most_two_levels_below_its_start(t, cap, as_deci
     settled from sizes tests none."""
     num, den = t.numerator, t.denominator
     state = (num, den, abs(num * num - 2 * den * den))
-    with decimal.localcontext(pairs._EXACT), mock.patch.object(approx, "_shifted", wraps=approx._shifted) as shifted:
-        answer = approx._correct_digits(*map(decimal.Decimal, state) if as_decimals else state, cap)
+    with decimal.localcontext(pairs._EXACT), mock.patch.object(_steps, "_shifted", wraps=_steps._shifted) as shifted:
+        answer = _steps._correct_digits(*map(decimal.Decimal, state) if as_decimals else state, cap)
     assert shifted.call_count <= (3 if answer else 2)
 
 
@@ -459,7 +486,7 @@ def test_babylonian_state_takes_three_products_per_step(start):
     n = _CountingInt(start.numerator**2 - 2 * start.denominator**2)
     value = start
     for _ in range(steps):
-        p, q, n = approx._babylonian_state(p, q, n)
+        p, q, n = _steps._babylonian_state(p, q, n)
         value = babylonian_step(value)
         assert type(p) is type(q) is type(n) is _CountingInt
         assert (p, q, n) == (value.numerator, value.denominator, int(p) ** 2 - 2 * int(q) ** 2)
@@ -472,9 +499,9 @@ def test_babylonian_state_steps_integral_decimals_to_the_same_states(start):
     n = p * p - 2 * q * q
     state = tuple(map(decimal.Decimal, (p, q, n)))
     for _ in range(9):
-        p, q, n = approx._babylonian_state(p, q, n)
+        p, q, n = _steps._babylonian_state(p, q, n)
         with decimal.localcontext(pairs._EXACT):
-            state = approx._babylonian_state(*state)
+            state = _steps._babylonian_state(*state)
         assert all(map(_integral_decimal, state)) and state == (p, q, n)
 
 
@@ -636,6 +663,28 @@ def test_to_decimal_matches_str(n, negate):
 )
 def test_to_decimal_examples(n):
     assert to_decimal(n) == reference_str(n)
+
+
+@pytest.mark.parametrize("bits", [14_001, 16_384, 16_385, 65_537, 332_193, 1_000_003])
+def test_to_decimal_splits_at_most_log2_of_bits_over_the_leaf_plus_one_levels_deep(bits):
+    """The split halves each part, so the leaves of `_LEAF_BITS` bits lie ceil(log2(bits / _LEAF_BITS)) + 1 levels deep."""
+    convert = next(c for c in to_decimal.__code__.co_consts if getattr(c, "co_name", None) == "convert")
+    depth = deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, deepest
+        if frame.f_code is convert and event in ("call", "return"):
+            depth += 1 if event == "call" else -1
+            deepest = max(deepest, depth)
+
+    n = random.Random(bits).getrandbits(bits) | 1 << (bits - 1)
+    sys.setprofile(profile)
+    try:
+        to_decimal(n)
+    finally:
+        sys.setprofile(None)
+    leaves = -(-bits // _exact._LEAF_BITS)  # ceil(bits / _LEAF_BITS), so the bound is bitlen(leaves - 1) + 1
+    assert 2 <= deepest <= (leaves - 1).bit_length() + 1
 
 
 with decimal.localcontext(approx._EXACT):

@@ -20,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sidediameter
-from sidediameter import _exact, _tables, approx, cli, generate, identities, pairs, to_decimal, trace_elegant
+from sidediameter import _exact, _steps, _tables, approx, cli, generate, identities, pairs, to_decimal, trace_elegant
 from sidediameter._tables import _GEN_COLUMNS
 from sidediameter.cli import _nth_line, build_parser, run
 from sidediameter.pairs import SideDiameterPair, nth
@@ -52,13 +52,13 @@ def test_gen_csv_first_four():
 
 def test_gen_steps_and_prints_every_row_in_exact_decimal(monkeypatch):
     received = []
-    cells = approx._cells
+    cells = _steps._cells
 
     def spy(*row):
         received.append(row)
         return cells(*row)
 
-    monkeypatch.setattr(approx, "_cells", spy)
+    monkeypatch.setattr(_steps, "_cells", spy)
     assert invoke(["gen", "--count", "5", "--format", "json"])[0] == 0
     # (step, num, den, correct digits, side, places), row 1 at step 0 included.
     assert [row[0] for row in received] == [0, 1, 2, 3, 4]
@@ -389,7 +389,7 @@ def raise_if_called(*args):
 def test_index_verbs_refuse_output_over_the_limit_before_computing(argv, monkeypatch):
     monkeypatch.setattr(_exact, "_nth_components", raise_if_called)
     monkeypatch.setattr(pairs, "_walk", raise_if_called)
-    monkeypatch.setattr(approx, "_rows", raise_if_called)
+    monkeypatch.setattr(_steps, "_rows", raise_if_called)
     code, out, err = invoke(argv)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
@@ -424,7 +424,7 @@ def test_a_refused_estimate_over_20_digits_is_shown_in_scientific_form():
 ])
 def test_index_budget_accepts_the_sizes_below_the_limit(verb, n, monkeypatch):
     # Cheap stand-ins for the cores and the table writer, so that only the budget decides.
-    # `gen` writes pair 1 without a step, so a stand-in for `approx._rows` alone would
+    # `gen` writes pair 1 without a step, so a stand-in for `_steps._rows` alone would
     # still print its 99999987 places.
     monkeypatch.setattr(cli, "_nth_line", lambda n: "computed")
     monkeypatch.setattr(pairs, "nth", lambda n: SideDiameterPair(1, 1))
@@ -496,6 +496,18 @@ def test_failed_write_exits_1_with_one_error_line():
     assert lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [["approx", "step", "17/12", "--cap", "3"], ["trace", "1", "2", "3"]],
+                         ids=["table-verb", "trace"])
+def test_usage_errors_under_the_cli_module_exit_2(argv):
+    # Run as `python -m sidediameter.cli`, the module is `__main__`, and the verb modules that
+    # import `sidediameter.cli` must raise the `UsageError` that this copy's `run` catches.
+    proc = subprocess.run([sys.executable, "-m", "sidediameter.cli", *argv], capture_output=True, text=True,
+                          env=FRESH_ENV, timeout=60)
+    lines = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout, len(lines)) == (2, "", 1)
+    assert lines[0].startswith("usage error: ")
+
+
 def fresh_python(code: str) -> str:
     """The stdout of `code` run in a new interpreter that imports this checkout's package."""
     return subprocess.run([sys.executable, "-c", code], env=FRESH_ENV, capture_output=True,
@@ -532,13 +544,16 @@ def test_each_verb_loads_only_the_modules_it_needs(argv, needs):
         f"assert cli.run({argv.split()!r}, io.StringIO()) == 0\n"
         "print(*sorted(m for m in sys.modules if m.startswith('sidediameter.') or m == 'fractions'))"
     )
-    # Only `verify` builds the symbolic catalog and so loads the polynomial ring.  Only the verbs
-    # that read or print rationals load `_tables` and `approx`, and `fractions` with them.  Only
-    # `identities` needs the pair records of `pairs`; every verb runs on `_exact`.
-    rational = argv.split()[0] in ("gen", "approx", "compare")
-    records = ["pairs"] if "identities" in needs.split() else []
-    needs = ["cli", "_exact", *records, *needs.split(), *(["_tables", "approx"] if rational else [])]
-    assert set(out.split()) == {f"sidediameter.{m}" for m in needs} | ({"fractions"} if rational else set())
+    # Every verb runs on `_exact`.  The table verbs run in `_tables` on the kernel `_steps`: `gen`
+    # loads neither `approx` nor `fractions`, `compare` loads `fractions` for its `--start`, and
+    # only the `approx` verb loads `approx`.  The proof verbs run in `_proofs`, whose `identities`
+    # needs the pair records of `pairs`; only `verify` builds the symbolic catalog and so loads
+    # the polynomial ring.
+    verb_needs = {"nth": [], "gen": ["_tables", "_steps"], "compare": ["_tables", "_steps", "fractions"],
+                  "approx": ["_tables", "_steps", "fractions", "approx"],
+                  "trace": ["_proofs", "pairs"], "verify": ["_proofs", "pairs"]}[argv.split()[0]]
+    needs = ["cli", "_exact", *verb_needs, *needs.split()]
+    assert set(out.split()) == {m if m == "fractions" else f"sidediameter.{m}" for m in needs}
 
 
 def test_library_trace_loads_no_polynomial_ring():
@@ -584,7 +599,8 @@ def test_package_names_load_on_first_use():
         "",  # `import sidediameter` loads no submodule
         "[]",  # `dir()` lists every public name before any is loaded
         "sidediameter._exact sidediameter.pairs",
-        "sidediameter._exact sidediameter.approx sidediameter.identities sidediameter.pairs sidediameter.polynomials",
+        "sidediameter._exact sidediameter._steps sidediameter.approx sidediameter.identities sidediameter.pairs"
+        " sidediameter.polynomials",
         "[] sidediameter.identities",
         "[]",  # each name is its defining module's object
     ]
@@ -820,7 +836,7 @@ def test_compare_default_start_is_one():
     ["compare", "--steps", "6", "--start", "19/13", "--format", "json"],
 ])
 def test_gen_and_compare_print_the_integer_state_without_report_rows(argv, monkeypatch):
-    """The print verbs render `approx._rows`' integers: no `ReportRow`, no `Fraction` per row."""
+    """The print verbs render `_steps._rows`' integers: no `ReportRow`, no `Fraction` per row."""
     expected = invoke(argv)
 
     def refuse(*args, **kwargs):
