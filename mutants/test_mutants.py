@@ -83,7 +83,7 @@ MUTANTS = [
         id="correct-digits-three-bits-low",
     ),
     pytest.param(
-        "_steps.py",
+        "_exact.py",
         "return p // 2, q // 2, n // 4",
         "return p, q, n",
         ["tests/test_approx.py::test_run_method_rows_equal_the_public_fraction_steps",
@@ -261,13 +261,23 @@ MUTANTS = [
     ),
     pytest.param(
         "_exact.py",
-        "(-1 if n & 2 else 1)",
-        "(-1 if n & 2 or n == 4 else 1)",
+        "-1 if n & 2 else 1",
+        "-1 if n & 2 or n == 4 else 1",
         # Level 4 lies on no index that a test module computes at collection (6, 7, 2000, 12000, 60000).
         ["tests/test_pairs.py::test_nth_examples",
          "tests/test_pairs.py::test_nth_64_matches_frozen_oracle_value",
          "tests/test_pairs.py::test_nth_components_equal_the_iterative_oracle_in_both_number_types"],
         id="nth-sign-term-wrong-at-level-4",
+    ),
+    pytest.param(
+        "_exact.py",
+        "p + q, -n",
+        "p + q + (p == 577), -n",
+        # One map serves both paths: `nth 9` and the ratio step from 1 or 7/5 step pair 8's state
+        # (577, 408, 1), which no index that a test module computes at collection steps.
+        ["tests/test_pairs.py::test_nth_components_equal_the_iterative_oracle_in_both_number_types",
+         "tests/test_approx.py::test_run_method_rows_equal_the_public_fraction_steps"],
+        id="pell-step-side-off-by-one",
     ),
     pytest.param(
         "approx.py",

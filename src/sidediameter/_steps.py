@@ -1,19 +1,16 @@
 """The number-generic stepper, digit kernel and row serializer behind `approx`, `gen` and `compare`.
 
-`approx` re-exports every name here with its `Fraction` API.  `_tables`
+`approx` builds its `Fraction` API on this module.  `_tables`
 imports this module, not `approx`, so `gen` loads neither `approx` nor
 `fractions`: with no bytecode cache, every command compiles the modules it
 loads.  It imports `_exact` alone, and is not part of it, because `nth` and
 `trace` load `_exact` and step nothing.
 
 The rows step the reduced integer state (p, q, N) with N = p**2 - 2*q**2,
-the residual of a side/diameter pair.  The ratio step is the pair step:
-(p + 2q, p + q, -N), coprime because gcd(p + 2q, p + q) = gcd(p, q).  From
-1, step n is pair n + 1 as d/a with sign N, and the CLI's `gen` prints these
-rows.  The averaging step is the pair doubling a -> 2ad, d -> 2d**2 - e of
-`_exact._nth_components`, with the carried N for e: (2p**2 - N, 2pq, N**2),
-whose only common factor is 2, present exactly when p is even; halving then
-leaves p odd, so that happens on the first step at most.  Each row reads its
+the residual of a side/diameter pair, by `_exact`'s two Pell-state maps:
+the ratio step is the pair step `_pell_step`, so from 1, step n is pair
+n + 1 as d/a with sign N, and the CLI's `gen` prints these rows; the
+averaging step is the pair doubling `_pell_doubling`.  Each row reads its
 side from the sign of N and its digit count from |N|, and `_cells` prints it
 from p and q.  Everything here takes ints, as `approx.run_method` does, or
 integral Decimals under `_EXACT`, as the CLI's `gen` and `compare` do, and
@@ -21,30 +18,10 @@ every value it makes stays integral.  The int branches serve the library and
 the tests' oracle alone.
 """
 
-from sidediameter._exact import to_decimal
+from sidediameter._exact import _pell_doubling, _pell_step, to_decimal
 
 _REPORT_COLUMNS = ("step", "value_num", "value_den", "decimal_value", "correct_digits", "side")
-
-
-def _babylonian_state(p, q, n):
-    """`babylonian_step` on the reduced state (p, q, p**2 - 2*q**2), of ints or integral Decimals."""
-    p, q, n = 2 * (p * p) - n, 2 * (p * q), n * n
-    # The two share only a 2, and only when the old p was even.  `% 2` reads a
-    # 10**6-digit Decimal in about 0.3 ms, 1% of one of the step's products.
-    if p % 2:
-        return p, q, n
-    return p // 2, q // 2, n // 4
-
-
-def _ratio_state(p, q, n):
-    """`sd_ratio_step` on the reduced state (p, q, p**2 - 2*q**2)."""
-    return p + 2 * q, p + q, -n
-
-
-_METHOD_STEPS = {
-    "babylonian": _babylonian_state,
-    "side_diameter": _ratio_state,
-}
+_METHOD_STEPS = {"babylonian": _pell_doubling, "side_diameter": _pell_step}
 
 
 def _rows(method: str, p, q, steps: int, cap: int):

@@ -20,18 +20,18 @@ float enters: a number is accepted only as an int or Fraction, by type.
 state (p, q, N) with N = p**2 - 2*q**2 by `_steps._rows`, the stepper, digit
 kernel and row serializer that the CLI's `gen` and `compare` run on without
 this module; only `run_method` wraps p/q in a Fraction.  This module
-re-exports those private names, and `_exact.to_decimal`, which prints every
-number, with its exact context `_EXACT`.
+re-exports `_exact.to_decimal`, which prints every number.
 """
 
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from sidediameter._exact import (_EXACT, DEFAULT_DECIMAL_DIGITS, DEFAULT_DIGIT_CAP, _positive_fraction,  # noqa: F401
-                                  _require_int, _require_rational, to_decimal)
-from sidediameter._steps import (_METHOD_STEPS, _REPORT_COLUMNS, _babylonian_state, _cells,  # noqa: F401
-                                 _correct_digits, _decimal_string, _ratio_state, _rows, _shifted)
+from sidediameter._exact import (DEFAULT_DECIMAL_DIGITS, DEFAULT_DIGIT_CAP, _positive_fraction, _require_int,
+                                  _require_rational, to_decimal)
+# The two maps keep their names here: the traced benchmark rebinds `_METHOD_STEPS` by name.
+from sidediameter._steps import (_METHOD_STEPS, _REPORT_COLUMNS, _cells, _correct_digits,  # noqa: F401
+                                 _decimal_string, _pell_doubling, _pell_step, _rows)
 
 
 def ratio(p: "SideDiameterPair") -> Fraction:

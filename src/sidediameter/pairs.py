@@ -14,17 +14,15 @@ The degenerate pair (0, 1) also satisfies 1 = 2*0**2 + 1 but is excluded
 here: sides are at least 1, which keeps the inverse (descent) step
 well-founded and matches the classical presentation that starts at (1, 1).
 
-The exact-number kernel, with `to_decimal`, the pair check and the doubling
-core, lives in `_exact`; this module re-exports its names.
+The exact-number kernel, with `to_decimal`, the pair check, the Pell-state
+maps and the doubling core, lives in `_exact`.
 """
 
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from sidediameter._exact import (_EXACT, _LEAF_BITS, _PRIME, _STR_MAX_BITS, DEFAULT_DECIMAL_DIGITS,  # noqa: F401
-                                 DEFAULT_DIGIT_CAP, InvalidPairError, _doubled, _nth_checked, _nth_components,
-                                 _pell_sign, _positive_fraction, _require_int, _require_rational, _shown,
-                                 to_decimal)
+from sidediameter._exact import (InvalidPairError, _nth_checked, _pell_sign, _pell_step,  # noqa: F401
+                                 _require_int, _shown, to_decimal)
 
 
 class DescentBelowSeedError(ValueError):
@@ -151,7 +149,8 @@ def step(p: SideDiameterPair) -> SideDiameterPair:
     twice plus the diameter becomes the next diameter.  The sign of
     d**2 - 2*a**2 is negated, and the index (when known) increments.
     """
-    return _stepped(p.a + p.d, 2 * p.a + p.d, None if p.index is None else p.index + 1, -p._sign)
+    d, a, sign = _pell_step(p.d, p.a, p._sign)
+    return _stepped(a, d, None if p.index is None else p.index + 1, sign)
 
 
 def descend(p: SideDiameterPair) -> SideDiameterPair:

@@ -263,7 +263,7 @@ def test_correct_digits_walks_at_most_two_levels_below_its_start(t, cap, as_deci
     settled from sizes tests none."""
     num, den = t.numerator, t.denominator
     state = (num, den, abs(num * num - 2 * den * den))
-    with decimal.localcontext(pairs._EXACT), mock.patch.object(_steps, "_shifted", wraps=_steps._shifted) as shifted:
+    with decimal.localcontext(_exact._EXACT), mock.patch.object(_steps, "_shifted", wraps=_steps._shifted) as shifted:
         answer = _steps._correct_digits(*map(decimal.Decimal, state) if as_decimals else state, cap)
     assert shifted.call_count <= (3 if answer else 2)
 
@@ -322,7 +322,7 @@ def test_correct_digits_squares_no_den_at_a_cap_below_the_answer(index, cap):
     p = nth(index)
     for counting, one in [(_SquareCountingInt, 1), (_SquareCountingDecimal, decimal.Decimal(1))]:
         num, den = counting(p.d), counting(p.a)
-        with decimal.localcontext(pairs._EXACT):
+        with decimal.localcontext(_exact._EXACT):
             assert approx._correct_digits(num, den, one, cap) == cap
         assert den.squarings == num.squarings == 0
 
@@ -360,11 +360,11 @@ def test_digit_kernel_agrees_on_ints_and_integral_decimals(t, cap, places, below
     n = abs(num * num - 2 * den * den)
     if below_cap:
         cap = correct_digits(t, 10**4) + 1
-    with decimal.localcontext(pairs._EXACT):
+    with decimal.localcontext(_exact._EXACT):
         d_num, d_den, d_n = map(decimal.Decimal, (num, den, n))
         count, text = approx._correct_digits(d_num, d_den, d_n, cap), approx._decimal_string(d_num, d_den, places)
         whole, rem = divmod(d_num, d_den)
-        assert all(map(_integral_decimal, (whole, rem, approx._shifted(rem, places) // d_den)))
+        assert all(map(_integral_decimal, (whole, rem, _steps._shifted(rem, places) // d_den)))
     assert (count, text) == (approx._correct_digits(num, den, n, cap), approx._decimal_string(num, den, places))
 
 
@@ -486,7 +486,7 @@ def test_babylonian_state_takes_three_products_per_step(start):
     n = _CountingInt(start.numerator**2 - 2 * start.denominator**2)
     value = start
     for _ in range(steps):
-        p, q, n = _steps._babylonian_state(p, q, n)
+        p, q, n = _exact._pell_doubling(p, q, n)
         value = babylonian_step(value)
         assert type(p) is type(q) is type(n) is _CountingInt
         assert (p, q, n) == (value.numerator, value.denominator, int(p) ** 2 - 2 * int(q) ** 2)
@@ -499,9 +499,9 @@ def test_babylonian_state_steps_integral_decimals_to_the_same_states(start):
     n = p * p - 2 * q * q
     state = tuple(map(decimal.Decimal, (p, q, n)))
     for _ in range(9):
-        p, q, n = _steps._babylonian_state(p, q, n)
-        with decimal.localcontext(pairs._EXACT):
-            state = _steps._babylonian_state(*state)
+        p, q, n = _exact._pell_doubling(p, q, n)
+        with decimal.localcontext(_exact._EXACT):
+            state = _exact._pell_doubling(*state)
         assert all(map(_integral_decimal, state)) and state == (p, q, n)
 
 
@@ -636,7 +636,7 @@ def _widths_near(*cuts):
 
 # Bit widths and decimal lengths on both sides of the str() threshold and
 # of the leaf size, where the split first recurses.
-_BIT_CUTS = (pairs._STR_MAX_BITS, 2 * pairs._STR_MAX_BITS, 8 * pairs._LEAF_BITS)
+_BIT_CUTS = (_exact._STR_MAX_BITS, 2 * _exact._STR_MAX_BITS, 8 * _exact._LEAF_BITS)
 _DIGIT_CUTS = tuple(cut * 30103 // 100000 for cut in _BIT_CUTS)
 
 threshold_ints = st.one_of(
@@ -687,8 +687,8 @@ def test_to_decimal_splits_at_most_log2_of_bits_over_the_leaf_plus_one_levels_de
     assert 2 <= deepest <= (leaves - 1).bit_length() + 1
 
 
-with decimal.localcontext(approx._EXACT):
-    EXACT_PAIR_60000 = pairs._nth_components(60000, decimal.Decimal(1))
+with decimal.localcontext(_exact._EXACT):
+    EXACT_PAIR_60000 = _exact._nth_components(60000, decimal.Decimal(1))
 
 
 # 4,215 and 4,216 digits straddle the width where `to_decimal` leaves str() for ints.
@@ -704,7 +704,7 @@ def test_to_decimal_of_an_integral_decimal_is_its_str(n):
 
 
 def test_to_decimal_raises_rather_than_rounds(monkeypatch):
-    narrow = approx._EXACT.copy()
+    narrow = _exact._EXACT.copy()
     narrow.prec = 100
     monkeypatch.setattr(_exact, "_EXACT", narrow)
     with pytest.raises(decimal.Inexact):

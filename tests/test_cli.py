@@ -830,21 +830,39 @@ def test_compare_default_start_is_one():
 @pytest.mark.parametrize("argv", [
     ["gen", "--count", "40"],
     ["gen", "--count", "40", "--format", "json", "--digits", "100"],
-    ["compare", "--steps", "8"],
-    ["compare", "--steps", "8", "--format", "json"],
+    ["compare", "--steps", "12"],
+    ["compare", "--steps", "12", "--format", "json", "--start", "7/5"],
     ["compare", "--steps", "6", "--start", "19/13"],
     ["compare", "--steps", "6", "--start", "19/13", "--format", "json"],
 ])
 def test_gen_and_compare_print_the_integer_state_without_report_rows(argv, monkeypatch):
-    """The print verbs render `_steps._rows`' integers: no `ReportRow`, no `Fraction` per row."""
-    expected = invoke(argv)
+    """The print verbs render `_steps._rows`' integers: no `ReportRow`, no `Fraction` per row.
+
+    The `approx` spies refuse the report path outright.  The live spy counts every
+    `Fraction` made: none for `gen`, and for `compare` only its `--start`, as many
+    at 2 steps as at more.
+    """
+    short = [*argv[:2], "2", *argv[3:]]
+    expected, expected_short = invoke(argv), invoke(short)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a print verb built a report row")
 
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
     monkeypatch.setattr(approx, "ReportRow", refuse)
     monkeypatch.setattr(approx, "_coprime_fraction", refuse)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    assert invoke(short) == expected_short
+    counted = len(made)
     assert invoke(argv) == expected and expected[0] == 0 and expected[1]
+    assert len(made) == 2 * counted
+    assert counted >= 1 if argv[0] == "compare" else counted == 0
 
 
 def test_check_oracle_payload_is_deterministic_and_timing_goes_to_stderr():

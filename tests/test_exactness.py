@@ -2,7 +2,7 @@
 
 Values alone cannot show this everywhere: a float estimate that happens to land on
 the right integer prints the same digits.  An allowed use that moves is a one-line
-edit of the allow-lists below.  A Decimal operation left outside `approx._EXACT`
+edit of the allow-lists below.  A Decimal operation left outside `_exact._EXACT`
 is exact under the default 28-digit context for small values, so the verbs and the
 library renderers also run under a context that rounds to one digit and traps it.
 """

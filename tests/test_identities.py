@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sidediameter import approx, cli, identities
+from sidediameter import _exact, cli, identities
 from sidediameter.approx import run_method, to_decimal
 from sidediameter.cli import run
 from sidediameter.identities import (
@@ -339,7 +339,7 @@ def test_trace_elegant_and_its_renders_convert_each_distinct_integer_once(monkey
 @pytest.mark.parametrize("number", [int, decimal.Decimal])
 def test_the_trace_core_and_layouts_convert_each_distinct_value_once(monkeypatch, pair, calls, number):
     rendered = _recorded_to_decimal(monkeypatch)
-    with decimal.localcontext(approx._EXACT):
+    with decimal.localcontext(_exact._EXACT):
         a, d = number(pair.a), number(pair.d)
         text, steps = identities._derivation(a, d, pair.sign)
     "".join(cli._json(identities._trace_document(text, a, d, pair.sign, steps)))
@@ -352,7 +352,7 @@ def test_the_trace_core_and_layouts_convert_each_distinct_value_once(monkeypatch
 def test_trace_refuses_a_subtraction_step_off_by_one(number):
     # The V.19 subtraction is checked once, by its step's balance u = 2*(a+d)^2.
     p = nth(50)
-    with decimal.localcontext(approx._EXACT):
+    with decimal.localcontext(_exact._EXACT):
         steps = list(identities._derivation(number(p.a), number(p.d), p.sign)[1])
         steps[2] = steps[2]._replace(lhs_value=steps[2].lhs_value + 1)
         with pytest.raises(ValueError, match="^unbalanced step V.19-subtraction"):
@@ -410,7 +410,7 @@ def test_trace_rejects_unbalanced_step():
 @pytest.mark.parametrize("number", [int, decimal.Decimal])
 def test_derivation_refuses_an_unbalanced_step_by_itself(number):
     p = nth(50)
-    with decimal.localcontext(approx._EXACT):
+    with decimal.localcontext(_exact._EXACT):
         a, d = number(p.a), number(p.d)
         text, steps = identities._derivation(a, d, p.sign)
         assert [s._replace(lhs_expr="".join(s.lhs_expr), rhs_expr="".join(s.rhs_expr))

@@ -5,6 +5,7 @@ import pickle
 import random
 import re
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -156,8 +157,8 @@ def test_nth_doubling_takes_two_products_per_level(base, n):
     The checked builder adds one square a*a of half size, and no square of full size.
     """
     Counting = _counting(base)
-    with decimal.localcontext(approx._EXACT):
-        a, d = pairs._nth_components(n, Counting(1))
+    with decimal.localcontext(_exact._EXACT):
+        a, d = _exact._nth_components(n, Counting(1))
         assert type(a) is type(d) is Counting
         assert Counting.products == 2 * (n.bit_length() - 1)
         Counting.products = 0
@@ -191,15 +192,51 @@ def test_library_nth_refuses_a_side_negated_below_the_last_doubling(monkeypatch)
 def test_nth_components_equal_the_iterative_oracle_in_both_number_types():
     walk = pairs._walk()
     sampled = set(random.Random(0).sample(range(601, 20001), 25)) | {2**k for k in range(10, 15)} | {20000}
-    with decimal.localcontext(approx._EXACT):
+    with decimal.localcontext(_exact._EXACT):
         for n in range(1, 601):
             expected = next(walk)
-            assert pairs._nth_components(n) == expected, n
-            assert pairs._nth_components(n, decimal.Decimal(1)) == expected, n
+            assert _exact._nth_components(n) == expected, n
+            assert _exact._nth_components(n, decimal.Decimal(1)) == expected, n
         for n in sorted(sampled):
             expected = nth_iterative(n)
-            assert pairs._nth_components(n) == (expected.a, expected.d), n
-            assert pairs._nth_components(n, decimal.Decimal(1)) == (expected.a, expected.d), n
+            assert _exact._nth_components(n) == (expected.a, expected.d), n
+            assert _exact._nth_components(n, decimal.Decimal(1)) == (expected.a, expected.d), n
+
+
+def _times(x, y):
+    """(a + b*sqrt(2)) * (c + d*sqrt(2)) as the pair of its rational and sqrt(2) parts."""
+    (a, b), (c, d) = x, y
+    return a * c + 2 * b * d, a * d + b * c
+
+
+def _pell_maps(p, q, n, one):
+    """Both Pell-state maps of (p, q, n) in the type of `one`, and the doubling again with p*p given, as ints."""
+    with decimal.localcontext(_exact._EXACT):
+        p, q, n = p * one, q * one, n * one
+        images = _exact._pell_step(p, q, n), _exact._pell_doubling(p, q, n), _exact._pell_doubling(p, q, n, p * p)
+    for image in images:
+        assert all(type(v) is type(one) and v == int(v) for v in image)
+    return [tuple(map(int, image)) for image in images]
+
+
+@given(st.integers(1, 10**60), st.integers(1, 10**60), st.sampled_from([1, decimal.Decimal(1)]))
+def test_pell_maps_keep_the_residual_and_multiply_by_1_plus_root_2_or_square(p, q, one):
+    """The step multiplies p + q*sqrt(2) by 1 + sqrt(2); the doubling squares it, less a 2 that both parts share."""
+    stepped, doubled, doubled_from_square = _pell_maps(p, q, p * p - 2 * q * q, one)
+    for new_p, new_q, new_n in (stepped, doubled):
+        assert new_n == new_p * new_p - 2 * new_q * new_q
+    assert stepped[:2] == _times((p, q), (1, 1))
+    square = _times((p, q), (p, q))
+    shared = math.gcd(square[0], 2)
+    assert doubled[:2] == (square[0] // shared, square[1] // shared) and doubled_from_square == doubled
+
+
+@given(st.integers(1, 300), st.sampled_from([1, decimal.Decimal(1)]))
+def test_pell_maps_take_pair_m_to_pairs_m_plus_1_and_2m(m, one):
+    """Pair m's state (d, a, (-1)**m) goes to pair m + 1's under the step and to pair 2m's under the doubling."""
+    states = [(d, a, -1 if k % 2 else 1) for k, (a, d) in enumerate(islice(pairs._walk(), 2 * m), 1)]
+    stepped, doubled, _ = _pell_maps(*states[m - 1], one)
+    assert stepped == states[m] and doubled == states[2 * m - 1]
 
 
 def test_generate_first_four():
@@ -352,7 +389,7 @@ def test_shown_gives_the_size_from_2_to_the_14000_on(number):
 @pytest.mark.parametrize("a,d,index", _check_cases())
 def test_int_and_decimal_pair_checks_agree(a, d, index):
     as_decimal = decimal.Decimal(approx.to_decimal(a)), decimal.Decimal(approx.to_decimal(d))
-    with decimal.localcontext(approx._EXACT):
+    with decimal.localcontext(_exact._EXACT):
         in_decimal = _sign_or_message(pairs._pell_sign, *as_decimal, index)
     assert in_decimal == _sign_or_message(lambda *args: SideDiameterPair(*args).sign, a, d, index)
 
