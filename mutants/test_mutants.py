@@ -239,8 +239,28 @@ MUTANTS = [
         '"(2*A+D)^2 + A^2"',
         ["tests/test_identities.py::test_library_trace_sides_evaluate_to_their_values",
          "tests/test_identities.py::test_cli_trace_sides_evaluate_to_their_values",
+         "tests/test_identities.py::test_printed_derivation_is_proved_over_a_d_e",
          "tests/test_cli.py::test_golden_stdout_bytes"],
         id="trace-table-side-misprinted",
+    ),
+    pytest.param(
+        "identities.py",
+        '"(2*A+D)^2 + D^2"',
+        '"(2*A+D)^2 + 2*A^2 +e"',
+        # Equal in value for every pair, since d^2 = 2a^2 + e: only the proof sees the
+        # hypothesis used in step 1, and the golden bytes its new text.
+        ["tests/test_identities.py::test_printed_derivation_is_proved_over_a_d_e",
+         "tests/test_cli.py::test_golden_stdout_bytes"],
+        id="trace-table-side-uses-the-hypothesis-early",
+    ),
+    pytest.param(
+        "identities.py",
+        "(next_d2, 2 * next_a2 - e)",
+        "(next_d2 + e, 2 * next_a2)",
+        # Still balanced, so `_check_steps` passes; the kept value is no longer the printed sides'.
+        ["tests/test_identities.py::test_checked_step_values_are_the_printed_sides_evaluated",
+         "tests/test_cli.py::test_golden_stdout_bytes"],
+        id="trace-conclusion-value-not-its-sides",
     ),
     pytest.param(
         "identities.py",
@@ -262,19 +282,19 @@ MUTANTS = [
     pytest.param(
         "_exact.py",
         "-1 if n & 2 else 1",
-        "-1 if n & 2 or n == 4 else 1",
-        # Level 4 lies on no index that a test module computes at collection (6, 7, 2000, 12000, 60000).
+        "1 if n & 2 else -1",
+        # Wrong on every level: no test module computes a pair at collection, so each test fails alone.
         ["tests/test_pairs.py::test_nth_examples",
          "tests/test_pairs.py::test_nth_64_matches_frozen_oracle_value",
          "tests/test_pairs.py::test_nth_components_equal_the_iterative_oracle_in_both_number_types"],
-        id="nth-sign-term-wrong-at-level-4",
+        id="nth-sign-term-inverted",
     ),
     pytest.param(
         "_exact.py",
         "p + q, -n",
-        "p + q + (p == 577), -n",
-        # One map serves both paths: `nth 9` and the ratio step from 1 or 7/5 step pair 8's state
-        # (577, 408, 1), which no index that a test module computes at collection steps.
+        "p + q + 1, -n",
+        # One map serves both paths: the odd levels of `nth`, and the ratio step of `compare` and
+        # `run_method`, which an explicit example steps from 1.
         ["tests/test_pairs.py::test_nth_components_equal_the_iterative_oracle_in_both_number_types",
          "tests/test_approx.py::test_run_method_rows_equal_the_public_fraction_steps"],
         id="pell-step-side-off-by-one",
@@ -306,11 +326,12 @@ MUTANTS = [
     ),
     pytest.param(
         "cli.py",
-        "int(decimal.Decimal(x) % _PRIME)",
-        "decimal.Decimal(x) % _PRIME",
-        # The residues then meet 2**31 outside the exact context: still exact under the default
-        # 28 digits, so only the hostile context sees it.
-        ["tests/test_exactness.py::test_every_verb_prints_the_same_under_a_hostile_decimal_context"],
+        "        stack.enter_context(decimal.localcontext(_exact._EXACT))\n",
+        "",
+        # `run`'s one exact context gone: the oracle's residues, and every other Decimal step of
+        # every handler, run under the caller's context and round or raise.
+        ["tests/test_exactness.py::test_every_verb_prints_the_same_under_a_hostile_decimal_context",
+         "tests/test_cli.py::test_golden_stdout_bytes"],
         id="oracle-residues-left-decimal",
     ),
     pytest.param(
@@ -421,6 +442,14 @@ MUTANTS = [
         ["tests/test_cli.py::test_each_verb_loads_only_the_modules_it_needs[gen --count 3-]",
          "tests/test_cli.py::test_each_verb_loads_only_the_modules_it_needs[compare --steps 2-]"],
         id="tables-load-approx-at-import",
+    ),
+    pytest.param(
+        "__init__.py",
+        '"to_decimal": "_exact"',
+        '"to_decimal": "pairs"',
+        # `pairs` re-exports the same object, so only the modules that the name loads show it.
+        ["tests/test_cli.py::test_package_names_load_on_first_use"],
+        id="package-name-from-the-wrong-module",
     ),
     pytest.param(
         "_proofs.py",

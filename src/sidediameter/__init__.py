@@ -5,66 +5,66 @@ the quadratic identities behind them verified symbolically, derivation
 traces for concrete pairs, and exact-rational analysis of two historical
 algorithms approximating the square root of 2.
 
-Every name of `__all__` is imported from its module on first use (PEP 562),
-so `import sidediameter` loads no submodule and commands that need no
-symbolic identity never build the catalog.
+Every name of `__all__` is imported on first use (PEP 562) from the one
+module that `_HOMES` names for it, so `import sidediameter` loads no
+submodule, a name loads only its own module and what that imports, and
+commands that need no symbolic identity never build the catalog.
 """
 
-__all__ = [
-    "ConvergenceReport",
-    "DerivationTrace",
-    "DescentBelowSeedError",
-    "IdentityCheck",
-    "InvalidPairError",
-    "MissingVariableError",
-    "NamedIdentity",
-    "PlatoReport",
-    "Poly",
-    "ReportRow",
-    "SideDiameterPair",
-    "TraceStep",
-    "VariableMismatchError",
-    "adjacent_rational_diameter",
-    "babylonian_preimage",
-    "babylonian_step",
-    "catalog_by_name",
-    "cf_convergent_sqrt2",
-    "compare_methods",
-    "correct_digits",
-    "decimal_digit_count",
-    "decimal_string",
-    "descend",
-    "encouraging_identity_check",
-    "generate",
-    "identity_catalog",
-    "isqrt",
-    "nth",
-    "nth_iterative",
-    "plato_check",
-    "proportion_subtract",
-    "ratio",
-    "run_method",
-    "sd_ratio_step",
-    "seed",
-    "side_of_sqrt2",
-    "step",
-    "symbols",
-    "to_decimal",
-    "trace_elegant",
-    "verify_identity",
-]
+# The module that defines each public name.
+_HOMES = {
+    "ConvergenceReport": "approx",
+    "DerivationTrace": "identities",
+    "DescentBelowSeedError": "pairs",
+    "IdentityCheck": "pairs",
+    "InvalidPairError": "_exact",
+    "MissingVariableError": "polynomials",
+    "NamedIdentity": "identities",
+    "PlatoReport": "pairs",
+    "Poly": "polynomials",
+    "ReportRow": "approx",
+    "SideDiameterPair": "pairs",
+    "TraceStep": "identities",
+    "VariableMismatchError": "polynomials",
+    "adjacent_rational_diameter": "pairs",
+    "babylonian_preimage": "approx",
+    "babylonian_step": "approx",
+    "catalog_by_name": "identities",
+    "cf_convergent_sqrt2": "approx",
+    "compare_methods": "approx",
+    "correct_digits": "approx",
+    "decimal_digit_count": "approx",
+    "decimal_string": "approx",
+    "descend": "pairs",
+    "encouraging_identity_check": "pairs",
+    "generate": "pairs",
+    "identity_catalog": "identities",
+    "isqrt": "approx",
+    "nth": "pairs",
+    "nth_iterative": "pairs",
+    "plato_check": "pairs",
+    "proportion_subtract": "identities",
+    "ratio": "approx",
+    "run_method": "approx",
+    "sd_ratio_step": "approx",
+    "seed": "pairs",
+    "side_of_sqrt2": "approx",
+    "step": "pairs",
+    "symbols": "polynomials",
+    "to_decimal": "_exact",
+    "trace_elegant": "identities",
+    "verify_identity": "identities",
+}
+__all__ = list(_HOMES)
 
 
 def __getattr__(name: str):
-    """A name of `__all__`, imported from its module on first use and then kept."""
-    if name in __all__:
+    """A name of `__all__`, imported from the module that defines it on first use and then kept."""
+    if name in _HOMES:
         import importlib
 
-        for module in ("pairs", "approx", "identities", "polynomials"):
-            namespace = vars(importlib.import_module(f"{__name__}.{module}"))
-            if name in namespace:
-                globals()[name] = value = namespace[name]
-                return value
+        globals()[name] = value = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

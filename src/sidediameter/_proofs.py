@@ -3,7 +3,7 @@
 Only these verbs print derivations or check the identity catalog, so only
 they load this module, and `identities` and the pair records of `pairs` with
 it; the other verbs never compile them.  `trace` computes, checks and prints
-in exact Decimal under `_EXACT`, as `nth` does.
+in exact Decimal, under the `_EXACT` that `cli.run` enters for every handler.
 """
 
 import decimal
@@ -31,21 +31,20 @@ def _cmd_trace(args) -> int:
     `_exact._pell_sign` checks a pair A D in Decimal, on the squares that the steps use.  `--n K`
     needs no check: the hypothesis-substitution step balances only when d^2 - 2a^2 = (-1)^K.
     """
-    with decimal.localcontext(_exact._EXACT):
-        if args.n is not None and not args.pair:
-            # The trace prints a and d with their squares and step values: about 38 components.
-            _check_printed_digits("trace --n", 38 * _component_digits(args.n))
-            a, d = _exact._nth_components(args.n, decimal.Decimal(1))
-            e = -1 if args.n % 2 else 1
-        elif len(args.pair) == 2 and args.n is None:
-            a, d = args.pair
-            e = None
-        else:
-            raise UsageError("trace expects either two integers A D or --n K")
-        text, steps = identities._derivation(a, d, e)
-        if e is None:
-            # A checked pair has d odd, so e = d^2 - 2a^2 = 1 - 2a^2 modulo 8: -1 exactly when a is odd.
-            e = -1 if a % 2 else 1
+    if args.n is not None and not args.pair:
+        # The trace prints a and d with their squares and step values: about 38 components.
+        _check_printed_digits("trace --n", 38 * _component_digits(args.n))
+        a, d = _exact._nth_components(args.n, decimal.Decimal(1))
+        e = -1 if args.n % 2 else 1
+    elif len(args.pair) == 2 and args.n is None:
+        a, d = args.pair
+        e = None
+    else:
+        raise UsageError("trace expects either two integers A D or --n K")
+    text, steps = identities._derivation(a, d, e)
+    if e is None:
+        # A checked pair has d odd, so e = d^2 - 2a^2 = 1 - 2a^2 modulo 8: -1 exactly when a is odd.
+        e = -1 if a % 2 else 1
     # One write per piece: the digits of each value are held once, and no expression, line
     # or document is joined.
     _write(identities._pretty_laid_out(text, a, d, e, steps) if args.pretty

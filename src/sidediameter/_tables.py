@@ -4,17 +4,18 @@ Only these verbs read or print rationals, so only they load this module.
 `gen` and `compare` run on the stepper, digit kernel and row serializer of
 `_steps`, which loads neither `approx` nor `fractions`; `compare` loads
 `fractions` for its `--start` alone, and only the `approx` verb loads
-`approx`.  `gen` and `compare` step and write their tables in exact Decimal
-under `_EXACT`: libmpdec multiplies huge operands by a number-theoretic
-transform and `to_decimal` prints a Decimal by its linear str(), so no
-CPython int squaring or int->decimal conversion is paid.
+`approx`.  `gen` and `compare` step and write their tables in exact Decimal,
+under the `_EXACT` that `cli.run` enters for every handler: libmpdec
+multiplies huge operands by a number-theoretic transform and `to_decimal`
+prints a Decimal by its linear str(), so no CPython int squaring or
+int->decimal conversion is paid.
 """
 
 import decimal
 import itertools
 
 from sidediameter import _steps
-from sidediameter._exact import _EXACT, DEFAULT_DIGIT_CAP, _positive_fraction, to_decimal
+from sidediameter._exact import DEFAULT_DIGIT_CAP, _positive_fraction, to_decimal
 from sidediameter.cli import UsageError, _check_printed_digits, _component_digits, _json, _write
 
 _GEN_COLUMNS = ("n", "a", "d", "e", "ratio_decimal", "correct_digits")
@@ -65,8 +66,7 @@ def _cmd_gen(args) -> int:
 
     one = decimal.Decimal(1)
     steps = _steps._rows("side_diameter", one, one, args.count - 1, DEFAULT_DIGIT_CAP)
-    with decimal.localcontext(_EXACT):
-        _write(_table(args.format, _GEN_COLUMNS, map(cells, itertools.chain([(0, one, one, 0, "under")], steps))))
+    _write(_table(args.format, _GEN_COLUMNS, map(cells, itertools.chain([(0, one, one, 0, "under")], steps))))
     return 0
 
 
@@ -111,9 +111,9 @@ def _cmd_compare(args) -> int:
     """Both methods' rows, written as `_steps._rows` makes them.  The JSON is, byte for byte,
     `json.dumps(..., indent=2)` of the reports' `to_json_dict`s under `start` and `steps`.
 
-    The rows are stepped and printed in exact Decimal: the table is written under `_EXACT`,
-    where the generators run.  The seed is read from the start's digits, which `to_decimal`
-    makes in subquadratic time.
+    The rows are stepped and printed in exact Decimal: `cli.run`'s `_EXACT` encloses the
+    write, where the generators run.  The seed is read from the start's digits, which
+    `to_decimal` makes in subquadratic time.
     """
     start = _positive_fraction(args.start, "start")  # before the estimate and the first write
     _check_printed_digits("compare", _compare_digits(start, args.steps, args.digits))
@@ -122,13 +122,12 @@ def _cmd_compare(args) -> int:
     def cells(method):
         return (_steps._cells(*row, args.digits) for row in _steps._rows(method, p, q, args.steps, args.cap))
 
-    with decimal.localcontext(_EXACT):
-        if args.format == "csv":
-            _write(_table("csv", ("method", *_steps._REPORT_COLUMNS),
-                          ((method, *row) for method in _steps._METHOD_STEPS for row in cells(method))))
-            return 0
-        shown = to_decimal(start)
-        _write(_json({"start": shown, "steps": str(args.steps), **{
-            method: {"method": method, "start": shown, "rows": _table("json", _steps._REPORT_COLUMNS, cells(method), "\n    ")}
-            for method in _steps._METHOD_STEPS}}))
+    if args.format == "csv":
+        _write(_table("csv", ("method", *_steps._REPORT_COLUMNS),
+                      ((method, *row) for method in _steps._METHOD_STEPS for row in cells(method))))
+        return 0
+    shown = to_decimal(start)
+    _write(_json({"start": shown, "steps": str(args.steps), **{
+        method: {"method": method, "start": shown, "rows": _table("json", _steps._REPORT_COLUMNS, cells(method), "\n    ")}
+        for method in _steps._METHOD_STEPS}}))
     return 0

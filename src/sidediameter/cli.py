@@ -1,11 +1,14 @@
 """Command-line front end: pair tables, identity checks, traces, approximations.
 
-`run` builds the parser of the running verb alone and first imports the
-modules its handler needs: with no bytecode cache, each command compiles
-only the modules its verb runs.  This module holds the parser, `run`,
-`main`, the `nth` handler and the helpers that several verbs share.  `nth`
-loads `_exact` alone; the table verbs `gen`, `compare` and `approx` run in
-`_tables`, and the proof verbs `trace` and `verify` in `_proofs`.
+`_VERBS` names the module of each verb's handler `_cmd_<verb>`.  `run`
+imports the running verb's module from it, then builds that verb's parser
+alone: with no bytecode cache, each command compiles only the modules its
+verb runs.  After parsing it takes the handler from the same table and runs
+it under `_exact._EXACT`, the one exact context of every verb.  This module
+holds the parser, `run`, `main`, the `nth` handler and the helpers that
+several verbs share.  `nth` loads `_exact` alone; the table verbs `gen`,
+`compare` and `approx` run in `_tables`, and the proof verbs `trace` and
+`verify` in `_proofs`.
 
 Exit codes: 0 success, 1 domain error (reported on stderr), 2 usage error.
 Data payloads go to stdout and are deterministic for a fixed argument list;
@@ -97,7 +100,9 @@ class _Parser(argparse.ArgumentParser):
         super().error(re.sub(r"[^\s'\"]{41,}", lambda m: _echoed(m.group()), message))
 
 
-_VERBS = ("gen", "nth", "verify", "trace", "approx", "compare")
+# The module that holds each verb's handler `_cmd_<verb>`.
+_VERBS = {"gen": "_tables", "nth": "cli", "verify": "_proofs", "trace": "_proofs", "approx": "_tables",
+          "compare": "_tables"}
 
 
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
@@ -108,35 +113,33 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
 
-    def verb(name: str, help_text: str, handler):
+    def verb(name: str, help_text: str):
         """The subparser of verb `name`, or None when the parser is built for another verb alone."""
         if only in (None, name):
-            command = sub.add_parser(name, help=help_text)
-            command.set_defaults(handler=handler)
-            return command
+            return sub.add_parser(name, help=help_text)
 
-    if gen := verb("gen", "emit the first N pairs as CSV or JSON", _handled):
+    if gen := verb("gen", "emit the first N pairs as CSV or JSON"):
         gen.add_argument("--count", type=positive_int, required=True)
         gen.add_argument("--format", choices=("csv", "json"), default="csv")
         gen.add_argument("--digits", type=nonnegative_int, default=DEFAULT_DECIMAL_DIGITS)
 
-    if nth := verb("nth", "compute the N-th pair by the fast doubling path", _cmd_nth):
+    if nth := verb("nth", "compute the N-th pair by the fast doubling path"):
         nth.add_argument("n", type=positive_int)
         nth.add_argument("--check-oracle", action="store_true",
                          help="check the printed pair against (1 + sqrt(2))**N modulo 2**61 - 1; wall times go to stderr")
 
-    if verify := verb("verify", "verify catalog identities symbolically", _handled):
+    if verify := verb("verify", "verify catalog identities symbolically"):
         group = verify.add_mutually_exclusive_group(required=True)
         group.add_argument("--identity", metavar="NAME", help="one catalog identity; an unknown name lists them")
         group.add_argument("--all", action="store_true")
 
-    if trace := verb("trace", "derivation trace for a pair (JSON or --pretty)", _handled):
+    if trace := verb("trace", "derivation trace for a pair (JSON or --pretty)"):
         trace.add_argument("pair", nargs="*", type=decimal_integer, metavar="INT",
                            help="the pair as two integers: A D")
         trace.add_argument("--n", type=positive_int, help="use the N-th pair instead of A D")
         trace.add_argument("--pretty", action="store_true")
 
-    if ap := verb("approx", "one approximation step, preimages, or digit count", _handled):
+    if ap := verb("approx", "one approximation step, preimages, or digit count"):
         ap.add_argument("action", choices=("step", "preimage", "digits"))
         ap.add_argument("value", type=rational)
         ap.add_argument("--method", choices=("babylonian", "sd"),
@@ -144,7 +147,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         ap.add_argument("--cap", type=positive_int,
                         help=f"digits only (default: {DEFAULT_DIGIT_CAP})")
 
-    if compare := verb("compare", "run both methods and tabulate convergence", _handled):
+    if compare := verb("compare", "run both methods and tabulate convergence"):
         compare.add_argument("--start", type=rational, default="1")
         compare.add_argument("--steps", type=nonnegative_int, required=True)
         compare.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -184,16 +187,6 @@ def _write(pieces) -> None:
     write("\n")
 
 
-# The module of each verb's handler `_cmd_<verb>` but `nth`'s, which is here.
-_HANDLERS = {"gen": "_tables", "compare": "_tables", "approx": "_tables", "trace": "_proofs", "verify": "_proofs"}
-
-
-def _handled(args) -> int:
-    """Run the verb by its handler in `_tables` or `_proofs`."""
-    module = importlib.import_module(f"sidediameter.{_HANDLERS[args.verb]}")
-    return getattr(module, f"_cmd_{args.verb}")(args)
-
-
 # Digits above which `nth`, `trace --n`, `gen` and `compare` refuse their
 # arguments before computing.  Well below it, in process on a 2-CPU VM:
 # `nth 20000000` printed 15.3 MB in 3.6 s at 69 MB peak RSS, and
@@ -224,10 +217,10 @@ def _nth_line(n: int) -> tuple[str, ...]:
     libmpdec multiplies huge operands by a number-theoretic transform and
     `to_decimal` prints a Decimal by its linear str(), so this skips
     CPython's int squaring and int->decimal conversion.  `_exact._nth_checked`
-    checks the pair at half size in Decimal, so e is (-1)**n.
+    checks the pair at half size in Decimal, so e is (-1)**n.  It runs under the
+    caller's `_exact._EXACT`, which `run` enters for every verb.
     """
-    with decimal.localcontext(_exact._EXACT):
-        a, d = _exact._nth_checked(n, decimal.Decimal(1))
+    a, d = _exact._nth_checked(n, decimal.Decimal(1))
     return f"n={n} a=", _exact.to_decimal(a), " d=", _exact.to_decimal(d), f" e={-1 if n % 2 else 1}"
 
 
@@ -242,8 +235,8 @@ def _cmd_nth(args) -> int:
     begin = time.perf_counter()
     printed = (pieces[0::2] == (f"n={args.n} a=", " d=", f" e={-1 if args.n % 2 else 1}")
                and all(re.fullmatch("[1-9][0-9]*", x) for x in pieces[1::2]))
-    with decimal.localcontext(_exact._EXACT):  # linear, where int() of the digits is quadratic
-        a, d = (int(decimal.Decimal(x) % _PRIME) for x in pieces[1::2]) if printed else (0, 0)
+    # Linear in exact Decimal, where int() of the digits is quadratic.
+    a, d = (int(decimal.Decimal(x) % _PRIME) for x in pieces[1::2]) if printed else (0, 0)
     agrees = printed and all((d + s * a * _ROOT_2 - pow(1 + s * _ROOT_2, args.n, _PRIME)) % _PRIME == 0
                              for s in (1, -1))
     oracle_seconds = time.perf_counter() - begin
@@ -261,7 +254,8 @@ def run(argv, stdout=None, stderr=None) -> int:
     """Parse argv and execute; returns the process exit code.
 
     Payload on stdout, diagnostics on stderr.  Streams default to the
-    process streams and can be replaced for testing.
+    process streams and can be replaced for testing.  Every handler, and
+    every write of the pieces it makes, runs under `_exact._EXACT`.
     """
     with contextlib.ExitStack() as stack:
         if hasattr(sys, "set_int_max_str_digits"):
@@ -275,8 +269,8 @@ def run(argv, stdout=None, stderr=None) -> int:
             stack.enter_context(contextlib.redirect_stderr(stderr))
         verb = argv[0] if argv and argv[0] in _VERBS else None
         # The handler's modules are compiled before the parser's objects are live.
-        if verb in _HANDLERS:
-            importlib.import_module(f"sidediameter.{_HANDLERS[verb]}")
+        if verb:
+            importlib.import_module(f"sidediameter.{_VERBS[verb]}")
         if verb == "approx":
             from sidediameter import approx  # noqa: F401
         parser = build_parser(verb)
@@ -284,8 +278,10 @@ def run(argv, stdout=None, stderr=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+        handler = getattr(importlib.import_module(f"sidediameter.{_VERBS[args.verb]}"), f"_cmd_{args.verb}")
+        stack.enter_context(decimal.localcontext(_exact._EXACT))
         try:
-            return args.handler(args)
+            return handler(args)
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2

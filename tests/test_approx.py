@@ -435,6 +435,7 @@ run_method_lengths = st.one_of(
 @example(Fraction(2, 5), ("babylonian", 8), 1)
 @example(Fraction(19, 13), ("babylonian", 8), 200)
 @example(Fraction(19, 13), ("side_diameter", 30), 50)
+@example(Fraction(1), ("side_diameter", 10), 50)  # `compare`'s default start, on Proclus' step
 def test_run_method_rows_equal_the_public_fraction_steps(start, method_steps, cap):
     method, steps = method_steps
     advance = babylonian_step if method == "babylonian" else sd_ratio_step
@@ -658,10 +659,12 @@ def test_to_decimal_matches_str(n, negate):
 
 @pytest.mark.parametrize(
     "n",
-    [0, -1, 10**20000, 10**20000 - 1, -(10**20000), 2**70000, 10**9000 + 1, nth(130000).d],
+    # Pair 130000 is computed when the test runs, not at collection.
+    [0, -1, 10**20000, 10**20000 - 1, -(10**20000), 2**70000, 10**9000 + 1, lambda: nth(130000).d],
     ids=["0", "-1", "10^20000", "10^20000-1", "-10^20000", "2^70000", "10^9000+1", "nth(130000).d"],
 )
 def test_to_decimal_examples(n):
+    n = n() if callable(n) else n
     assert to_decimal(n) == reference_str(n)
 
 
@@ -687,19 +690,22 @@ def test_to_decimal_splits_at_most_log2_of_bits_over_the_leaf_plus_one_levels_de
     assert 2 <= deepest <= (leaves - 1).bit_length() + 1
 
 
-with decimal.localcontext(_exact._EXACT):
-    EXACT_PAIR_60000 = _exact._nth_components(60000, decimal.Decimal(1))
+def _exact_pair_60000(component: int):
+    """Component 0 (a) or 1 (d) of pair 60000 in exact Decimal, computed when the test runs."""
+    with decimal.localcontext(_exact._EXACT):
+        return _exact._nth_components(60000, decimal.Decimal(1))[component]
 
 
 # 4,215 and 4,216 digits straddle the width where `to_decimal` leaves str() for ints.
 @pytest.mark.parametrize(
     "n",
     [decimal.Decimal(0), decimal.Decimal(-987654321), decimal.Decimal("9" * 4215),
-     decimal.Decimal("1" + "0" * 4215), *EXACT_PAIR_60000],
+     decimal.Decimal("1" + "0" * 4215), lambda: _exact_pair_60000(0), lambda: _exact_pair_60000(1)],
     ids=["0", "negative", "4215-digits", "4216-digits", "nth(60000).a", "nth(60000).d"],
 )
 def test_to_decimal_of_an_integral_decimal_is_its_str(n):
     """The same bytes as str() of the Decimal and as `to_decimal` of the int."""
+    n = n() if callable(n) else n
     assert to_decimal(n) == str(n) == to_decimal(int(n))
 
 

@@ -1,6 +1,8 @@
 import argparse
 import contextlib
 import csv
+import decimal
+import functools
 import hashlib
 import io
 import json
@@ -26,8 +28,21 @@ from sidediameter.cli import _nth_line, build_parser, run
 from sidediameter.pairs import SideDiameterPair, nth
 
 
-# 4,594 digits each: above the default int-to-str limit of 4,300 digits.
-BIG_PAIR = nth(12000)
+@functools.cache
+def big_pair() -> SideDiameterPair:
+    """Pair 12000, of 4,594 digits each: above the default int-to-str limit of 4,300 digits.
+
+    Like every pair a test needs, it is computed when a test runs, not at collection, so a
+    broken `nth` fails the tests that use it and leaves the others collected.
+    """
+    return nth(12000)
+
+
+def computed(argv) -> list:
+    """argv with each callable in it replaced by the value it returns."""
+    return [arg() if callable(arg) else arg for arg in argv]
+
+
 FRESH_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
 
 
@@ -314,6 +329,12 @@ def int_line(p: SideDiameterPair) -> str:
     return f"n={p.index} a={to_decimal(p.a)} d={to_decimal(p.d)} e={p.sign}"
 
 
+def nth_line(n: int) -> str:
+    """The `nth` line of pair n from `_nth_line`, under the exact context that `run` enters for it."""
+    with decimal.localcontext(_exact._EXACT):
+        return "".join(_nth_line(n))
+
+
 @given(st.integers(1, 5000))
 def test_nth_check_oracle_matches_and_prints_the_iterative_line(n):
     p = pairs.nth_iterative(n)
@@ -324,12 +345,12 @@ def test_nth_check_oracle_matches_and_prints_the_iterative_line(n):
 # 11010-11012 straddle the 4,215-digit threshold where `to_decimal` leaves str().
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 11010, 11011, 11012, 100000])
 def test_nth_decimal_line_matches_the_int_line(n):
-    assert "".join(_nth_line(n)) == int_line(nth(n))
+    assert nth_line(n) == int_line(nth(n))
 
 
 @given(st.integers(1, 30000))
 def test_nth_decimal_line_matches_the_int_line_in_range(n):
-    assert "".join(_nth_line(n)) == int_line(nth(n))
+    assert nth_line(n) == int_line(nth(n))
 
 
 def test_nth_keeps_the_pell_check_in_decimal(monkeypatch):
@@ -381,12 +402,13 @@ def raise_if_called(*args):
     ["compare", "--steps", "1", "--digits", "1000000000", "--format", "json"],
     ["compare", "--steps", "40"],
     ["compare", "--steps", "1666666"],
-    ["compare", "--start", f"{to_decimal(BIG_PAIR.d)}/{to_decimal(BIG_PAIR.a)}", "--steps", "14"],
+    ["compare", "--start", lambda: f"{to_decimal(big_pair().d)}/{to_decimal(big_pair().a)}", "--steps", "14"],
 ], ids=["nth-2**1100", "nth-first-over", "trace-2**1100", "trace-first-over", "trace-pretty-first-over",
         "gen-first-over", "gen-ci", "gen-digits-first-over", "gen-digits-ci",
         "compare-first-over", "compare-digits-first-over", "compare-digits-ci", "compare-ci",
         "compare-1666666", "compare-big-start"])
 def test_index_verbs_refuse_output_over_the_limit_before_computing(argv, monkeypatch):
+    argv = computed(argv)  # before the cores are replaced
     monkeypatch.setattr(_exact, "_nth_components", raise_if_called)
     monkeypatch.setattr(pairs, "_walk", raise_if_called)
     monkeypatch.setattr(_steps, "_rows", raise_if_called)
@@ -447,7 +469,7 @@ def test_check_oracle_runs_past_the_former_limit_without_the_iterative_path(monk
     # 400,001 was the first index refused while the oracle re-walked the recurrence.
     monkeypatch.setattr(pairs, "nth_iterative", raise_if_called)
     code, out, err = invoke(["nth", "400001", "--check-oracle"])
-    assert (code, out) == (0, "".join(_nth_line(400001)) + "\noracle: match\n")
+    assert (code, out) == (0, nth_line(400001) + "\noracle: match\n")
     assert out == int_line(nth(400001)) + "\noracle: match\n"
     assert "oracle_seconds=" in err
 
@@ -588,6 +610,7 @@ def test_package_names_load_on_first_use():
         "def loaded(): print(*sorted(m for m in sys.modules if m.startswith('sidediameter.')))\n"
         "loaded()\n"
         "print(sorted(set(sidediameter.__all__) - set(dir(sidediameter))))\n"
+        "from sidediameter import InvalidPairError, to_decimal; loaded()\n"
         "from sidediameter import nth; loaded()\n"
         "from sidediameter import Poly; loaded()\n"
         "names = {}; exec('from sidediameter import *', names)\n"
@@ -598,12 +621,16 @@ def test_package_names_load_on_first_use():
     assert out.splitlines() == [
         "",  # `import sidediameter` loads no submodule
         "[]",  # `dir()` lists every public name before any is loaded
+        "sidediameter._exact",  # each name loads the one module that defines it, and what that imports
         "sidediameter._exact sidediameter.pairs",
-        "sidediameter._exact sidediameter._steps sidediameter.approx sidediameter.identities sidediameter.pairs"
-        " sidediameter.polynomials",
+        "sidediameter._exact sidediameter.pairs sidediameter.polynomials",
         "[] sidediameter.identities",
         "[]",  # each name is its defining module's object
     ]
+    # The trace API alone, in a fresh process: no `approx`, `_steps` or `polynomials`.
+    out = fresh_python("import sys; from sidediameter import trace_elegant\n"
+                       "print(*sorted(m for m in sys.modules if m.startswith('sidediameter.')))")
+    assert out == "sidediameter._exact sidediameter.identities sidediameter.pairs\n"
     with pytest.raises(AttributeError, match="no_such_name"):
         sidediameter.no_such_name
 
@@ -918,10 +945,10 @@ def test_determinism_byte_identical_stdout(argv):
          "0ee32450eb0d13de4ef753d21953eede8889eeb505fa4cdb3ab9f7a59346f453"),
         (["trace", "--n", "60000", "--pretty"], 873045,
          "977272b1c1657df6aa9bba1cc8b5b470d0653b7c11495ad420342b6beb2900fa"),
-        pytest.param(["trace", BIG_PAIR.a, BIG_PAIR.d], 175294,
+        pytest.param(["trace", lambda: big_pair().a, lambda: big_pair().d], 175294,
                      "ac809af9b5e6805b3d447ee144cc8092499430d03799639fa8e82d61471ed9e7",
                      id="trace-A-D-of-nth-12000"),
-        pytest.param(["trace", BIG_PAIR.a, BIG_PAIR.d, "--pretty"], 174851,
+        pytest.param(["trace", lambda: big_pair().a, lambda: big_pair().d, "--pretty"], 174851,
                      "43c12fe3963f7404cee3c6bb91692302bf5dba44b0a60409f58e95902e3a9e65",
                      id="trace-A-D-of-nth-12000-pretty"),
         (["gen", "--count", "3", "--digits", "30000"], 90078,
@@ -935,7 +962,7 @@ def test_determinism_byte_identical_stdout(argv):
 )
 def test_golden_stdout_bytes(argv, size, sha256, int_str_limit):
     int_str_limit(0)  # to spell the integer arguments of `trace A D`
-    code, out, err = invoke([str(arg) for arg in argv])
+    code, out, err = invoke([str(arg) for arg in computed(argv)])
     assert (code, err) == (0, "")
     payload = out.encode()
     assert (len(payload), hashlib.sha256(payload).hexdigest()) == (size, sha256)
@@ -952,9 +979,6 @@ class _CountingSink:
         return len(text)
 
 
-TRACED_PAIR = [to_decimal(nth(60000).a), to_decimal(nth(60000).d)]
-
-
 @pytest.mark.parametrize("argv,ratio", [
     # Holding the rows, the document or the laid-out text would take 5.30, 2.74 and 2.73
     # times the characters written; the list of pairs takes 0.55 (JSON) and 0.63 (CSV), and
@@ -966,11 +990,12 @@ TRACED_PAIR = [to_decimal(nth(60000).a), to_decimal(nth(60000).d)]
     (["gen", "--count", "1500", "--format", "csv", "--digits", "100"], 0.1),
     (["trace", "--n", "60000"], 0.5),
     (["trace", "--n", "60000", "--pretty"], 0.5),
-    (["trace", *TRACED_PAIR], 0.5),
+    (["trace", lambda: to_decimal(nth(60000).a), lambda: to_decimal(nth(60000).d)], 0.5),
     (["compare", "--steps", "19", "--format", "json"], 2.5),
     (["compare", "--steps", "19", "--format", "csv"], 2.5),
 ], ids=["gen-json", "gen-csv", "trace", "trace-pretty", "trace-A-D", "compare-json", "compare-csv"])
 def test_output_is_written_as_it_is_made(argv, ratio):
+    argv = computed(argv)
     run(argv, _CountingSink(), io.StringIO())  # lazy imports happen outside the measurement
     sink = _CountingSink()
     tracemalloc.start()
@@ -1112,8 +1137,9 @@ def test_run_restores_the_int_str_limit(argv, int_str_limit):
 
 def test_big_rational_arguments_need_the_lifted_int_str_limit(int_str_limit):
     int_str_limit(4300)
-    t = Fraction(BIG_PAIR.d, BIG_PAIR.a)
-    text = f"{to_decimal(BIG_PAIR.d)}/{to_decimal(BIG_PAIR.a)}"
+    big = big_pair()
+    t = Fraction(big.d, big.a)
+    text = f"{to_decimal(big.d)}/{to_decimal(big.a)}"
     babylonian, side_diameter = approx.compare_methods(t, 1)
     expected = {
         ("approx", "step", text): to_decimal(approx.babylonian_step(t)),

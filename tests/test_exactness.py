@@ -46,6 +46,14 @@ def test_no_float_enters_the_source():
     assert floats == []
 
 
+def test_one_exact_context_is_entered_by_run():
+    # `cli.run` enters `_exact._EXACT` for every verb, so no handler opens a context of its own.
+    entered = [(module, function) for module, function, node in NODES
+               if isinstance(node, ast.Call) and "localcontext" in (getattr(node.func, "attr", None),
+                                                                    getattr(node.func, "id", None))]
+    assert entered == [("cli.py", "run")]
+
+
 def test_math_is_used_only_for_isqrt():
     used = {node.attr for _, _, node in NODES
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "math"}
@@ -69,8 +77,15 @@ def test_true_division_only_in_the_two_fraction_steps():
 
 HOSTILE = decimal.Context(prec=1, traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow,
                                          decimal.InvalidOperation])
-BIG = nth(12000)  # 4,594 digits each: past the size where `to_decimal` leaves str() for ints
-BIG_ARGS = [to_decimal(BIG.a), to_decimal(BIG.d)]
+
+
+def _big():
+    """Pair 12000 and the digits of its a and d, computed when a test runs, not at collection.
+
+    Its 4,594 digits each lie past the size where `to_decimal` leaves str() for ints.
+    """
+    big = nth(12000)
+    return big, to_decimal(big.a), to_decimal(big.d)
 
 
 def _run(argv):
@@ -86,8 +101,9 @@ def _run(argv):
     ["nth", "400001", "--check-oracle"],
     ["trace", "--n", "12000"],
     ["trace", "--n", "3000", "--pretty"],
-    ["trace", *BIG_ARGS],
-    ["trace", *BIG_ARGS, "--pretty"],
+    # A and D stand for the digits of pair 12000.
+    ["trace", "A", "D"],
+    ["trace", "A", "D", "--pretty"],
     ["gen", "--count", "300"],
     ["gen", "--count", "300", "--format", "json", "--digits", "100"],
     # Every digit count walks below the cap, and 20,000 places come from a Decimal division.
@@ -96,25 +112,28 @@ def _run(argv):
     ["compare", "--steps", "14", "--format", "json"],
     # Rows of Decimals whose counts walk below the cap, and 120 places from a Decimal division.
     ["compare", "--start", "19/13", "--steps", "12", "--cap", "400", "--digits", "120", "--format", "json"],
-    ["approx", "step", f"{BIG_ARGS[1]}/{BIG_ARGS[0]}"],
+    ["approx", "step", "D/A"],
     ["approx", "preimage", "17/12"],
-    ["approx", "digits", f"{BIG_ARGS[1]}/{BIG_ARGS[0]}"],
+    ["approx", "digits", "D/A"],
     ["verify", "--all"],
     # Refusals and domain errors print their messages under the same context.
     ["nth", "130616510"],
-    ["trace", BIG_ARGS[0], BIG_ARGS[0]],
-], ids=lambda argv: " ".join({BIG_ARGS[0]: "A", BIG_ARGS[1]: "D", f"{BIG_ARGS[1]}/{BIG_ARGS[0]}": "D/A"}.get(a, a)
-                             for a in argv))
+    ["trace", "A", "A"],
+], ids=" ".join)
 def test_every_verb_prints_the_same_under_a_hostile_decimal_context(argv):
+    _, a, d = _big()
+    argv = [{"A": a, "D": d, "D/A": f"{d}/{a}"}.get(arg, arg) for arg in argv]
     expected = _run(argv)
     with decimal.localcontext(HOSTILE):
         assert _run(argv) == expected
 
 
 def test_library_renderers_print_the_same_under_a_hostile_decimal_context():
+    big, big_a, _ = _big()
+
     def rendered():
         trace = trace_elegant(nth(3000))
-        return (to_decimal(BIG.d), to_decimal(Fraction(BIG.d, BIG.a)), to_decimal(decimal.Decimal(BIG_ARGS[0])),
+        return (to_decimal(big.d), to_decimal(Fraction(big.d, big.a)), to_decimal(decimal.Decimal(big_a)),
                 trace.pretty(), trace.to_json_dict())
 
     expected = rendered()

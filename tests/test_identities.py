@@ -190,6 +190,87 @@ def _assert_sides_say_their_values(steps):
         assert _side_value(lhs_expr) == int(lhs_value) == int(rhs_value) == _side_value(rhs_expr)
 
 
+RING = ("a", "d", "e")
+
+
+def _side_poly(side: str, e: Poly) -> Poly:
+    """A printed side of `identities._STEPS` as a polynomial over (a, d, e), read with no eval.
+
+    The tokens are integers, A and D (the pair's a and d), e (the `e` of `+e` and `-e`), the
+    operators + - * ^ and parentheses; e is read as the given polynomial.  Recursive descent:
+    a sum of products of powers, each power an atom with an integer exponent.
+    """
+    tokens = re.findall(r"\d+|[ADe]|[-+*^()]", side)
+    assert "".join(tokens) == side.replace(" ", ""), side
+    a, d = symbols(*RING)[:2]
+    names = {"A": a, "D": d, "e": e}
+    position = 0
+
+    def peek():
+        return tokens[position] if position < len(tokens) else None
+
+    def take(expected=None) -> str:
+        nonlocal position
+        token = peek()
+        assert token is not None and expected in (None, token), (side, position)
+        position += 1
+        return token
+
+    def atom() -> Poly:
+        token = take()
+        if token == "(":
+            value = total()
+            take(")")
+            return value
+        assert token in names or token.isdigit(), (side, token)
+        return names[token] if token in names else Poly.constant(RING, int(token))
+
+    def power() -> Poly:
+        base = atom()
+        if peek() != "^":
+            return base
+        take()
+        return base ** int(take())
+
+    def product() -> Poly:
+        value = power()
+        while peek() == "*":
+            take()
+            value = value * power()
+        return value
+
+    def total() -> Poly:
+        value = product()
+        while peek() in ("+", "-"):
+            value = value + product() if take() == "+" else value - product()
+        return value
+
+    parsed = total()
+    assert position == len(tokens), side
+    return parsed
+
+
+def test_printed_derivation_is_proved_over_a_d_e():
+    # Step 1 (Euclid II.10) holds as it is printed; steps 2-4 hold once the pair's equation
+    # e = d^2 - 2a^2 is substituted, and not without it: the hypothesis is used, and only there.
+    a, d, e = symbols(*RING)
+    hypothesis = d * d - 2 * a * a
+    proved = [[(_side_poly(lhs, e_as) - _side_poly(rhs, e_as)).is_zero() for e_as in (e, hypothesis)]
+              for _, lhs, rhs in identities._STEPS]
+    assert proved == [[True, True], [False, True], [False, True], [False, True]]
+
+
+def test_checked_step_values_are_the_printed_sides_evaluated():
+    e = symbols(*RING)[2]
+    sides = [(_side_poly(lhs, e), _side_poly(rhs, e)) for _, lhs, rhs in identities._STEPS]
+    for n in [*range(1, 51), 26126]:  # pair 26126: a of 10,000 digits, d of 10,001
+        p = nth(n)
+        at = {"a": p.a, "d": p.d, "e": p.sign}
+        steps = identities._checked_steps(p.a, p.d, p.sign, to_decimal(p.a), to_decimal(p.d))
+        assert ([(s.lhs_value, s.rhs_value) for s in steps]
+                == [(lhs.evaluate(at), rhs.evaluate(at)) for lhs, rhs in sides]), n
+
+
 def test_library_trace_sides_evaluate_to_their_values():
     for n in range(1, 301):
         _assert_sides_say_their_values(s[1:] for s in trace_elegant(nth(n)).steps)
@@ -280,12 +361,13 @@ def _two_renderer_pretty(trace):
 
 # Both signs, generated pairs, caller-built pairs (whose a and d may be equal), and
 # nth(11010..11012), which straddle the 4,215-digit threshold where `to_decimal` leaves str().
-TRACED_PAIRS = st.one_of(
+# Deferred: the pairs are computed at the first draw, not at collection.
+TRACED_PAIRS = st.deferred(lambda: st.one_of(
     st.integers(1, 3000).map(nth),
     st.sampled_from(generate(60)),
     st.sampled_from([SideDiameterPair(12, 17), SideDiameterPair(1, 1),
                      *(nth(n) for n in (11010, 11011, 11012))]),
-)
+))
 
 
 @given(TRACED_PAIRS)
@@ -308,9 +390,15 @@ def _recorded_to_decimal(monkeypatch) -> list:
     return rendered
 
 
+@pytest.fixture
+def pair(request):
+    """The pair that the case's callable makes, when the test runs rather than at collection."""
+    return request.param()
+
+
 # a, d and the three distinct step values; (1, 1) has a == d.
-RENDER_CASES = pytest.mark.parametrize("pair,calls", [(nth(2000), 5), (SideDiameterPair(1, 1), 4)],
-                                       ids=["nth-2000", "1-1"])
+RENDER_CASES = pytest.mark.parametrize("pair,calls", [(lambda: nth(2000), 5), (lambda: SideDiameterPair(1, 1), 4)],
+                                       ids=["nth-2000", "1-1"], indirect=["pair"])
 
 
 @RENDER_CASES

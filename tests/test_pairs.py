@@ -350,17 +350,17 @@ def test_a_refused_indexed_pair_names_its_index():
 # Valid pairs either side of the 2**14000 size display of `_shown`, and refused ones: small,
 # of 4,215 digits and 14,001 bits (11011), and of 4,594 digits; each with no index, its own,
 # the wrong parity and 0.
+# Each case names its pair by index; the test computes the pair, so no `nth` runs at collection.
+_VARIANTS = {"pair": lambda p: (p.a, p.d), "d+1": lambda p: (p.a, p.d + 1), "d-1": lambda p: (p.a, p.d - 1),
+             "a=0": lambda p: (0, p.d), "-a": lambda p: (-p.a, p.d), "-d": lambda p: (p.a, -p.d)}
+
+
 def _check_cases():
     cases = []
     for n in (1, 2, 5, 11010, 11011, 11012, 12000):
-        p = nth(n)
-        variants = [("pair", p.a, p.d)]
-        if n in (5, 11011, 12000):
-            variants += [("d+1", p.a, p.d + 1), ("d-1", p.a, p.d - 1), ("a=0", 0, p.d),
-                         ("-a", -p.a, p.d), ("-d", p.a, -p.d)]
-        for label, a, d in variants:
+        for label in _VARIANTS if n in (5, 11011, 12000) else ["pair"]:
             for index in (None, n, n + 1, 0):
-                cases.append(pytest.param(a, d, index, id=f"{n}-{label}-index={index}"))
+                cases.append(pytest.param(n, label, index, id=f"{n}-{label}-index={index}"))
     return cases
 
 
@@ -386,8 +386,9 @@ def test_shown_gives_the_size_from_2_to_the_14000_on(number):
         assert pairs._shown(1 / at) == "1/<int of 14001 bits>"
 
 
-@pytest.mark.parametrize("a,d,index", _check_cases())
-def test_int_and_decimal_pair_checks_agree(a, d, index):
+@pytest.mark.parametrize("n,label,index", _check_cases())
+def test_int_and_decimal_pair_checks_agree(n, label, index):
+    a, d = _VARIANTS[label](nth(n))
     as_decimal = decimal.Decimal(approx.to_decimal(a)), decimal.Decimal(approx.to_decimal(d))
     with decimal.localcontext(_exact._EXACT):
         in_decimal = _sign_or_message(pairs._pell_sign, *as_decimal, index)
@@ -410,10 +411,13 @@ def test_sign_is_the_squares_difference_for_every_constructor(n):
         assert q.sign == q.d**2 - 2 * q.a**2
 
 
-@pytest.mark.parametrize("p", [nth(6), nth(7), SideDiameterPair(12, 17)], ids=repr)
+@pytest.mark.parametrize("make", [lambda: nth(6), lambda: nth(7), lambda: SideDiameterPair(12, 17)],
+                         ids=[f"SideDiameterPair(a={a}, d={d}, index={i})" for a, d, i in
+                              [(70, 99, 6), (169, 239, 7), (12, 17, None)]])
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
                          ids=["copy", "deepcopy", "pickle"])
-def test_copies_keep_sign_equality_and_hash(p, clone):
+def test_copies_keep_sign_equality_and_hash(make, clone):
+    p = make()
     q = clone(p)
     assert q.sign == p.sign
     assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
