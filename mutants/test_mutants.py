@@ -83,12 +83,29 @@ MUTANTS = [
         id="correct-digits-three-bits-low",
     ),
     pytest.param(
-        "_exact.py",
-        "return p // 2, q // 2, n // 4",
-        "return p, q, n",
+        "_steps.py",
+        "p, q, n = p // 2, q // 2, n // 4",
+        "p, q, n = p, q, n",
         ["tests/test_approx.py::test_run_method_rows_equal_the_public_fraction_steps",
          "tests/test_cli.py::test_golden_stdout_bytes"],
         id="babylonian-halving-removed",
+    ),
+    pytest.param(
+        "_exact.py",
+        "2 * (p * q), n * n",
+        "2 * (p * q), abs(n * n)",
+        # The same value on every int and Decimal, but no ring map: only the proof on `Poly` sees it.
+        ["tests/test_pairs.py::test_pell_maps_are_proved_by_running_them_on_polynomials"],
+        id="pell-doubling-leaves-the-ring",
+    ),
+    pytest.param(
+        "polynomials.py",
+        "            if type(coeff) is not int:\n"
+        '                raise ValueError(f"coefficient of {mono!r} must be an integer, got {_shown(coeff)}")\n',
+        "",
+        ["tests/test_polynomials.py::test_a_float_coefficient_cannot_prove_a_false_identity",
+         "tests/test_polynomials.py::test_coefficients_must_be_plain_ints"],
+        id="poly-coefficient-check-removed",
     ),
     pytest.param(
         "approx.py",

@@ -105,17 +105,13 @@ def _pell_step(p, q, n):
 
 
 def _pell_doubling(p, q, n, pp=None):
-    """Heron's averaging on the Pell state: (2p**2 - N, 2pq, N**2), halved when p is even; pp is p*p if known.
+    """Heron's averaging on the Pell state: (2p**2 - N, 2pq, N**2); pp is p*p if known.
 
     It squares p + q*sqrt(2), as 2p**2 - N = p**2 + 2q**2: pair m goes to
-    pair 2m, and p/q to (p/q + 2q/p) / 2.  The two share only a 2, and only
-    when the old p was even; halving leaves p odd, so that happens on the
-    first step at most.  `% 2` reads a 10**6-digit Decimal in 0.3 ms.
+    pair 2m, and p/q to (p/q + 2q/p) / 2.  Like `_pell_step`, it is a ring
+    map, so it runs unchanged on `Poly`s; `_steps._rows` keeps lowest terms.
     """
-    p, q, n = 2 * (p * p if pp is None else pp) - n, 2 * (p * q), n * n
-    if p % 2:
-        return p, q, n
-    return p // 2, q // 2, n // 4
+    return 2 * (p * p if pp is None else pp) - n, 2 * (p * q), n * n
 
 
 def _require_int(n, name: str, minimum: int) -> None:
@@ -169,7 +165,8 @@ def to_decimal(n: "int | Fraction | decimal.Decimal") -> str:
     """Exactly str(n), in subquadratic time and for ints of any size.
 
     A Fraction renders as num/den, or num when den is 1, as str() does.
-    A Decimal and a small int go to str(), which is linear on a Decimal.
+    A Decimal and a small int go to str(), which is linear on a Decimal;
+    anything else, a bool or an int subclass too, raises ValueError.
     Larger ints are split recursively at powers of two, m = hi * 2**w + lo,
     and rebuilt as a `decimal.Decimal`, whose big products run in libmpdec's
     number-theoretic transform (Brent and Zimmermann, Modern Computer
@@ -178,14 +175,16 @@ def to_decimal(n: "int | Fraction | decimal.Decimal") -> str:
     printing a wrong digit.  Unlike str(), this never depends on
     sys.set_int_max_str_digits.
     """
-    if isinstance(n, int):
+    if type(n) is int:
         if n.bit_length() <= _STR_MAX_BITS:
             return str(n)
     elif isinstance(n, decimal.Decimal):
         return str(n)
-    else:
+    elif type(n) is getattr(sys.modules.get("fractions"), "Fraction", None):
         num = to_decimal(n.numerator)
         return num if n.denominator == 1 else f"{num}/{to_decimal(n.denominator)}"
+    else:
+        raise ValueError(f"n must be an int, Fraction or Decimal, got {_shown(n)}")
     powers = {}
 
     def power(w: int) -> decimal.Decimal:

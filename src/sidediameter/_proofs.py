@@ -28,7 +28,7 @@ def _cmd_verify(args) -> int:
 def _cmd_trace(args) -> int:
     """`trace_elegant`'s trace, computed, checked and printed in exact Decimal (see `cli._nth_line`).
 
-    `_exact._pell_sign` checks a pair A D in Decimal, on the squares that the steps use.  `--n K`
+    `_exact._pell_sign` checks a pair A D in Decimal, on the squares that the steps use, and reads e.  `--n K`
     needs no check: the hypothesis-substitution step balances only when d^2 - 2a^2 = (-1)^K.
     """
     if args.n is not None and not args.pair:
@@ -41,10 +41,7 @@ def _cmd_trace(args) -> int:
         e = None
     else:
         raise UsageError("trace expects either two integers A D or --n K")
-    text, steps = identities._derivation(a, d, e)
-    if e is None:
-        # A checked pair has d odd, so e = d^2 - 2a^2 = 1 - 2a^2 modulo 8: -1 exactly when a is odd.
-        e = -1 if a % 2 else 1
+    text, steps, e = identities._derivation(a, d, e)
     # One write per piece: the digits of each value are held once, and no expression, line
     # or document is joined.
     _write(identities._pretty_laid_out(text, a, d, e, steps) if args.pretty

@@ -10,12 +10,13 @@ The rows step the reduced integer state (p, q, N) with N = p**2 - 2*q**2,
 the residual of a side/diameter pair, by `_exact`'s two Pell-state maps:
 the ratio step is the pair step `_pell_step`, so from 1, step n is pair
 n + 1 as d/a with sign N, and the CLI's `gen` prints these rows; the
-averaging step is the pair doubling `_pell_doubling`.  Each row reads its
-side from the sign of N and its digit count from |N|, and `_cells` prints it
-from p and q.  Everything here takes ints, as `approx.run_method` does, or
-integral Decimals under `_EXACT`, as the CLI's `gen` and `compare` do, and
-every value it makes stays integral.  The int branches serve the library and
-the tests' oracle alone.
+averaging step is the pair doubling `_pell_doubling`, and `_rows` alone
+reduces a state to lowest terms.  Each row reads its side from the sign of N
+and its digit count from |N|, and `_cells` prints it from p and q.
+Everything here takes ints, as `approx.run_method` does, or integral
+Decimals under `_EXACT`, as the CLI's `gen` and `compare` do, and every value
+it makes stays integral.  The int branches serve the library and the tests'
+oracle alone.
 """
 
 from sidediameter._exact import _pell_doubling, _pell_step, to_decimal
@@ -31,6 +32,8 @@ def _rows(method: str, p, q, steps: int, cap: int):
     n = p * p - 2 * q * q
     for i in range(1, steps + 1):
         p, q, n = advance(p, q, n)
+        if i == 1 and p % 2 == q % 2 == 0:  # only Heron's step from an even p leaves a shared 2; p stays odd
+            p, q, n = p // 2, q // 2, n // 4
         yield i, p, q, _correct_digits(p, q, abs(n), cap), "under" if n < 0 else "over"
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from sidediameter._exact import (DEFAULT_DECIMAL_DIGITS, DEFAULT_DIGIT_CAP, _positive_fraction, _require_int,
-                                  _require_rational, to_decimal)
+                                  _require_rational, _shown, to_decimal)
 # The two maps keep their names here: the traced benchmark rebinds `_METHOD_STEPS` by name.
 from sidediameter._steps import (_METHOD_STEPS, _REPORT_COLUMNS, _cells, _correct_digits,  # noqa: F401
                                  _decimal_string, _pell_doubling, _pell_step, _rows)
@@ -90,8 +90,10 @@ def decimal_digit_count(n: int) -> int:
     Works above the interpreter's int-to-str conversion limit.  The estimate
     k = bitlen(n) * 30103 // 100000 is never below floor(log10(n)), since
     30103/100000 > log10(2), so it is only ever corrected downward, by at
-    most a couple of power-of-ten comparisons.
+    most a couple of power-of-ten comparisons.  Anything but an int, a bool too, raises ValueError.
     """
+    if not isinstance(n, int) or type(n) is bool:
+        raise ValueError(f"n must be an integer, got {_shown(n)}")
     n = abs(n)
     if n < 10:
         return 1

@@ -215,7 +215,7 @@ def trace_elegant(p: SideDiameterPair) -> DerivationTrace:
     (2a+d)**2 = 2*(a+d)**2 - e, i.e. the next pair's equation with the
     opposite sign.
     """
-    text, steps = _derivation(p.a, p.d, p.sign)
+    text, steps, _ = _derivation(p.a, p.d, p.sign)
     trace = object.__new__(DerivationTrace)  # as `pairs._stepped`: `_derivation` checked and rendered the steps
     object.__setattr__(trace, "pair", p)
     object.__setattr__(trace, "steps", tuple(
@@ -224,24 +224,24 @@ def trace_elegant(p: SideDiameterPair) -> DerivationTrace:
     return trace
 
 
-def _derivation(a, d, e: int | None) -> tuple[dict, tuple[TraceStep, ...]]:
-    """The text and the four checked steps of `trace_elegant` for a pair of any exact number type.
+def _derivation(a, d, e: int | None) -> tuple[dict, tuple[TraceStep, ...], int]:
+    """The text, the four checked steps and the sign e of `trace_elegant` for a pair of any exact number type.
 
     A Decimal pair needs an exact context (`_exact._EXACT`).  With e None, the
-    pair comes from outside and `_exact._pell_sign` checks it.  Each expression
+    pair comes from outside and `_exact._pell_sign` checks it and reads e.  Each expression
     is a tuple of pieces that refer to one string for a and one for d.  The
     dict maps a, d and each step value to its decimal text: each distinct
     value is rendered once by `to_decimal`, the step values after the
     check, when only the three distinct ones are still held.
     """
     text = {v: to_decimal(v) for v in {a, d}}
-    steps = _checked_steps(a, d, e, text[a], text[d])
+    steps, e = _checked_steps(a, d, e, text[a], text[d])
     text.update({v: to_decimal(v) for v in {s.lhs_value for s in steps} if v not in text})
-    return text, steps
+    return text, steps, e
 
 
-def _checked_steps(a, d, e: int | None, text_a: str, text_d: str) -> tuple[TraceStep, ...]:
-    """The steps of `_derivation`, checked by `_check_steps`, with one value object per step.
+def _checked_steps(a, d, e: int | None, text_a: str, text_d: str) -> tuple[tuple[TraceStep, ...], int]:
+    """The steps of `_derivation`, checked by `_check_steps`, with one value object per step, and e.
 
     The hypothesis-substitution step balances only when the pair's equation
     d**2 = 2*a**2 + e holds, and the V.19-subtraction step only when the
@@ -270,4 +270,4 @@ def _checked_steps(a, d, e: int | None, text_a: str, text_d: str) -> tuple[Trace
                   for (tag, lhs, rhs), pair in zip(_STEPS, values))
     _check_steps(steps)
     # The two sides are equal: keep the right-hand one, which the first two steps share.
-    return tuple(s._replace(lhs_value=s.rhs_value) for s in steps)
+    return tuple(s._replace(lhs_value=s.rhs_value) for s in steps), e

@@ -1,15 +1,18 @@
 """Multivariate polynomials with integer coefficients in canonical form.
 
 A Poly lives in a ring fixed by an ordered tuple of variable names.  Terms
-are stored as a map from exponent vectors to nonzero coefficients, so two
-polynomials are mathematically equal exactly when they compare equal.  That
-makes an equality check a proof over all integer substitutions, which is
-what the identity catalog relies on.  Only ring operations are provided:
-add, subtract, multiply, negate, integer scaling, small powers, and exact
+are stored as a map from exponent vectors to nonzero coefficients, each a
+plain int (anything else is refused by type), so two polynomials are
+mathematically equal exactly when they compare equal.  That makes an
+equality check a proof over all integer substitutions, which is what the
+identity catalog relies on.  Only ring operations are provided: add,
+subtract, multiply, negate, integer scaling, small powers, and exact
 evaluation.
 """
 
 from typing import Iterable, Mapping
+
+from sidediameter._exact import _require_rational, _shown
 
 Monomial = tuple[int, ...]
 
@@ -36,6 +39,8 @@ class Poly:
             mono = tuple(mono)
             if len(mono) != len(vs) or any(e < 0 or not isinstance(e, int) for e in mono):
                 raise ValueError(f"bad exponent vector {mono!r} for variables {vs!r}")
+            if type(coeff) is not int:
+                raise ValueError(f"coefficient of {mono!r} must be an integer, got {_shown(coeff)}")
             if coeff:
                 canonical[mono] = canonical.get(mono, 0) + coeff
                 if not canonical[mono]:
@@ -78,16 +83,19 @@ class Poly:
         """Terms in graded lexicographic order, highest first (deterministic)."""
         return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
-    def evaluate(self, assignment: Mapping[str, int]) -> int:
-        """Exact value under a variable -> integer assignment.
+    def evaluate(self, assignment: Mapping[str, "int | Fraction"]) -> "int | Fraction":
+        """Exact value under a variable -> int or Fraction assignment.
 
         Every ring variable must be assigned; unrelated keys are ignored.
+        Any other value, a float, a bool or an int subclass too, raises ValueError.
         Evaluation is a ring homomorphism, which the tests verify.
         """
         missing = [v for v in self._variables if v not in assignment]
         if missing:
             raise MissingVariableError(f"assignment missing variables {missing!r}")
         values = [assignment[v] for v in self._variables]
+        for name, value in zip(self._variables, values):
+            _require_rational(value, f"value of {name}")
         total = 0
         for mono, coeff in self._terms.items():
             term = coeff
@@ -105,7 +113,7 @@ class Poly:
                     f"and {other._variables!r}"
                 )
             return other
-        if isinstance(other, int) and not isinstance(other, bool):
+        if type(other) is int:
             return Poly.constant(self._variables, other)
         return NotImplemented
 

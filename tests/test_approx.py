@@ -323,14 +323,14 @@ def test_correct_digits_squares_no_den_at_a_cap_below_the_answer(index, cap):
     for counting, one in [(_SquareCountingInt, 1), (_SquareCountingDecimal, decimal.Decimal(1))]:
         num, den = counting(p.d), counting(p.a)
         with decimal.localcontext(_exact._EXACT):
-            assert approx._correct_digits(num, den, one, cap) == cap
+            assert _steps._correct_digits(num, den, one, cap) == cap
         assert den.squarings == num.squarings == 0
 
 
 def test_correct_digits_squares_den_only_for_the_exact_test():
     # The search starts at level 6 for 577/408, which only A**2 < 2*den**4 can refuse.
     den = _SquareCountingInt(408)
-    assert approx._correct_digits(577, den, 1, 50) == 5
+    assert _steps._correct_digits(577, den, 1, 50) == 5
     assert den.squarings == 1
 
 
@@ -362,10 +362,10 @@ def test_digit_kernel_agrees_on_ints_and_integral_decimals(t, cap, places, below
         cap = correct_digits(t, 10**4) + 1
     with decimal.localcontext(_exact._EXACT):
         d_num, d_den, d_n = map(decimal.Decimal, (num, den, n))
-        count, text = approx._correct_digits(d_num, d_den, d_n, cap), approx._decimal_string(d_num, d_den, places)
+        count, text = _steps._correct_digits(d_num, d_den, d_n, cap), _steps._decimal_string(d_num, d_den, places)
         whole, rem = divmod(d_num, d_den)
         assert all(map(_integral_decimal, (whole, rem, _steps._shifted(rem, places) // d_den)))
-    assert (count, text) == (approx._correct_digits(num, den, n, cap), approx._decimal_string(num, den, places))
+    assert (count, text) == (_steps._correct_digits(num, den, n, cap), _steps._decimal_string(num, den, places))
 
 
 @given(positive_fractions)
@@ -467,31 +467,31 @@ class _CountingInt(int):
     def __sub__(self, other):
         return _CountingInt(int(self) - int(other))
 
-    def __mod__(self, other):
-        return _CountingInt(int(self) % other)
-
-    def __floordiv__(self, other):
-        return _CountingInt(int(self) // other)
-
 
 BABYLONIAN_STARTS = [Fraction(1), Fraction(3, 2), Fraction(19, 13), Fraction(4, 3)]
 
 
-# 4/3 has an even numerator, so its first step is halved.
+# 4/3 has an even numerator, so its first square shares a 2, which `_rows` halves.
 @pytest.mark.parametrize("start", BABYLONIAN_STARTS)
 def test_babylonian_state_takes_three_products_per_step(start):
-    """Two squares, p*p and N*N, and one product p*q: p**2 + 2q**2 is formed as 2p**2 - N."""
+    """Two squares, p*p and N*N, and one product p*q: p**2 + 2q**2 is formed as 2p**2 - N.
+
+    The map squares p + q*sqrt(2) and reduces nothing; `_rows` yields `babylonian_step`'s values.
+    """
     steps = 9
     _CountingInt.products = 0
     p, q = _CountingInt(start.numerator), _CountingInt(start.denominator)
     n = _CountingInt(start.numerator**2 - 2 * start.denominator**2)
-    value = start
+    values = [start]
     for _ in range(steps):
+        square = int(p) ** 2 + 2 * int(q) ** 2, 2 * int(p) * int(q), int(n) ** 2
         p, q, n = _exact._pell_doubling(p, q, n)
-        value = babylonian_step(value)
+        values.append(babylonian_step(values[-1]))
         assert type(p) is type(q) is type(n) is _CountingInt
-        assert (p, q, n) == (value.numerator, value.denominator, int(p) ** 2 - 2 * int(q) ** 2)
+        assert (p, q, n) == square and Fraction(int(p), int(q)) == values[-1]
     assert _CountingInt.products == 3 * steps
+    rows = _steps._rows("babylonian", start.numerator, start.denominator, steps, 1)
+    assert [(p, q) for _, p, q, _, _ in rows] == [(v.numerator, v.denominator) for v in values[1:]]
 
 
 @pytest.mark.parametrize("start", BABYLONIAN_STARTS)
@@ -568,7 +568,7 @@ def test_report_csv_schema():
     # A report's rows as `compare` writes them to CSV, after its method column.
     report, _ = compare_methods(Fraction(3, 2), 2)
     lines = [",".join(row.fields(approx.DEFAULT_DECIMAL_DIGITS)) for row in report.rows]
-    assert ",".join(approx._REPORT_COLUMNS) == "step,value_num,value_den,decimal_value,correct_digits,side"
+    assert ",".join(_steps._REPORT_COLUMNS) == "step,value_num,value_den,decimal_value,correct_digits,side"
     assert lines[0] == "1,17,12,1.416666666666666666666666666666,2,over"
     assert lines[1].startswith("2,577,408,1.414215686274509803921568627450,5,over")
     out, err = io.StringIO(), io.StringIO()

@@ -817,7 +817,7 @@ def _compare_oracle(start: Fraction, steps: int, fmt: str, digits: int, cap: int
             "babylonian": babylonian.to_json_dict(digits),
             "side_diameter": side_diameter.to_json_dict(digits),
         }, indent=2) + "\n"
-    lines = [",".join(("method", *approx._REPORT_COLUMNS))]
+    lines = [",".join(("method", *_steps._REPORT_COLUMNS))]
     lines += [",".join((report.method, *row.fields(digits)))
               for report in (babylonian, side_diameter) for row in report.rows]
     return "\n".join(lines) + "\n"
@@ -865,16 +865,13 @@ def test_compare_default_start_is_one():
 def test_gen_and_compare_print_the_integer_state_without_report_rows(argv, monkeypatch):
     """The print verbs render `_steps._rows`' integers: no `ReportRow`, no `Fraction` per row.
 
-    The `approx` spies refuse the report path outright.  The live spy counts every
+    Neither verb loads `approx`, so neither can build a `ReportRow`
+    (`test_each_verb_loads_only_the_modules_it_needs`).  The spy counts every
     `Fraction` made: none for `gen`, and for `compare` only its `--start`, as many
     at 2 steps as at more.
     """
     short = [*argv[:2], "2", *argv[3:]]
     expected, expected_short = invoke(argv), invoke(short)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a print verb built a report row")
-
     made = []
     new = Fraction.__new__
 
@@ -882,8 +879,6 @@ def test_gen_and_compare_print_the_integer_state_without_report_rows(argv, monke
         made.append(args)
         return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(approx, "ReportRow", refuse)
-    monkeypatch.setattr(approx, "_coprime_fraction", refuse)
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     assert invoke(short) == expected_short
     counted = len(made)

@@ -266,7 +266,7 @@ def test_checked_step_values_are_the_printed_sides_evaluated():
     for n in [*range(1, 51), 26126]:  # pair 26126: a of 10,000 digits, d of 10,001
         p = nth(n)
         at = {"a": p.a, "d": p.d, "e": p.sign}
-        steps = identities._checked_steps(p.a, p.d, p.sign, to_decimal(p.a), to_decimal(p.d))
+        steps, _ = identities._checked_steps(p.a, p.d, p.sign, to_decimal(p.a), to_decimal(p.d))
         assert ([(s.lhs_value, s.rhs_value) for s in steps]
                 == [(lhs.evaluate(at), rhs.evaluate(at)) for lhs, rhs in sides]), n
 
@@ -429,7 +429,7 @@ def test_the_trace_core_and_layouts_convert_each_distinct_value_once(monkeypatch
     rendered = _recorded_to_decimal(monkeypatch)
     with decimal.localcontext(_exact._EXACT):
         a, d = number(pair.a), number(pair.d)
-        text, steps = identities._derivation(a, d, pair.sign)
+        text, steps, _ = identities._derivation(a, d, pair.sign)
     "".join(cli._json(identities._trace_document(text, a, d, pair.sign, steps)))
     "".join(identities._pretty_laid_out(text, a, d, pair.sign, steps))
     assert {type(v) for v in rendered} == {number}
@@ -500,7 +500,8 @@ def test_derivation_refuses_an_unbalanced_step_by_itself(number):
     p = nth(50)
     with decimal.localcontext(_exact._EXACT):
         a, d = number(p.a), number(p.d)
-        text, steps = identities._derivation(a, d, p.sign)
+        text, steps, e = identities._derivation(a, d, p.sign)
+        assert identities._derivation(a, d, None) == (text, steps, e) and e == p.sign
         assert [s._replace(lhs_expr="".join(s.lhs_expr), rhs_expr="".join(s.rhs_expr))
                 for s in steps] == list(trace_elegant(p).steps)
         assert text == trace_elegant(p)._text

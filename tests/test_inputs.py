@@ -14,6 +14,7 @@ from sidediameter import (
     cf_convergent_sqrt2,
     compare_methods,
     correct_digits,
+    decimal_digit_count,
     decimal_string,
     generate,
     isqrt,
@@ -23,6 +24,7 @@ from sidediameter import (
     run_method,
     sd_ratio_step,
     side_of_sqrt2,
+    to_decimal,
 )
 
 THREE_HALVES = Fraction(3, 2)
@@ -79,6 +81,24 @@ def test_non_exact_numbers_are_refused_by_type(call, name, value):
     with pytest.raises(ValueError) as info:
         call(value)
     assert str(info.value).startswith(f"{name} must be ")
+
+
+# The renderers take what they can render: `to_decimal` an int, Fraction or Decimal, and
+# `decimal_digit_count` an int (its own estimate test counts through an int subclass).
+@pytest.mark.parametrize(
+    "call,value,expected",
+    [(to_decimal, True, "an int, Fraction or Decimal"), (to_decimal, 1.5, "an int, Fraction or Decimal"),
+     (to_decimal, "12", "an int, Fraction or Decimal"), (to_decimal, MyInt(2), "an int, Fraction or Decimal"),
+     (decimal_digit_count, 1e300, "an integer"), (decimal_digit_count, "12", "an integer"),
+     (decimal_digit_count, True, "an integer"), (decimal_digit_count, Decimal(12), "an integer")],
+    ids=["to_decimal-bool", "to_decimal-float", "to_decimal-str", "to_decimal-int-subclass",
+         "decimal_digit_count-float", "decimal_digit_count-str", "decimal_digit_count-bool",
+         "decimal_digit_count-Decimal"],
+)
+def test_renderers_refuse_what_they_cannot_render(call, value, expected):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"n must be {expected}, got {value!r}"
 
 
 @pytest.mark.parametrize(

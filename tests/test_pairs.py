@@ -26,6 +26,7 @@ from sidediameter.pairs import (
     seed,
     step,
 )
+from sidediameter.polynomials import symbols
 
 # Frozen from the iterative oracle (63 steps from the seed).
 PAIR_64 = (1111984844349868137938112, 1572584048032918633353217)
@@ -162,7 +163,7 @@ def test_nth_doubling_takes_two_products_per_level(base, n):
         assert type(a) is type(d) is Counting
         assert Counting.products == 2 * (n.bit_length() - 1)
         Counting.products = 0
-        assert pairs._nth_checked(n, Counting(1)) == (a, d)
+        assert _exact._nth_checked(n, Counting(1)) == (a, d)
     assert Counting.products == 2 * (n.bit_length() - 1) + 1
     assert (a, d) == (nth(n).a, nth(n).d)
 
@@ -221,14 +222,35 @@ def _pell_maps(p, q, n, one):
 
 @given(st.integers(1, 10**60), st.integers(1, 10**60), st.sampled_from([1, decimal.Decimal(1)]))
 def test_pell_maps_keep_the_residual_and_multiply_by_1_plus_root_2_or_square(p, q, one):
-    """The step multiplies p + q*sqrt(2) by 1 + sqrt(2); the doubling squares it, less a 2 that both parts share."""
+    """The step multiplies p + q*sqrt(2) by 1 + sqrt(2), and the doubling squares it."""
     stepped, doubled, doubled_from_square = _pell_maps(p, q, p * p - 2 * q * q, one)
     for new_p, new_q, new_n in (stepped, doubled):
         assert new_n == new_p * new_p - 2 * new_q * new_q
     assert stepped[:2] == _times((p, q), (1, 1))
-    square = _times((p, q), (p, q))
-    shared = math.gcd(square[0], 2)
-    assert doubled[:2] == (square[0] // shared, square[1] // shared) and doubled_from_square == doubled
+    assert doubled[:2] == _times((p, q), (p, q)) and doubled_from_square == doubled
+
+
+def test_pell_maps_are_proved_by_running_them_on_polynomials():
+    """The kernel's own maps on `Poly` symbols: each equality holds for every integer state, not a sample.
+
+    With N = p**2 - 2q**2, the step gives -N and the doubling N**2, each p'**2 - 2q'**2 of its image;
+    the doubling's is (p**2 + 2q**2)**2 - 2(2pq)**2 = (p**2 - 2q**2)**2, the identity `_nth_checked`
+    rests on.  From level m = n >> 1, `_doubled` gives d'**2 - 2a'**2 - (-1)**n =
+    (-1)**n * 4d**2 * (d**2 - 2a**2 - (-1)**m), so level n is a pair whenever level m is.
+    """
+    p, q = symbols("p", "q")
+    n = p * p - 2 * q * q
+    stepped = _exact._pell_step(p, q, n)
+    assert stepped[2] == -n == stepped[0] * stepped[0] - 2 * stepped[1] * stepped[1]
+    assert stepped[:2] == _times((p, q), (1, 1))
+    for doubled in (_exact._pell_doubling(p, q, n), _exact._pell_doubling(p, q, n, p * p)):
+        assert doubled[2] == n * n == doubled[0] * doubled[0] - 2 * doubled[1] * doubled[1]
+        assert doubled[:2] == _times((p, q), (p, q)) == (p * p + 2 * q * q, 2 * p * q)
+    a, d = symbols("a", "d")
+    for level in range(2, 10):  # each level mod 4, so m = level >> 1 of either parity, with and without a step
+        new_a, new_d = _exact._doubled(a, d, d * d, level)
+        sign, sign_m = (-1) ** level, (-1) ** (level >> 1)
+        assert new_d * new_d - 2 * new_a * new_a - sign == sign * 4 * d * d * (d * d - 2 * a * a - sign_m), level
 
 
 @given(st.integers(1, 300), st.sampled_from([1, decimal.Decimal(1)]))
@@ -377,13 +399,13 @@ def test_shown_gives_the_size_from_2_to_the_14000_on(number):
     # Both 2**14000 - 1 and 2**14000 have 4,215 digits; only the second is shown by its size.
     below, at = number(2**14000 - 1), number(2**14000)
     for form in (repr, str):
-        assert pairs._shown(below, form) == form(below)
+        assert _exact._shown(below, form) == form(below)
     size = {int: "<int of 14001 bits>", decimal.Decimal: "<Decimal of 4215 digits>",
             Fraction: "<int of 14001 bits>/1"}[number]
-    assert pairs._shown(at) == pairs._shown(at, str) == size
-    assert pairs._shown(number(-(2**14000))) == "-" + size
+    assert _exact._shown(at) == _exact._shown(at, str) == size
+    assert _exact._shown(number(-(2**14000))) == "-" + size
     if number is Fraction:
-        assert pairs._shown(1 / at) == "1/<int of 14001 bits>"
+        assert _exact._shown(1 / at) == "1/<int of 14001 bits>"
 
 
 @pytest.mark.parametrize("n,label,index", _check_cases())
@@ -391,7 +413,7 @@ def test_int_and_decimal_pair_checks_agree(n, label, index):
     a, d = _VARIANTS[label](nth(n))
     as_decimal = decimal.Decimal(approx.to_decimal(a)), decimal.Decimal(approx.to_decimal(d))
     with decimal.localcontext(_exact._EXACT):
-        in_decimal = _sign_or_message(pairs._pell_sign, *as_decimal, index)
+        in_decimal = _sign_or_message(_exact._pell_sign, *as_decimal, index)
     assert in_decimal == _sign_or_message(lambda *args: SideDiameterPair(*args).sign, a, d, index)
 
 

@@ -1,9 +1,12 @@
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sidediameter.identities import verify_identity
 from sidediameter.polynomials import (
     MissingVariableError,
     Poly,
@@ -71,6 +74,38 @@ def test_poly_is_immutable():
 def test_ring_operations_refuse_a_non_integer(combine, other):
     with pytest.raises(TypeError):
         combine(A + D, other)
+
+
+class _MyInt(int):
+    pass
+
+
+def test_a_float_coefficient_cannot_prove_a_false_identity():
+    # 1e16 + 1 rounds to 1e16, so a float coefficient would make P + a "equal" P.
+    a = symbols("a")[0]
+    with pytest.raises(ValueError, match=r"^coefficient of \(1,\) must be an integer, got 1e\+16$"):
+        verify_identity(Poly(("a",), {(1,): 1e16}) + a, Poly(("a",), {(1,): 1e16}))
+
+
+@pytest.mark.parametrize(
+    "coeff", [1e16, 0.0, True, False, _MyInt(2), Fraction(2), Decimal(2), "2", None],
+    ids=["float", "zero-float", "true", "false", "int-subclass", "fraction", "decimal", "str", "none"],
+)
+def test_coefficients_must_be_plain_ints(coeff):
+    message = f"^coefficient of \\(1, 0\\) must be an integer, got {re.escape(repr(coeff))}$"
+    with pytest.raises(ValueError, match=message):
+        Poly(("a", "d"), {(1, 0): coeff})
+    with pytest.raises(ValueError, match="^coefficient of "):
+        Poly.constant(("a", "d"), coeff)
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True, _MyInt(2), Decimal("0.1"), "1"],
+                         ids=["float", "integral-float", "bool", "int-subclass", "decimal", "str"])
+def test_evaluation_takes_only_ints_and_fractions(value):
+    message = f"^value of a must be an int or Fraction, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        (A + D).evaluate({"a": value, "d": 1})
+    assert (A * D).evaluate({"a": Fraction(1, 3), "d": 6}) == 2 and (A + D).evaluate({"a": 1, "d": 2}) == 3
 
 
 def test_a_poly_equals_no_number():
