@@ -108,6 +108,15 @@ MUTANTS = [
         id="poly-coefficient-check-removed",
     ),
     pytest.param(
+        "polynomials.py",
+        "any(type(e) is not int or e < 0 for e in mono)",
+        "any(e < 0 or not isinstance(e, int) for e in mono)",
+        # A bool exponent compares with 0 like an int, and a str raises TypeError before isinstance.
+        ["tests/test_polynomials.py::test_exponents_must_be_plain_ints[true]",
+         "tests/test_polynomials.py::test_exponents_must_be_plain_ints[str]"],
+        id="poly-exponent-check-by-isinstance",
+    ),
+    pytest.param(
         "approx.py",
         # In `run_method`, the one place that builds the reports' Fractions.
         "_coprime_fraction(p, q), digits",
@@ -421,12 +430,29 @@ MUTANTS = [
     ),
     pytest.param(
         "cli.py",
-        "argv and argv[0] in _VERBS",
+        "argv and argv[0] in _GRAMMAR",
         "argv",
         ["tests/test_cli.py::test_outputs_that_name_no_verb_first_come_from_the_full_parser[help]",
          "tests/test_cli.py::test_outputs_that_name_no_verb_first_come_from_the_full_parser[h-nth]",
          "tests/test_cli.py::test_outputs_that_name_no_verb_first_come_from_the_full_parser[unknown]"],
         id="parser-built-for-any-first-argument",
+    ),
+    pytest.param(
+        "cli.py",
+        'value not in spec.get("choices", [value])',
+        "False",
+        # `gen --format xml` read into a namespace that argparse refuses.
+        ["tests/test_cli.py::test_the_reader_gives_what_argparse_gives"],
+        id="reader-skips-choices",
+    ),
+    pytest.param(
+        "cli.py",
+        " or word in texts",
+        "",
+        # argparse keeps the last value of a repeated option, but it refuses a bad first one first:
+        # `gen --count x --count 3` is a usage error, not three rows.
+        ["tests/test_cli.py::test_the_reader_gives_what_argparse_gives"],
+        id="reader-takes-a-repeated-option",
     ),
     pytest.param(
         "_exact.py",

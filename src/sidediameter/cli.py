@@ -1,21 +1,17 @@
 """Command-line front end: pair tables, identity checks, traces, approximations.
 
-`_VERBS` names the module of each verb's handler `_cmd_<verb>`.  `run`
-imports the running verb's module from it, then builds that verb's parser
-alone: with no bytecode cache, each command compiles only the modules its
-verb runs.  After parsing it takes the handler from the same table and runs
-it under `_exact._EXACT`, the one exact context of every verb.  This module
-holds the parser, `run`, `main`, the `nth` handler and the helpers that
-several verbs share.  `nth` loads `_exact` alone; the table verbs `gen`,
-`compare` and `approx` run in `_tables`, and the proof verbs `trace` and
-`verify` in `_proofs`.
+`_GRAMMAR` states each verb's handler module, help and arguments once.  `run`
+reads a plain argument list from it with `_read`, and argparse, built from it
+by `build_parser`, reads help, usage errors and other spellings.  A command so
+compiles only what its verb runs (`nth` and the shared helpers are here, `gen`,
+`compare` and `approx` in `_tables`, `trace` and `verify` in `_proofs`), and
+runs under `_exact._EXACT`.
 
 Exit codes: 0 success, 1 domain error (reported on stderr), 2 usage error.
 Data payloads go to stdout and are deterministic for a fixed argument list;
 timing information is diagnostic and always goes to stderr.
 """
 
-import argparse
 import contextlib
 import decimal
 import importlib
@@ -23,6 +19,7 @@ import os
 import re
 import sys
 import time
+import types
 
 from sidediameter import _exact
 from sidediameter._exact import _PRIME, DEFAULT_DECIMAL_DIGITS, DEFAULT_DIGIT_CAP
@@ -41,15 +38,22 @@ def _echoed(value) -> str:
     return text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
 
 
+def _refused(message: str) -> Exception:
+    """argparse's ArgumentTypeError: only a refused value loads argparse."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _int_at_least(minimum: int):
     """An argparse type: an integer no smaller than `minimum`."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {_echoed(text)!r}")
+            raise _refused(f"not an integer: {_echoed(text)!r}")
         if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {_echoed(value)}")
+            raise _refused(f"must be >= {minimum}, got {_echoed(value)}")
         return value
     return parse
 
@@ -73,7 +77,7 @@ def decimal_integer(text: str) -> decimal.Decimal:
     """An argparse type: the integer that int(text) gives, as an exact Decimal; plus() makes -0 into 0."""
     if re.fullmatch(_INTEGER, text):
         return _exact._EXACT.plus(decimal.Decimal(text))
-    raise argparse.ArgumentTypeError(f"not an integer: {_echoed(text)!r}")
+    raise _refused(f"not an integer: {_echoed(text)!r}")
 
 
 def rational(text: str) -> "Fraction":
@@ -82,79 +86,85 @@ def rational(text: str) -> "Fraction":
     if re.fullmatch(_RATIONAL, text):
         with contextlib.suppress(ZeroDivisionError):
             return Fraction(text)
-    raise argparse.ArgumentTypeError(f"not a rational NUM/DEN or integer: {_echoed(text)!r}")
+    raise _refused(f"not a rational NUM/DEN or integer: {_echoed(text)!r}")
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, with each over-long token of its own error messages cut by `_echoed`,
-    and with `-NUM/DEN` read as a value, like `-1`, not as an unknown option.
+# Each verb's handler module, help and arguments with argparse's keywords; one `group` argument must be given.
+_GRAMMAR = {
+    "gen": ("_tables", "emit the first N pairs as CSV or JSON", {
+        "--count": dict(type=positive_int, required=True),
+        "--format": dict(choices=("csv", "json"), default="csv"),
+        "--digits": dict(type=nonnegative_int, default=DEFAULT_DECIMAL_DIGITS)}),
+    "nth": ("cli", "compute the N-th pair by the fast doubling path", {
+        "n": dict(type=positive_int),
+        "--check-oracle": dict(action="store_true", help="check the printed pair against (1 + sqrt(2))**N"
+                               " modulo 2**61 - 1; wall times go to stderr")}),
+    "verify": ("_proofs", "verify catalog identities symbolically", {
+        "--identity": dict(metavar="NAME", help="one catalog identity; an unknown name lists them", group=True),
+        "--all": dict(action="store_true", group=True)}),
+    "trace": ("_proofs", "derivation trace for a pair (JSON or --pretty)", {
+        "pair": dict(nargs="*", type=decimal_integer, metavar="INT", help="the pair as two integers: A D"),
+        "--n": dict(type=positive_int, help="use the N-th pair instead of A D"),
+        "--pretty": dict(action="store_true")}),
+    "approx": ("_tables", "one approximation step, preimages, or digit count", {
+        "action": dict(choices=("step", "preimage", "digits")),
+        "value": dict(type=rational),
+        "--method": dict(choices=("babylonian", "sd"), help="step and preimage only (default: babylonian)"),
+        "--cap": dict(type=positive_int, help=f"digits only (default: {DEFAULT_DIGIT_CAP})")}),
+    "compare": ("_tables", "run both methods and tabulate convergence", {
+        "--start": dict(type=rational, default="1"),
+        "--steps": dict(type=nonnegative_int, required=True),
+        "--format": dict(choices=("csv", "json"), default="csv"),
+        "--digits": dict(type=nonnegative_int, default=DEFAULT_DECIMAL_DIGITS),
+        "--cap": dict(type=positive_int, default=DEFAULT_DIGIT_CAP)}),
+}
 
-    Subparsers are made of the same class, so `invalid choice` errors of any verb are cut too.
+
+def build_parser(only: str | None = None):
+    """argparse's parser of every verb, or of `only` alone, which reads that verb's lists alike."""
+    from sidediameter import _parser
+
+    return _parser.build(only)
+
+
+def _read(argv):
+    """argparse's namespace for a plain argument list, or None for argparse to read it.
+
+    Plain: the verb, its positionals, then options in full, once each, with a value not starting
+    with `-` (a flag has none); every required one; values of their type and choices.
     """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(?:/\d+)?$|^-\d*\.\d+$")
-
-    def error(self, message):
-        super().error(re.sub(r"[^\s'\"]{41,}", lambda m: _echoed(m.group()), message))
-
-
-# The module that holds each verb's handler `_cmd_<verb>`.
-_VERBS = {"gen": "_tables", "nth": "cli", "verify": "_proofs", "trace": "_proofs", "approx": "_tables",
-          "compare": "_tables"}
-
-
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every verb, or of the verb `only` alone, which reads that verb's argument lists alike."""
-    parser = _Parser(
-        prog="sidediameter",
-        description="Exact arithmetic for side-and-diameter numbers.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
-
-    def verb(name: str, help_text: str):
-        """The subparser of verb `name`, or None when the parser is built for another verb alone."""
-        if only in (None, name):
-            return sub.add_parser(name, help=help_text)
-
-    if gen := verb("gen", "emit the first N pairs as CSV or JSON"):
-        gen.add_argument("--count", type=positive_int, required=True)
-        gen.add_argument("--format", choices=("csv", "json"), default="csv")
-        gen.add_argument("--digits", type=nonnegative_int, default=DEFAULT_DECIMAL_DIGITS)
-
-    if nth := verb("nth", "compute the N-th pair by the fast doubling path"):
-        nth.add_argument("n", type=positive_int)
-        nth.add_argument("--check-oracle", action="store_true",
-                         help="check the printed pair against (1 + sqrt(2))**N modulo 2**61 - 1; wall times go to stderr")
-
-    if verify := verb("verify", "verify catalog identities symbolically"):
-        group = verify.add_mutually_exclusive_group(required=True)
-        group.add_argument("--identity", metavar="NAME", help="one catalog identity; an unknown name lists them")
-        group.add_argument("--all", action="store_true")
-
-    if trace := verb("trace", "derivation trace for a pair (JSON or --pretty)"):
-        trace.add_argument("pair", nargs="*", type=decimal_integer, metavar="INT",
-                           help="the pair as two integers: A D")
-        trace.add_argument("--n", type=positive_int, help="use the N-th pair instead of A D")
-        trace.add_argument("--pretty", action="store_true")
-
-    if ap := verb("approx", "one approximation step, preimages, or digit count"):
-        ap.add_argument("action", choices=("step", "preimage", "digits"))
-        ap.add_argument("value", type=rational)
-        ap.add_argument("--method", choices=("babylonian", "sd"),
-                        help="step and preimage only (default: babylonian)")
-        ap.add_argument("--cap", type=positive_int,
-                        help=f"digits only (default: {DEFAULT_DIGIT_CAP})")
-
-    if compare := verb("compare", "run both methods and tabulate convergence"):
-        compare.add_argument("--start", type=rational, default="1")
-        compare.add_argument("--steps", type=nonnegative_int, required=True)
-        compare.add_argument("--format", choices=("csv", "json"), default="csv")
-        compare.add_argument("--digits", type=nonnegative_int, default=DEFAULT_DECIMAL_DIGITS)
-        compare.add_argument("--cap", type=positive_int, default=DEFAULT_DIGIT_CAP)
-
-    return parser
+    if not argv or argv[0] not in _GRAMMAR or "" in argv:
+        return None
+    grammar, words = _GRAMMAR[argv[0]][2], argv[1:]
+    cut = next((i for i, word in enumerate(words) if word[0] == "-"), len(words))
+    names = [name for name in grammar if name[0] != "-"]
+    star = names and "nargs" in grammar[names[0]]  # trace's pair takes them all
+    if not star and cut != len(names):
+        return None
+    texts = dict(zip(names, [words[:cut]] if star else words))
+    options = iter(words[cut:])
+    for word in options:  # a positional's name is in texts already
+        value = "action" in grammar.get(word, {}) or next(options, "-")
+        if word not in grammar or word in texts or value is not True and value[0] == "-":
+            return None
+        texts[word] = value
+    group = {name for name in grammar if "group" in grammar[name]}
+    if group and len(group & texts.keys()) != 1:
+        return None
+    args = {"verb": argv[0]}
+    for name, spec in grammar.items():
+        text, kind = texts.get(name, spec.get("default")), spec.get("type", str)
+        if "required" in spec and name not in texts:
+            return None
+        try:  # on any failure argparse runs the type again, as it always has
+            args[name.lstrip("-").replace("-", "_")] = value = (
+                name in texts if "action" in spec else [kind(t) for t in text] if "nargs" in spec
+                else kind(text) if type(text) is str else text)
+        except Exception:
+            return None
+        if name in texts and value not in spec.get("choices", [value]):
+            return None
+    return types.SimpleNamespace(**args)
 
 
 def _json(value, indent: str = "\n"):
@@ -188,9 +198,7 @@ def _write(pieces) -> None:
 
 
 # Digits above which `nth`, `trace --n`, `gen` and `compare` refuse their
-# arguments before computing.  Well below it, in process on a 2-CPU VM:
-# `nth 20000000` printed 15.3 MB in 3.6 s at 69 MB peak RSS, and
-# `trace --n 1000000` 14.5 MB in 2.3 s at 58 MB.
+# arguments before computing; README gives the cost of outputs below it.
 _PRINTED_DIGIT_LIMIT = 10**8
 # Modulo the prime 2**61 - 1, 2**31 is a square root of 2, so pair n has d +- a*2**31 = (1 +- 2**31)**n.
 # 1 + 2**31 has order (2**61 - 2)/2, so no other index under the digit limit has both residues.
@@ -214,11 +222,9 @@ def _check_printed_digits(verb: str, estimate: int) -> None:
 def _nth_line(n: int) -> tuple[str, ...]:
     """The `nth` line of pair n as its pieces `n=N a=`, a, ` d=`, d and ` e=E`, in exact Decimal.
 
-    libmpdec multiplies huge operands by a number-theoretic transform and
-    `to_decimal` prints a Decimal by its linear str(), so this skips
-    CPython's int squaring and int->decimal conversion.  `_exact._nth_checked`
-    checks the pair at half size in Decimal, so e is (-1)**n.  It runs under the
-    caller's `_exact._EXACT`, which `run` enters for every verb.
+    libmpdec's products and `to_decimal`'s linear str() skip CPython's int squaring and
+    int->decimal conversion.  `_exact._nth_checked` checks the pair at half size, so e is
+    (-1)**n.  It runs under the `_exact._EXACT` that `run` enters.
     """
     a, d = _exact._nth_checked(n, decimal.Decimal(1))
     return f"n={n} a=", _exact.to_decimal(a), " d=", _exact.to_decimal(d), f" e={-1 if n % 2 else 1}"
@@ -253,9 +259,9 @@ def _cmd_nth(args) -> int:
 def run(argv, stdout=None, stderr=None) -> int:
     """Parse argv and execute; returns the process exit code.
 
-    Payload on stdout, diagnostics on stderr.  Streams default to the
-    process streams and can be replaced for testing.  Every handler, and
-    every write of the pieces it makes, runs under `_exact._EXACT`.
+    Payload on stdout, diagnostics on stderr; both default to the process
+    streams.  Every handler, and every write of the pieces it makes, runs
+    under `_exact._EXACT`.
     """
     with contextlib.ExitStack() as stack:
         if hasattr(sys, "set_int_max_str_digits"):
@@ -267,18 +273,17 @@ def run(argv, stdout=None, stderr=None) -> int:
             stack.enter_context(contextlib.redirect_stdout(stdout))
         if stderr is not None:
             stack.enter_context(contextlib.redirect_stderr(stderr))
-        verb = argv[0] if argv and argv[0] in _VERBS else None
-        # The handler's modules are compiled before the parser's objects are live.
+        verb = argv[0] if argv and argv[0] in _GRAMMAR else None
+        # The handler's modules are compiled before the arguments' objects are live.
         if verb:
-            importlib.import_module(f"sidediameter.{_VERBS[verb]}")
+            importlib.import_module(f"sidediameter.{_GRAMMAR[verb][0]}")
         if verb == "approx":
             from sidediameter import approx  # noqa: F401
-        parser = build_parser(verb)
         try:
-            args = parser.parse_args(argv)
+            args = _read(argv) or build_parser(verb).parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-        handler = getattr(importlib.import_module(f"sidediameter.{_VERBS[args.verb]}"), f"_cmd_{args.verb}")
+        handler = getattr(importlib.import_module(f"sidediameter.{_GRAMMAR[args.verb][0]}"), f"_cmd_{args.verb}")
         stack.enter_context(decimal.localcontext(_exact._EXACT))
         try:
             return handler(args)
@@ -295,9 +300,8 @@ def main() -> None:
         code = run(sys.argv[1:])
         sys.stdout.flush()
     except OSError as exc:
-        # A reader that closed stdout early (`| head`) needs no message; any
-        # other failed write (a full disk) gets one line.  Point stdout at
-        # devnull so the interpreter's flush at exit cannot raise a second time.
+        # A closed pipe (`| head`) needs no message, any other failed write (a full disk) one
+        # line; stdout then points at devnull, so the flush at exit cannot raise a second time.
         if not isinstance(exc, BrokenPipeError):
             print(f"error: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -315,7 +319,6 @@ def __getattr__(name: str):
 
 
 if __name__ == "__main__":
-    # Under `python -m sidediameter.cli`, this copy is the one that `_tables` and `_proofs`
-    # import, so the `UsageError` they raise is the one `run` catches, and no second copy compiles.
+    # One copy: the verb modules and `_parser` import this one, and `run` catches their `UsageError`.
     sys.modules["sidediameter.cli"] = sys.modules[__name__]
     main()

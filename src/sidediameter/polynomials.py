@@ -1,11 +1,11 @@
 """Multivariate polynomials with integer coefficients in canonical form.
 
 A Poly lives in a ring fixed by an ordered tuple of variable names.  Terms
-are stored as a map from exponent vectors to nonzero coefficients, each a
-plain int (anything else is refused by type), so two polynomials are
-mathematically equal exactly when they compare equal.  That makes an
-equality check a proof over all integer substitutions, which is what the
-identity catalog relies on.  Only ring operations are provided: add,
+are stored as a map from exponent vectors to nonzero coefficients, every
+exponent and coefficient a plain int (anything else is refused by type), so
+two polynomials are mathematically equal exactly when they compare equal.
+That makes an equality check a proof over all integer substitutions, which
+is what the identity catalog relies on.  Only ring operations are provided: add,
 subtract, multiply, negate, integer scaling, small powers, and exact
 evaluation.
 """
@@ -37,7 +37,7 @@ class Poly:
         canonical: dict[Monomial, int] = {}
         for mono, coeff in (terms or {}).items():
             mono = tuple(mono)
-            if len(mono) != len(vs) or any(e < 0 or not isinstance(e, int) for e in mono):
+            if len(mono) != len(vs) or any(type(e) is not int or e < 0 for e in mono):
                 raise ValueError(f"bad exponent vector {mono!r} for variables {vs!r}")
             if type(coeff) is not int:
                 raise ValueError(f"coefficient of {mono!r} must be an integer, got {_shown(coeff)}")
@@ -157,7 +157,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
         result = Poly.constant(self._variables, 1)
         for _ in range(exponent):

@@ -18,11 +18,12 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sidediameter
-from sidediameter import _exact, _steps, _tables, approx, cli, generate, identities, pairs, to_decimal, trace_elegant
+from sidediameter import (_exact, _parser, _steps, _tables, approx, cli, generate, identities, pairs, to_decimal,
+                          trace_elegant)
 from sidediameter._tables import _GEN_COLUMNS
 from sidediameter.cli import _nth_line, build_parser, run
 from sidediameter.pairs import SideDiameterPair, nth
@@ -530,9 +531,22 @@ def test_usage_errors_under_the_cli_module_exit_2(argv):
     assert lines[0].startswith("usage error: ")
 
 
-def fresh_python(code: str) -> str:
-    """The stdout of `code` run in a new interpreter that imports this checkout's package."""
-    return subprocess.run([sys.executable, "-c", code], env=FRESH_ENV, capture_output=True,
+@pytest.mark.parametrize("argv", [["nth", "0"], ["gen", "-h"], ["nth", "5"]], ids=["usage-error", "help", "plain"])
+def test_the_cli_module_runs_one_copy_of_itself(argv):
+    # `_parser`, which argparse's outputs need, imports `sidediameter.cli`: it must get the copy
+    # that runs as `__main__`, so `-X importtime` shows no import of `sidediameter.cli` at all.
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "sidediameter.cli", *argv], capture_output=True,
+                          text=True, env=FRESH_ENV, timeout=60)
+    timed = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    imported = {line.rpartition("|")[2].strip() for line in timed}
+    assert "sidediameter.cli" not in imported and ("sidediameter._parser" in imported) == (argv != ["nth", "5"])
+    err = "".join(f"{line}\n" for line in proc.stderr.splitlines() if not line.startswith("import time:"))
+    assert (proc.returncode, proc.stdout, err) == invoke(argv)
+
+
+def fresh_python(code: str, *flags: str) -> str:
+    """The stdout of `code` run in a new interpreter, with `flags`, that imports this checkout's package."""
+    return subprocess.run([sys.executable, *flags, "-c", code], env=FRESH_ENV, capture_output=True,
                           text=True, check=True, timeout=60).stdout
 
 
@@ -555,16 +569,22 @@ def test_short_commands_load_neither_dataclasses_nor_the_identity_catalog():
     ("nth 5", ""),
     ("gen --count 3", ""),
     ("approx step 17/12", ""),
+    ("approx preimage 17/12", ""),
+    ("approx digits 17/12", ""),
     ("compare --steps 2", ""),
     ("trace --n 3", "identities"),
     ("trace 2 3", "identities"),
     ("verify --all", "identities polynomials"),
 ])
 def test_each_verb_loads_only_the_modules_it_needs(argv, needs):
+    # Under `-S`, which preloads nothing.  `cli._read` reads each of these plain lists from the
+    # grammar table, so none loads argparse, nor the `gettext` and `locale` that argparse imports.
     out = fresh_python(
         "import io, sys; from sidediameter import cli\n"
         f"assert cli.run({argv.split()!r}, io.StringIO()) == 0\n"
-        "print(*sorted(m for m in sys.modules if m.startswith('sidediameter.') or m == 'fractions'))"
+        "print(*sorted(m for m in sys.modules if m.startswith('sidediameter.')\n"
+        "              or m in ('fractions', 'argparse', 'gettext', 'locale')))",
+        "-S",
     )
     # Every verb runs on `_exact`.  The table verbs run in `_tables` on the kernel `_steps`: `gen`
     # loads neither `approx` nor `fractions`, `compare` loads `fractions` for its `--start`, and
@@ -1087,7 +1107,7 @@ def test_argparse_choice_errors_shorten_a_huge_argument(argv):
                                   ["nth", "5", "--frobnicate"], ["gen"], ["trace", "2", "x"]])
 def test_short_argparse_errors_are_those_of_argparse(argv, monkeypatch):
     ours = invoke(argv)
-    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    monkeypatch.setattr(_parser._Parser, "error", argparse.ArgumentParser.error)
     assert ours == invoke(argv) and ours[0] == 2
 
 
@@ -1203,6 +1223,31 @@ def test_outputs_that_name_no_verb_first_come_from_the_full_parser(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["-h"], ["gen", "-h"], ["trace", "2", "3", "--help"], ["bogus"], ["gen", "--cou", "0"], ["compare", "--st", "3"],
+    ["nth", "0"], ["approx", "step", "1e3"], ["gen", "--count=x"], ["verify", "--all", "--identity", "x"], ["gen"],
+    ["--", "nth", "5"],
+], ids=["h", "verb-h", "verb-help-last", "unknown", "abbreviated", "ambiguous", "bad-value", "bad-rational",
+        "joined", "group-twice", "missing", "dashes"])
+def test_what_the_reader_declines_argparse_prints(argv):
+    assert cli._read(argv) is None
+    assert invoke(argv) == _full_parser_output(argv)
+
+
+@pytest.mark.parametrize("argv,plain", [
+    (["gen", "--cou", "3"], ["gen", "--count", "3"]),
+    (["gen", "--count=3", "--format=json"], ["gen", "--count", "3", "--format", "json"]),
+    (["trace", "--n", "3", "--pre"], ["trace", "--n", "3", "--pretty"]),
+    (["trace", "--pretty", "2", "3"], ["trace", "2", "3", "--pretty"]),
+    (["gen", "--count", "2", "--count", "3"], ["gen", "--count", "3"]),
+    (["verify", "--all", "--all"], ["verify", "--all"]),
+], ids=["abbreviated", "joined", "flag-abbreviated", "positionals-last", "repeated", "flag-repeated"])
+def test_spellings_the_reader_declines_run_as_their_plain_form(argv, plain):
+    assert cli._read(argv) is None and cli._read(plain) is not None
+    expected = invoke(plain)
+    assert invoke(argv) == expected and expected[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
     ["gen", "--count", "3", "--format", "json", "--digits", "5"], ["nth", "5", "--check-oracle"],
     ["verify", "--identity", "euclid_II_10"], ["trace", "2", "3", "--pretty"], ["trace", "--n", "4"],
     ["approx", "digits", "-3/2", "--cap", "4"], ["compare", "--start", "7/5", "--steps", "2", "--cap", "9"],
@@ -1212,3 +1257,88 @@ def test_each_verb_alone_parses_and_helps_as_the_full_parser(argv):
     assert invoke([argv[0], "-h"]) == _full_parser_output([argv[0], "-h"])
     choices = next(a for a in build_parser(argv[0])._actions if isinstance(a, argparse._SubParsersAction)).choices
     assert list(choices) == [argv[0]]  # the parser of one verb knows no other
+
+
+HUGE = "1" + "0" * 4400  # over CPython's default int/str limit of 4,300 digits
+
+
+def _texts(spec):
+    """Texts for one argument of `cli._GRAMMAR`: mostly valid and small, so every command runs fast."""
+    if "choices" in spec:
+        return st.sampled_from([*spec["choices"], "xml"])
+    kind = spec.get("type")
+    if kind in (cli.positive_int, cli.nonnegative_int):
+        return st.one_of(st.integers(0, 8).map(str), st.sampled_from(["+3", " 4 ", "1_0", "x", "2.5", HUGE]))
+    if kind is cli.rational:
+        return st.sampled_from(["1", "3/2", "7/5", "17/12", "0", "1/0", " 5/3", "2.5", "1e3", "x", "10" * 15])
+    if kind is cli.decimal_integer:
+        return st.sampled_from(["2", "3", "5", "7", "12", "17", "1_2", " 5", "3.0", "x", HUGE])
+    return st.sampled_from(["euclid_II_10", "bogus"])  # verify's NAME
+
+
+@st.composite
+def plain_argvs(draw):
+    """An argument list of one verb, drawn from `cli._GRAMMAR` in the plain form that `cli._read` reads."""
+    verb = draw(st.sampled_from(list(cli._GRAMMAR)))
+    grammar = cli._GRAMMAR[verb][2]
+    argv = [verb]
+    for name, spec in grammar.items():
+        if name[0] != "-":
+            argv += draw(st.lists(_texts(spec), min_size=2, max_size=2)) if "nargs" in spec else [draw(_texts(spec))]
+    group = [name for name in grammar if "group" in grammar[name]]
+    chosen = [name for name in grammar if name[0] == "-" and "group" not in grammar[name]
+              and ("required" in grammar[name] or draw(st.booleans()))]
+    for name in draw(st.permutations(chosen + ([draw(st.sampled_from(group))] if group else []))):
+        argv += [name] if "action" in grammar[name] else [name, draw(_texts(grammar[name]))]
+    return argv
+
+
+@st.composite
+def argvs(draw):
+    """A plain argument list, or one that is mutated up to three times into a spelling `cli._read` declines."""
+    argv = draw(plain_argvs())
+    grammar = cli._GRAMMAR[argv[0]][2]
+    for _ in range(draw(st.integers(0, 3))):
+        if not argv:
+            break
+        at = draw(st.integers(0, len(argv) - 1))
+        word = argv[at]
+        change = draw(st.sampled_from(["abbreviate", "join", "repeat", "help", "value", "swap", "extra", "drop"]))
+        if change == "abbreviate" and word.startswith("--") and len(word) > 3:
+            argv[at] = word[:draw(st.integers(3, len(word) - 1))]
+        elif change == "join" and word.startswith("--") and at + 1 < len(argv):
+            argv[at:at + 2] = [f"{word}={argv[at + 1]}"]
+        elif change == "repeat" and word.startswith("--"):
+            spec = grammar.get(word, {})
+            where = draw(st.sampled_from([at, len(argv)]))  # before the option, or last
+            argv[where:where] = [word] if "action" in spec else [word, draw(_texts(spec))]
+        elif change == "help":
+            argv.insert(at + draw(st.integers(0, 1)), draw(st.sampled_from(["-h", "--help"])))
+        elif change == "value" and at:
+            argv[at] = draw(st.sampled_from(["-3", "-3/2", "-0", "", "-x", "--"]))
+        elif change == "swap" and at + 1 < len(argv):
+            argv[at], argv[at + 1] = argv[at + 1], argv[at]
+        elif change == "extra":
+            argv.insert(at + 1, draw(st.sampled_from(["5", "x", "--bogus", "--", "-", "n", HUGE])))
+        elif change == "drop":
+            del argv[at]
+    return argv
+
+
+def _unclocked(outcome):
+    """`invoke`'s outcome with `nth --check-oracle`'s wall times blanked."""
+    code, out, err = outcome
+    return code, out, re.sub(r"_seconds=[0-9.]+", "_seconds=", err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_the_reader_gives_what_argparse_gives(argv):
+    # Whenever `_read` takes a list, argparse takes it too, into the same namespace; and whether it
+    # takes the list or declines it, `run` prints what it prints when every list goes to argparse.
+    read = cli._read(argv)
+    if read is not None:
+        assert vars(read) == vars(build_parser(argv[0]).parse_args(argv))
+    with mock.patch.object(cli, "_read", lambda argv: None):
+        parsed = _unclocked(invoke(argv))
+    assert _unclocked(invoke(argv)) == parsed

@@ -99,6 +99,18 @@ def test_coefficients_must_be_plain_ints(coeff):
         Poly.constant(("a", "d"), coeff)
 
 
+@pytest.mark.parametrize("exponent", [True, False, _MyInt(1), 1.0, Fraction(1), Decimal(1), "x", None],
+                         ids=["true", "false", "int-subclass", "float", "fraction", "decimal", "str", "none"])
+def test_exponents_must_be_plain_ints(exponent):
+    # A bool or an int subclass compares with 0 like an int, and a str or None cannot: each is
+    # refused by its type, with the same ValueError, before any comparison.
+    with pytest.raises(ValueError, match=r"^bad exponent vector \("):
+        Poly(("a",), {(exponent,): 1})
+    with pytest.raises(ValueError, match=f"^exponent must be a nonnegative integer, got {re.escape(repr(exponent))}$"):
+        A**exponent
+    assert Poly(("a",), {(1,): 1}) ** 2 == Poly(("a",), {(2,): 1})
+
+
 @pytest.mark.parametrize("value", [0.1, 1.0, True, _MyInt(2), Decimal("0.1"), "1"],
                          ids=["float", "integral-float", "bool", "int-subclass", "decimal", "str"])
 def test_evaluation_takes_only_ints_and_fractions(value):
