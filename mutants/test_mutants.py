@@ -432,10 +432,11 @@ MUTANTS = [
         "cli.py",
         "argv and argv[0] in _GRAMMAR",
         "argv",
+        # A first argument that names no verb then reaches `_GRAMMAR[verb]` in the pre-import.
         ["tests/test_cli.py::test_outputs_that_name_no_verb_first_come_from_the_full_parser[help]",
          "tests/test_cli.py::test_outputs_that_name_no_verb_first_come_from_the_full_parser[h-nth]",
          "tests/test_cli.py::test_outputs_that_name_no_verb_first_come_from_the_full_parser[unknown]"],
-        id="parser-built-for-any-first-argument",
+        id="pre-import-for-any-first-argument",
     ),
     pytest.param(
         "cli.py",

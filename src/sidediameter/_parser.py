@@ -1,4 +1,4 @@
-"""argparse's parser of the `sidediameter` command, built from `cli._GRAMMAR`.
+"""argparse's parser of every verb of the `sidediameter` command, built from `cli._GRAMMAR`.
 
 `cli.build_parser` imports this module on first call.  `cli.run` needs it only
 for what `cli._read` leaves to argparse: help, usage errors and unusual
@@ -27,13 +27,11 @@ class _Parser(argparse.ArgumentParser):
         super().error(re.sub(r"[^\s'\"]{41,}", lambda m: _echoed(m.group()), message))
 
 
-def build(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every verb, or of the verb `only` alone (`cli.build_parser`)."""
+def build() -> argparse.ArgumentParser:
+    """The parser of every verb (`cli.build_parser`)."""
     parser = _Parser(prog="sidediameter", description="Exact arithmetic for side-and-diameter numbers.")
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
     for verb, (_, help_text, grammar) in _GRAMMAR.items():
-        if only not in (None, verb):
-            continue
         verb_parser, group = sub.add_parser(verb, help=help_text), None
         for name, spec in grammar.items():
             target = verb_parser

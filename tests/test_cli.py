@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -1205,8 +1206,8 @@ def test_help_exits_zero():
 VERBS = ("gen", "nth", "verify", "trace", "approx", "compare")
 
 
-def _full_parser_output(argv):
-    """The exit code, stdout and stderr of the parser of every verb on `argv`, which must stop it."""
+def _parser_output(argv):
+    """The exit code, stdout and stderr of argparse's parser on `argv`, which must stop it."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as stop:
         build_parser().parse_args(argv)
@@ -1215,9 +1216,9 @@ def _full_parser_output(argv):
 
 @pytest.mark.parametrize("argv", [["--help"], [], ["-h", "nth"], ["bogus"]], ids=["help", "empty", "h-nth", "unknown"])
 def test_outputs_that_name_no_verb_first_come_from_the_full_parser(argv):
-    assert invoke(argv) == _full_parser_output(argv)
+    assert invoke(argv) == _parser_output(argv)
     if argv:
-        # An empty argv prints the usage line and the missing `verb`, which lists no verb in any parser.
+        # An empty argv prints the usage line and the missing `verb`, which lists no verb.
         listed = "".join(invoke(argv)[1:])
         assert [verb for verb in VERBS if not re.search(rf"\b{verb}\b", listed)] == []
 
@@ -1225,12 +1226,12 @@ def test_outputs_that_name_no_verb_first_come_from_the_full_parser(argv):
 @pytest.mark.parametrize("argv", [
     ["-h"], ["gen", "-h"], ["trace", "2", "3", "--help"], ["bogus"], ["gen", "--cou", "0"], ["compare", "--st", "3"],
     ["nth", "0"], ["approx", "step", "1e3"], ["gen", "--count=x"], ["verify", "--all", "--identity", "x"], ["gen"],
-    ["--", "nth", "5"],
+    ["--", "nth", "5"], ["nth", "-h"], ["verify", "-h"], ["approx", "-h"], ["compare", "-h"],
 ], ids=["h", "verb-h", "verb-help-last", "unknown", "abbreviated", "ambiguous", "bad-value", "bad-rational",
-        "joined", "group-twice", "missing", "dashes"])
+        "joined", "group-twice", "missing", "dashes", "nth-h", "verify-h", "approx-h", "compare-h"])
 def test_what_the_reader_declines_argparse_prints(argv):
     assert cli._read(argv) is None
-    assert invoke(argv) == _full_parser_output(argv)
+    assert invoke(argv) == _parser_output(argv)
 
 
 @pytest.mark.parametrize("argv,plain", [
@@ -1245,18 +1246,6 @@ def test_spellings_the_reader_declines_run_as_their_plain_form(argv, plain):
     assert cli._read(argv) is None and cli._read(plain) is not None
     expected = invoke(plain)
     assert invoke(argv) == expected and expected[0] == 0
-
-
-@pytest.mark.parametrize("argv", [
-    ["gen", "--count", "3", "--format", "json", "--digits", "5"], ["nth", "5", "--check-oracle"],
-    ["verify", "--identity", "euclid_II_10"], ["trace", "2", "3", "--pretty"], ["trace", "--n", "4"],
-    ["approx", "digits", "-3/2", "--cap", "4"], ["compare", "--start", "7/5", "--steps", "2", "--cap", "9"],
-], ids=lambda argv: argv[0])
-def test_each_verb_alone_parses_and_helps_as_the_full_parser(argv):
-    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
-    assert invoke([argv[0], "-h"]) == _full_parser_output([argv[0], "-h"])
-    choices = next(a for a in build_parser(argv[0])._actions if isinstance(a, argparse._SubParsersAction)).choices
-    assert list(choices) == [argv[0]]  # the parser of one verb knows no other
 
 
 HUGE = "1" + "0" * 4400  # over CPython's default int/str limit of 4,300 digits
@@ -1338,7 +1327,61 @@ def test_the_reader_gives_what_argparse_gives(argv):
     # takes the list or declines it, `run` prints what it prints when every list goes to argparse.
     read = cli._read(argv)
     if read is not None:
-        assert vars(read) == vars(build_parser(argv[0]).parse_args(argv))
+        assert vars(read) == vars(build_parser().parse_args(argv))
     with mock.patch.object(cli, "_read", lambda argv: None):
         parsed = _unclocked(invoke(argv))
     assert _unclocked(invoke(argv)) == parsed
+
+
+# Every verb, its refusals (exit 1) and usage errors (exit 2), and argparse's help and messages.
+ON_EVERY_INTERPRETER = [
+    [], ["--help"], ["bogus"], ["--", "nth", "5"], *([verb, "-h"] for verb in VERBS),
+    ["nth", "5"], ["nth", "100001"], ["nth", "5", "--check-oracle"], ["nth", "300000000"], ["nth", "0"],
+    ["gen", "--count", "300", "--format", "json", "--digits", "40"], ["gen", "--count", "20"], ["gen"],
+    ["gen", "--count", "1", "--digits", "200000"], ["gen", "--count", "20000"],
+    ["gen", "--count", "3", "--format", "xml"],
+    ["compare", "--steps", "14", "--start", "7/5"], ["compare", "--steps", "16", "--format", "json"],
+    ["compare", "--start", "-3/2", "--steps", "2"], ["compare", "--st", "3"],
+    ["trace", "--n", "3000", "--pretty"], ["trace", "12", "17"], ["trace", "3", "5"], ["trace"],
+    ["verify", "--all"], ["verify", "--identity", "euclid_II_10"], ["verify", "--identity", "bogus"],
+    ["approx", "preimage", "17/12"], ["approx", "digits", "577/408"], ["approx", "step", "7/5", "--method", "sd"],
+    ["approx", "step", "0/5"], ["approx", "step", "1e3"],
+]
+
+
+def _other_interpreters():
+    """The folder beside `sys.base_prefix` (pyenv's `versions/`), and each CPython 3.10+ in it but this one.
+
+    pyenv's shims are not used: they fail unless `PYENV_VERSION` is set.
+    """
+    this = Path(sys.base_prefix).resolve()
+    found = []
+    for prefix in sorted(this.parent.iterdir()):
+        version = re.fullmatch(r"(\d+)\.(\d+)\.\d+", prefix.name)
+        python = prefix / "bin" / "python3"
+        if version and (int(version[1]), int(version[2])) >= (3, 10) and prefix != this and python.exists():
+            found.append(python)
+    return this.parent, found
+
+
+def _digest(outcome) -> str:
+    """sha256 of an exit code, stdout and stderr, with `nth --check-oracle`'s wall times blanked."""
+    return hashlib.sha256(repr(_unclocked(outcome)).encode()).hexdigest()
+
+
+def test_every_interpreter_beside_this_one_prints_the_same_bytes(monkeypatch):
+    home, pythons = _other_interpreters()
+    if not pythons:
+        pytest.skip(f"no other CPython 3.10+ in {home}")
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal width
+    env = dict(FRESH_ENV, COLUMNS="80")
+    expected = [_digest(invoke(argv)) for argv in ON_EVERY_INTERPRETER]
+
+    def differing(python):
+        runs = (subprocess.run([python, "-S", "-m", "sidediameter", *argv], capture_output=True, text=True, env=env,
+                               timeout=60) for argv in ON_EVERY_INTERPRETER)
+        return [" ".join(argv) for argv, proc, digest in zip(ON_EVERY_INTERPRETER, runs, expected)
+                if _digest((proc.returncode, proc.stdout, proc.stderr)) != digest]
+
+    with ThreadPoolExecutor(len(pythons)) as pool:  # one command of each interpreter at a time
+        assert dict(zip(map(str, pythons), pool.map(differing, pythons))) == {str(p): [] for p in pythons}
