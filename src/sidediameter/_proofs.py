@@ -9,7 +9,8 @@ in exact Decimal, under the `_EXACT` that `cli.run` enters for every handler.
 import decimal
 
 from sidediameter import _exact, identities
-from sidediameter.cli import UsageError, _check_printed_digits, _component_digits, _echoed, _json, _write
+from sidediameter._out import _check_printed_digits, _component_digits, _json, _write
+from sidediameter.cli import UsageError, _echoed
 
 
 def _cmd_verify(args) -> int:
@@ -26,7 +27,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    """`trace_elegant`'s trace, computed, checked and printed in exact Decimal (see `cli._nth_line`).
+    """`trace_elegant`'s trace, computed, checked and printed in exact Decimal (see `_out._nth_line`).
 
     `_exact._pell_sign` checks a pair A D in Decimal, on the squares that the steps use, and reads e.  `--n K`
     needs no check: the hypothesis-substitution step balances only when d^2 - 2a^2 = (-1)^K.

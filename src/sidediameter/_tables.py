@@ -16,7 +16,8 @@ import itertools
 
 from sidediameter import _steps
 from sidediameter._exact import DEFAULT_DIGIT_CAP, _positive_fraction, to_decimal
-from sidediameter.cli import UsageError, _check_printed_digits, _component_digits, _json, _write
+from sidediameter._out import _check_printed_digits, _component_digits, _json, _write
+from sidediameter.cli import UsageError
 
 _GEN_COLUMNS = ("n", "a", "d", "e", "ratio_decimal", "correct_digits")
 

@@ -20,7 +20,7 @@ import re
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from sidediameter._exact import _pell_sign, _require_int, _require_rational, _shown, to_decimal
+from sidediameter._exact import _pell_sign, _pell_step, _require_int, _require_rational, _shown, to_decimal
 from sidediameter.pairs import SideDiameterPair, _Record
 
 # The derivation, one row per step: its justification and its two sides as printed.  A and D
@@ -142,6 +142,8 @@ def identity_catalog() -> list[NamedIdentity]:
 
     a, d = symbols("a", "d")
     c, t = symbols("c", "t")
+    # `elegant_core` is the step that the package computes, run on the symbolic Pell state.
+    p, q, n = _pell_step(d, a, d**2 - 2 * a**2)
     return [
         NamedIdentity(
             "euclid_II_10",
@@ -157,8 +159,8 @@ def identity_catalog() -> list[NamedIdentity]:
         ),
         NamedIdentity(
             "elegant_core",
-            (2 * a + d) ** 2 - 2 * (a + d) ** 2,
-            2 * a**2 - d**2,
+            p**2 - 2 * q**2,
+            n,
             "how d^2 - 2a^2 propagates (negated) under the step (a,d) -> (a+d, 2a+d)",
         ),
         NamedIdentity(

@@ -23,10 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sidediameter
-from sidediameter import (_exact, _parser, _steps, _tables, approx, cli, generate, identities, pairs, to_decimal,
-                          trace_elegant)
+from sidediameter import (_exact, _out, _parser, _steps, _tables, approx, cli, generate, identities, pairs,
+                          to_decimal, trace_elegant)
 from sidediameter._tables import _GEN_COLUMNS
-from sidediameter.cli import _nth_line, build_parser, run
+from sidediameter._out import _nth_line
+from sidediameter.cli import build_parser, run
 from sidediameter.pairs import SideDiameterPair, nth
 
 
@@ -187,7 +188,7 @@ def _joined(document):
     max_leaves=20,
 ))
 def test_json_lays_out_what_json_dumps_does(document):
-    assert "".join(cli._json(document)) == json.dumps(_joined(document), indent=2)
+    assert "".join(_out._json(document)) == json.dumps(_joined(document), indent=2)
 
 
 @given(st.lists(_SAFE_TEXT.filter(bool), min_size=1, max_size=5, unique=True).flatmap(
@@ -201,7 +202,7 @@ def test_table_lays_out_what_json_dumps_and_csv_do(table, joined_row_chars):
     csv.writer(lines, lineterminator="\n").writerows([columns, *rows])
     with mock.patch.object(_tables, "_JOINED_ROW_CHARS", joined_row_chars):
         assert "".join(_tables._table("json", columns, rows)) == json.dumps(dicts, indent=2)
-        nested = cli._json({"report": {"rows": _tables._table("json", columns, rows, "\n    ")}})
+        nested = _out._json({"report": {"rows": _tables._table("json", columns, rows, "\n    ")}})
         assert "".join(nested) == json.dumps({"report": {"rows": dicts}}, indent=2)
         assert "".join(_tables._table("csv", columns, rows)) + "\n" == lines.getvalue()
 
@@ -320,7 +321,7 @@ def test_nth_check_oracle_reports_a_mismatch(monkeypatch):
                   ("n=5 a=", "39", " d=", "41", " e=-1"),  # one digit of a changed
                   ("n=5 a=", "29", " d=", "47", " e=-1"),  # one digit of d changed
                   ("n=5 a=", "29", " d=", "41", " e=1")):  # the right digits with the wrong sign
-        monkeypatch.setattr(cli, "_nth_line", lambda n: wrong)
+        monkeypatch.setattr(_out, "_nth_line", lambda n: wrong)
         code, out, err = invoke(["nth", "5", "--check-oracle"])
         assert (code, out) == (1, "".join(wrong) + "\n"), wrong
         assert "oracle mismatch" in err and "n=5" in err
@@ -417,7 +418,7 @@ def test_index_verbs_refuse_output_over_the_limit_before_computing(argv, monkeyp
     code, out, err = invoke(argv)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
-    assert f"limit of {cli._PRINTED_DIGIT_LIMIT}" in err
+    assert f"limit of {_out._PRINTED_DIGIT_LIMIT}" in err
 
 
 def test_a_refused_estimate_over_20_digits_is_shown_in_scientific_form():
@@ -425,7 +426,33 @@ def test_a_refused_estimate_over_20_digits_is_shown_in_scientific_form():
         1, "", "error: nth would print about 1.03e331 digits, over the limit of 100000000\n")
     for estimate, shown in [(12345678901234567890, "12345678901234567890"), (123456789012345678901, "1.23e20")]:
         with pytest.raises(ValueError, match=f"^gen would print about {re.escape(shown)} digits, over"):
-            cli._check_printed_digits("gen", estimate)
+            _out._check_printed_digits("gen", estimate)
+
+
+def test_root_2_squares_to_2_modulo_the_prime():
+    assert _out._ROOT_2**2 % _exact._PRIME == 2
+
+
+def test_one_plus_root_2_has_order_half_the_multiplicative_group():
+    # (P - 1)/2 = 2**60 - 1, and an order that divides it but no (P - 1)/2/f for a prime f is (P - 1)/2.
+    order, factors = (_exact._PRIME - 1) // 2, (3, 3, 5, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321)
+    assert order == 2**60 - 1 == math.prod(factors)
+    assert pow(1 + _out._ROOT_2, order, _exact._PRIME) == 1
+    for prime in set(factors):
+        assert pow(1 + _out._ROOT_2, order // prime, _exact._PRIME) != 1, prime
+
+
+def test_component_digits_rate_bounds_log10_of_1_plus_root_2():
+    # Pair 10,000 is (1 + sqrt(2))**10000 = d + a*sqrt(2), which is below 10**k exactly when
+    # 10**k > d and 2a**2 < (10**k - d)**2.  At k = 3828, log10(1 + sqrt(2)) < 0.3828, so every
+    # component of pair n has at most ceil(0.3828 * n) digits; at 3827 the bound fails.
+    pair = pairs.nth_iterative(10000)
+
+    def below(k):
+        return 10**k > pair.d and 2 * pair.a**2 < (10**k - pair.d) ** 2
+
+    assert below(3828) and not below(3827)
+    assert _out._component_digits(10000) >= len(str(pair.d)) == 3828
 
 
 @pytest.mark.parametrize("verb,n", [
@@ -450,9 +477,9 @@ def test_index_budget_accepts_the_sizes_below_the_limit(verb, n, monkeypatch):
     # Cheap stand-ins for the cores and the table writer, so that only the budget decides.
     # `gen` writes pair 1 without a step, so a stand-in for `_steps._rows` alone would
     # still print its 99999987 places.
-    monkeypatch.setattr(cli, "_nth_line", lambda n: "computed")
+    monkeypatch.setattr(_out, "_nth_line", lambda n: "computed")
     monkeypatch.setattr(pairs, "nth", lambda n: SideDiameterPair(1, 1))
-    for writer in (cli, _tables):  # consumes no piece, so no core runs
+    for writer in (_out, _tables):  # consumes no piece, so no core runs
         monkeypatch.setattr(writer, "_write", lambda pieces: None)
     assert invoke([*verb.split(), str(n)])[0::2] == (0, "")
 
@@ -595,8 +622,26 @@ def test_each_verb_loads_only_the_modules_it_needs(argv, needs):
     verb_needs = {"nth": [], "gen": ["_tables", "_steps"], "compare": ["_tables", "_steps", "fractions"],
                   "approx": ["_tables", "_steps", "fractions", "approx"],
                   "trace": ["_proofs", "pairs"], "verify": ["_proofs", "pairs"]}[argv.split()[0]]
-    needs = ["cli", "_exact", *verb_needs, *needs.split()]
+    needs = ["cli", "_out", "_exact", *verb_needs, *needs.split()]
     assert set(out.split()) == {m if m == "fractions" else f"sidediameter.{m}" for m in needs}
+
+
+def compile_peak(module: str) -> int:
+    """The peak of memory that compiling the package's `module` from source allocates."""
+    source = Path(cli.__file__).with_name(module).read_text()
+    tracemalloc.start()
+    try:
+        compile(source, module, "exec")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_front_end_compiles_in_about_the_memory_of_the_kernel():
+    # With no bytecode cache every command compiles each module it loads, and the memory is freed
+    # after each one, so a command's peak follows its largest compile.  Every verb loads `cli` and
+    # `_exact`; code that `cli` does not need for reading arguments lives in `_out` or a verb's module.
+    assert compile_peak("cli.py") <= 1.25 * compile_peak("_exact.py")
 
 
 def test_library_trace_loads_no_polynomial_ring():

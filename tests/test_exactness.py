@@ -22,9 +22,9 @@ SOURCE = Path(__file__).parents[1] / "src" / "sidediameter"
 
 # True division, on Fractions, happens only in these (module, function) places.
 DIVIDING = {("approx.py", "babylonian_step"), ("approx.py", "sd_ratio_step")}
-# Modules that read a clock, and the package modules that may import them.
+# Modules that read a clock, and the package module that may import them: `nth --check-oracle`'s.
 CLOCKS = {"time", "datetime"}
-CLOCK_READERS = {"cli.py"}
+CLOCK_READERS = {"_out.py"}
 
 
 def _below(module: str, function, node):
@@ -62,7 +62,7 @@ def test_math_is_used_only_for_isqrt():
     assert used | imported == {"isqrt"}
 
 
-def test_clocks_are_read_only_in_cli():
+def test_clocks_are_read_only_by_nth():
     readers = {module for module, _, node in NODES
                if isinstance(node, ast.Import) and any(a.name.split(".")[0] in CLOCKS for a in node.names)
                or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in CLOCKS}

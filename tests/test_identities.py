@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sidediameter import _exact, cli, identities
+from sidediameter import _exact, _out, identities
 from sidediameter.approx import run_method, to_decimal
 from sidediameter.cli import run
 from sidediameter.identities import (
@@ -62,6 +62,13 @@ def test_elegant_core_at_2_3():
     at = {"a": 2, "d": 3}
     assert ident.lhs.evaluate(at) == 49 - 50 == -1
     assert ident.rhs.evaluate(at) == 8 - 9 == -1
+
+
+def test_elegant_core_is_the_hand_written_identity():
+    # The catalog runs `_exact._pell_step` on the symbols; the identity written out is its oracle.
+    a, d = symbols("a", "d")
+    ident = catalog_by_name()["elegant_core"]
+    assert (ident.lhs, ident.rhs) == ((2 * a + d) ** 2 - 2 * (a + d) ** 2, 2 * a**2 - d**2)
 
 
 def test_verify_identity_examples():
@@ -430,7 +437,7 @@ def test_the_trace_core_and_layouts_convert_each_distinct_value_once(monkeypatch
     with decimal.localcontext(_exact._EXACT):
         a, d = number(pair.a), number(pair.d)
         text, steps, _ = identities._derivation(a, d, pair.sign)
-    "".join(cli._json(identities._trace_document(text, a, d, pair.sign, steps)))
+    "".join(_out._json(identities._trace_document(text, a, d, pair.sign, steps)))
     "".join(identities._pretty_laid_out(text, a, d, pair.sign, steps))
     assert {type(v) for v in rendered} == {number}
     assert len(rendered) == len(set(rendered)) == calls
